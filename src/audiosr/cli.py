@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, data, dsp, metrics, models, probe, train
-from .diffgraph import Tensor, no_grad
 from .dsp import Signal
 
 
@@ -32,46 +31,19 @@ class _Parser(argparse.ArgumentParser):
 # config files: flat "key = value" with sections, unknown keys rejected
 # ---------------------------------------------------------------------------
 
-_RUN_KEYS = {"kind", "model"}
 _DATA_KEYS = {
     "manifest", "split", "synth_count", "synth_length", "synth_rate", "synth_seed",
     "synth_freq_lo", "synth_freq_hi", "synth_kinds",
 }
-_SECTION_CLASSES = {
-    "model": None,  # resolved by run.model
-    "train": train.TrainConfig,
-    "gan": train.GanConfig,
-    "critic": models.CriticConfig,
-}
-_MODEL_CLASSES = {"edsr": models.EdsrConfig, "unet": models.UnetConfig}
+# run.model values: the kinds that upsample
+_UPSAMPLERS = [kind for kind, (_, model_cls) in models.KINDS.items() if model_cls.mode]
 
 
-def _coerce(type_str: str, raw: str):
-    raw = raw.strip()
-    if type_str.startswith("tuple[int"):
-        return tuple(int(v) for v in raw.split(",") if v.strip())
-    if type_str.startswith("tuple"):
-        return tuple(v.strip() for v in raw.split(",") if v.strip())
-    if type_str == "int":
-        return int(raw)
-    if type_str == "float":
-        return float(raw)
-    if type_str.startswith("str | None"):
-        return None if raw in ("", "none") else raw
-    return raw
-
-
-def _section_to_kwargs(cls, section: dict, where: str) -> dict:
-    valid = {f.name: f.type for f in fields(cls)}
-    kwargs = {}
-    for key, raw in section.items():
-        if key not in valid:
-            raise UsageError(f"unknown key {key!r} in [{where}]")
-        try:
-            kwargs[key] = _coerce(valid[key], raw)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"bad value for {key!r} in [{where}]: {exc}") from exc
-    return kwargs
+def _section_config(cfg: dict, section: str, cls, **defaults):
+    try:
+        return models.decode_config(cls, cfg.get(section, {}), **defaults)
+    except ValueError as exc:
+        raise UsageError(f"bad [{section}] config: {exc}") from exc
 
 
 def _read_config(path) -> dict[str, dict[str, str]]:
@@ -90,36 +62,18 @@ def _load_run_config(path, want_gan: bool):
             raise UsageError(f"unknown section [{name}] in {path}")
     run = cfg.get("run", {})
     for key in run:
-        if key not in _RUN_KEYS:
+        if key != "model":
             raise UsageError(f"unknown key {key!r} in [run]")
     model_kind = run.get("model", "unet" if want_gan else "edsr")
-    if model_kind not in _MODEL_CLASSES:
-        raise UsageError(f"run.model must be edsr or unet, got {model_kind!r}")
-    model_cls = _MODEL_CLASSES[model_kind]
-    try:
-        model_cfg = model_cls(**_section_to_kwargs(model_cls, cfg.get("model", {}), "model"))
-    except ValueError as exc:
-        raise UsageError(f"bad [model] config: {exc}") from exc
-
-    train_kwargs = _section_to_kwargs(train.TrainConfig, cfg.get("train", {}), "train")
-    train_kwargs.setdefault("mode", "post" if model_kind == "edsr" else "pre")
-    train_kwargs.setdefault("steps", 100)
-    try:
-        train_cfg = train.TrainConfig(**train_kwargs)
-    except ValueError as exc:
-        raise UsageError(f"bad [train] config: {exc}") from exc
-
+    if model_kind not in _UPSAMPLERS:
+        raise UsageError(f"run.model must be one of {', '.join(_UPSAMPLERS)}, got {model_kind!r}")
+    config_cls, model_cls = models.KINDS[model_kind]
+    model_cfg = _section_config(cfg, "model", config_cls)
+    train_cfg = _section_config(cfg, "train", train.TrainConfig, mode=model_cls.mode, steps=100)
     gan_cfg = critic_cfg = None
     if want_gan:
-        try:
-            critic_cfg = models.CriticConfig(
-                **_section_to_kwargs(models.CriticConfig, cfg.get("critic", {}), "critic")
-            )
-            gan_kwargs = _section_to_kwargs(train.GanConfig, cfg.get("gan", {}), "gan")
-            gan_kwargs.pop("base", None)
-            gan_cfg = train.GanConfig(base=train_cfg, **gan_kwargs)
-        except ValueError as exc:
-            raise UsageError(f"bad GAN config: {exc}") from exc
+        critic_cfg = _section_config(cfg, "critic", models.CriticConfig)
+        gan_cfg = _section_config(cfg, "gan", train.GanConfig, base=train_cfg)
 
     for key in cfg.get("data", {}):
         if key not in _DATA_KEYS:
@@ -208,9 +162,7 @@ def _cmd_prepare(args) -> int:
 
 
 def _build_model(kind: str, model_cfg, seed: int):
-    if kind == "edsr":
-        return models.build_edsr(model_cfg, seed=seed)
-    return models.build_unet(model_cfg, seed=seed)
+    return models.KINDS[kind][1](model_cfg, init_seed=seed)
 
 
 def _cmd_train(args) -> int:
@@ -281,17 +233,13 @@ def _cmd_eval(args) -> int:
     corpus, ids, corpus_hash = _corpus_from_data_section(section)
     if args.spline:
         model = None
-        mode = "pre"
         ckpt_id = "spline-baseline"
     else:
         if not args.checkpoint:
             raise UsageError("eval needs --checkpoint or --spline")
         model = models.load_checkpoint(args.checkpoint)
-        mode = args.mode or ("post" if model.kind == "edsr" else "pre")
         ckpt_id = Path(args.checkpoint).name
-    report = metrics.evaluate_model(
-        model, corpus, args.scale, mode, item_ids=ids, checkpoint_id=ckpt_id
-    )
+    report = metrics.evaluate_model(model, corpus, args.scale, item_ids=ids, checkpoint_id=ckpt_id)
     report.to_csv(out / "metrics.csv")
     _write_run_meta(out, "eval", {
         "scale": args.scale,
@@ -310,25 +258,15 @@ def _cmd_eval(args) -> int:
 
 def _cmd_upsample(args) -> int:
     sig = data.wav_read(args.input, downmix=args.downmix)
-    if args.method == "spline":
-        result = dsp.spline_upsample(sig, args.scale)
-    else:
+    model = None
+    if args.method == "model":
         if not args.checkpoint:
             raise UsageError("--method model needs --checkpoint")
         model = models.load_checkpoint(args.checkpoint)
-        if model.kind == "edsr":
-            if model.scale != args.scale:
-                raise UsageError(
-                    f"checkpoint upsamples by {model.scale}, but --scale {args.scale} was given"
-                )
-            feed = sig.samples
-        else:
-            base = dsp.spline_upsample(sig, args.scale)
-            usable = (len(base) // model.length_divisor) * model.length_divisor
-            feed = base.samples[:usable]
-        with no_grad():
-            out_t = model.forward(Tensor(feed[None, None, :]), training=False)
-        result = Signal(out_t.data[0, 0], sig.sample_rate * args.scale)
+    try:
+        result = models.reconstruct(model, sig, args.scale)
+    except models.ScaleMismatchError as exc:
+        raise UsageError(f"{args.checkpoint}: {exc}") from exc
     clipped = np.clip(result.samples, -1.0, 1.0)
     n_clipped = int(np.sum(clipped != result.samples))
     if n_clipped:
@@ -357,22 +295,20 @@ def _cmd_compare_losses(args) -> int:
         model_cfg = models.EdsrConfig(
             filters=16, n_blocks=2, upsample_stages=stages
         )
-        mode = "post"
     else:
         model_cfg = models.UnetConfig(
             depth=2, down_filters=(16, 32), down_kernels=(17, 9),
             bottleneck_filters=32, scale=args.scale,
         )
-        mode = "pre"
     rows = []
     for loss in ("l1", "l2"):
+        model = _build_model(args.model, model_cfg, args.seed)
         cfg = train.TrainConfig(
-            steps=args.steps, mode=mode, scale=args.scale, batch_size=args.batch,
+            steps=args.steps, mode=model.mode, scale=args.scale, batch_size=args.batch,
             loss=loss, seed=args.seed, patch_length=args.patch, lr=args.lr,
         )
-        model = _build_model(args.model, model_cfg, cfg.seed)
         _, log = train.train_supervised(model, train_corpus, cfg)
-        report = metrics.evaluate_model(model, eval_corpus, args.scale, mode)
+        report = metrics.evaluate_model(model, eval_corpus, args.scale)
         rows.append((loss, report))
         print(
             f"{loss}: final train loss {log.records[-1].loss:.6f} | "
@@ -453,7 +389,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--checkpoint")
     p.add_argument("--spline", action="store_true")
     p.add_argument("--scale", type=int, required=True)
-    p.add_argument("--mode", choices=("pre", "post"))
     p.add_argument("--manifest")
     p.add_argument("--split", default="test")
     p.add_argument("--synth", type=int, default=16)

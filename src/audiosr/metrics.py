@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dsp
-from .diffgraph import Tensor, no_grad
 from .dsp import DEFAULT_STFT, Signal, SpectrogramParams
+from .models import reconstruct, upsampling_mode
 
 
 def snr(generated: Signal, actual: Signal) -> float:
@@ -88,7 +88,7 @@ def evaluate_model(
     model,
     corpus: list[Signal],
     scale: int,
-    mode: str,
+    mode: str | None = None,
     stft_params: SpectrogramParams = DEFAULT_STFT,
     item_ids: list[str] | None = None,
     checkpoint_id: str = "",
@@ -96,35 +96,23 @@ def evaluate_model(
     """Degrade, reconstruct, and score every corpus item.
 
     ``model=None`` evaluates the classical baseline: spline interpolation of
-    the degraded signal. Reconstruction and reference are truncated to their
+    the degraded signal. ``mode`` defaults to the model's own and must not
+    contradict it. Reconstruction and reference are truncated to their
     common length before scoring.
     """
     if not corpus:
         raise ValueError("empty corpus")
-    if mode not in ("pre", "post"):
+    if mode not in (None, "pre", "post"):
         raise ValueError(f"mode must be 'pre' or 'post', got {mode!r}")
-    if model is not None and mode == "post" and getattr(model, "scale", scale) != scale:
-        raise ValueError(
-            f"model upsamples by {model.scale}, but scale {scale} was requested"
-        )
+    if model is not None:
+        mode = upsampling_mode(model, scale, mode)
     if item_ids is not None and len(item_ids) != len(corpus):
         raise ValueError("item_ids length does not match corpus")
 
     per_item = []
     for i, sig in enumerate(corpus):
         item_id = item_ids[i] if item_ids is not None else str(i)
-        low = dsp.downsample(sig, scale)
-        if model is None:
-            recon = dsp.spline_upsample(low, scale)
-        elif mode == "post":
-            recon = _run_model(model, low.samples, sig.sample_rate)
-        else:
-            base = dsp.spline_upsample(low, scale)
-            divisor = int(getattr(model, "length_divisor", 1))
-            usable = (len(base) // divisor) * divisor
-            if usable == 0:
-                raise ValueError(f"item {item_id} too short for the model")
-            recon = _run_model(model, base.samples[:usable], sig.sample_rate)
+        recon = reconstruct(model, dsp.downsample(sig, scale), scale)
         n = min(len(recon), len(sig))
         if n < stft_params.frame_length:
             raise ValueError(
@@ -153,8 +141,3 @@ def evaluate_model(
         },
     )
 
-
-def _run_model(model, samples: np.ndarray, out_rate: int) -> Signal:
-    with no_grad():
-        out = model.forward(Tensor(samples[None, None, :]), training=False)
-    return Signal(out.data[0, 0].astype(np.float64), out_rate)

@@ -1,5 +1,5 @@
 """The three networks: a residual post-upsampler, a bottleneck pre-upsampler,
-and the scoring critic, plus parameter accounting and checkpoint I/O."""
+and the scoring critic, plus inference, parameter accounting and checkpoint I/O."""
 from __future__ import annotations
 
 import math
@@ -10,8 +10,9 @@ from io import BytesIO
 import numpy as np
 
 from . import diffgraph as dg
-from . import probe
+from . import dsp
 from .diffgraph import AdamState, Parameter, Tensor
+from .dsp import Signal
 
 
 @dataclass(frozen=True)
@@ -93,9 +94,15 @@ class CriticConfig:
 
 
 class Model:
-    """Ordered differentiable operator graph with named parameters."""
+    """Ordered differentiable operator graph with named parameters.
+
+    ``mode`` names the input an upsampling model takes: "post" models read the
+    low-rate signal, "pre" models its spline interpolation at the target rate.
+    Models that do not upsample (the critic) have none.
+    """
 
     kind = "model"
+    mode: str | None = None
 
     def __init__(self, config, dtype: str = "float64", init_seed: int = 0):
         self.config = config
@@ -168,6 +175,7 @@ class Model:
 
 class EdsrModel(Model):
     kind = "edsr"
+    mode = "post"
 
     def __init__(self, config: EdsrConfig, dtype: str = "float64", init_seed: int = 0):
         super().__init__(config, dtype, init_seed)
@@ -209,6 +217,7 @@ class EdsrModel(Model):
 
 class UnetModel(Model):
     kind = "unet"
+    mode = "pre"
 
     def __init__(self, config: UnetConfig, dtype: str = "float64", init_seed: int = 0):
         super().__init__(config, dtype, init_seed)
@@ -269,6 +278,28 @@ class UnetModel(Model):
         return dg.add(h, x)
 
 
+def phase_shuffle(x, n: int, rng: np.random.Generator):
+    """Shift each batch item's time axis by a uniform draw from [-n, n].
+
+    Vacated samples are filled by reflection. Differentiable (pure gather).
+    """
+    x = Tensor(x) if not isinstance(x, Tensor) else x
+    if x.ndim != 3:
+        raise ValueError(f"phase_shuffle expects rank 3, got shape {x.shape}")
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"shift bound must be an integer >= 0, got {n}")
+    b, _, length = x.shape
+    if n >= length:
+        raise ValueError(f"shift bound {n} must be smaller than the time axis ({length})")
+    if n == 0:
+        return x
+    shifts = rng.integers(-n, n + 1, size=b)
+    base = np.arange(length)[None, :] - shifts[:, None]
+    idx = np.abs(base)  # reflect at the left edge, no duplicated boundary sample
+    idx = np.where(idx > length - 1, 2 * (length - 1) - idx, idx)
+    return dg.take_time(x, idx)
+
+
 class CriticModel(Model):
     kind = "critic"
 
@@ -293,7 +324,7 @@ class CriticModel(Model):
             h = self._conv(h, f"layer{i}", stride=2)
             h = dg.leaky_relu(h, cfg.leaky_slope)
             if shuffle and i < cfg.layers - 1:
-                h = probe.phase_shuffle(h, cfg.phase_shuffle_n, rng)
+                h = phase_shuffle(h, cfg.phase_shuffle_n, rng)
         pooled = dg.mean_time(h)
         score = dg.dense(pooled, self.params["score.w"].tensor, self.params["score.b"].tensor)
         return dg.reshape(score, (x.shape[0],))
@@ -311,12 +342,106 @@ def build_critic(cfg: CriticConfig, dtype: str = "float64", seed: int = 0) -> Cr
     return CriticModel(cfg, dtype=dtype, init_seed=seed)
 
 
-def forward(m: Model, x, training: bool = False, rng=None):
-    return m.forward(x, training=training, rng=rng)
+# kind -> (config class, model class)
+KINDS = {"edsr": (EdsrConfig, EdsrModel), "unet": (UnetConfig, UnetModel), "critic": (CriticConfig, CriticModel)}
 
 
 def count_parameters(m: Model) -> int:
     return sum(p.size for p in m.parameters())
+
+
+# ---------------------------------------------------------------------------
+# inference
+# ---------------------------------------------------------------------------
+
+class ScaleMismatchError(ValueError):
+    """A post-upsampling model was asked for a scale it was not built for."""
+
+
+def upsampling_mode(m: Model, scale: int, mode: str | None = None) -> str:
+    """The input ``m`` takes when upsampling by ``scale``: "pre" or "post".
+
+    A given ``mode`` must agree with the model's own.
+    """
+    own = getattr(m, "mode", None)
+    kind = getattr(m, "kind", type(m).__name__)
+    if own is None:
+        raise ValueError(f"a {kind!r} model does not upsample audio")
+    if mode not in (None, own):
+        raise ValueError(f"a {kind!r} model runs in {own!r} mode, got mode {mode!r}")
+    if own == "post" and m.scale != scale:
+        raise ScaleMismatchError(f"model upsamples by {m.scale}, but scale {scale} was requested")
+    return own
+
+
+def reconstruct(m: Model | None, low: Signal, scale: int) -> Signal:
+    """Upsample ``low`` by ``scale`` with the spline (``m=None``) or a model.
+
+    A post model reads ``low`` itself. A pre model reads its spline
+    interpolation, cropped to the model's length divisor; the cropped tail is
+    missing from the output.
+    """
+    if m is not None and upsampling_mode(m, scale) == "post":
+        feed = low.samples
+    else:
+        base = dsp.spline_upsample(low, scale)
+        if m is None:
+            return base
+        divisor = m.length_divisor
+        usable = len(base) // divisor * divisor
+        if usable == 0:
+            raise ValueError(
+                f"{len(base)} samples at the target rate are fewer than the model's "
+                f"length divisor {divisor}"
+            )
+        feed = base.samples[:usable]
+    with dg.no_grad():
+        out = m.forward(Tensor(feed[None, None, :]), training=False)
+    return Signal(out.data[0, 0], low.sample_rate * scale)
+
+
+# ---------------------------------------------------------------------------
+# config dataclasses to and from "key = value" strings, driven by field types
+# ---------------------------------------------------------------------------
+
+def encode_config(cfg) -> dict[str, str]:
+    """Field name -> string; tuples are comma-joined."""
+    out = {}
+    for f in fields(cfg):
+        val = getattr(cfg, f.name)
+        out[f.name] = ",".join(str(v) for v in val) if isinstance(val, tuple) else str(val)
+    return out
+
+
+def decode_config(cls, values: dict[str, str], **defaults):
+    """Build a ``cls`` from strings, each parsed by its field's type.
+
+    ``defaults`` are typed values that ``values`` may override. Unknown keys,
+    unparsable values and invalid configs all raise ``ValueError``.
+    """
+    types = {f.name: f.type for f in fields(cls)}
+    kwargs = dict(defaults)
+    for key, raw in values.items():
+        if key not in types:
+            raise ValueError(f"unknown key {key!r}")
+        parse = _PARSERS.get(types[key])
+        if parse is None:
+            raise ValueError(f"{key!r} cannot be set from a string")
+        try:
+            kwargs[key] = parse(raw.strip())
+        except ValueError as exc:
+            raise ValueError(f"bad value for {key!r}: {exc}") from exc
+    return cls(**kwargs)
+
+
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "str | None": lambda raw: None if raw in ("", "none") else raw,
+    "tuple[int, ...]": lambda raw: tuple(int(v) for v in raw.split(",") if v.strip()),
+    "tuple[str, ...]": lambda raw: tuple(v.strip() for v in raw.split(",") if v.strip()),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +464,6 @@ CHECKPOINT_MAGIC = b"AUSRCKP1"
 CHECKPOINT_TRAILER = b"AEND"
 FORMAT_VERSION = 1
 
-_KINDS = {"edsr": (EdsrConfig, EdsrModel), "unet": (UnetConfig, UnetModel), "critic": (CriticConfig, CriticModel)}
 _DTYPE_CODES = {"float64": 0, "float32": 1}
 _CODE_DTYPES = {0: np.dtype("float64"), 1: np.dtype("float32")}
 
@@ -386,7 +510,7 @@ class Checkpoint:
         )
 
     def build_model(self) -> Model:
-        model_cls = _KINDS[self.kind][1]
+        model_cls = KINDS[self.kind][1]
         m = model_cls(self.config, dtype=self.dtype, init_seed=self.seed)
         if set(m.params) != set(self.params):
             raise CheckpointCorruptError("parameter names do not match the model architecture")
@@ -428,11 +552,7 @@ class Checkpoint:
             f"step = {self.step}",
             f"adam = {1 if self.adam is not None else 0}",
         ]
-        for f in fields(self.config):
-            val = getattr(self.config, f.name)
-            if isinstance(val, tuple):
-                val = ",".join(str(v) for v in val)
-            lines.append(f"cfg.{f.name} = {val}")
+        lines += [f"cfg.{key} = {val}" for key, val in encode_config(self.config).items()]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -456,17 +576,23 @@ class Checkpoint:
                 continue
             key, _, val = line.partition(" = ")
             meta[key.strip()] = val
+        kind, dtype = meta.get("kind"), meta.get("dtype")
+        if kind not in KINDS:
+            raise CheckpointCorruptError(f"unknown model kind {kind!r}")
+        if dtype not in _DTYPE_CODES:
+            raise CheckpointCorruptError(f"unsupported dtype {dtype!r}")
+        config_cls = KINDS[kind][0]
         try:
-            kind = meta["kind"]
-            dtype = meta["dtype"]
             seed = int(meta["seed"])
             step = int(meta["step"])
             has_adam = meta["adam"] == "1"
+            config = decode_config(
+                config_cls, {f.name: meta[f"cfg.{f.name}"] for f in fields(config_cls)}
+            )
         except KeyError as exc:
             raise CheckpointCorruptError(f"header missing field {exc}") from exc
-        if kind not in _KINDS:
-            raise CheckpointCorruptError(f"unknown model kind {kind!r}")
-        config = _config_from_meta(kind, meta)
+        except ValueError as exc:
+            raise CheckpointCorruptError(f"bad header value: {exc}") from exc
         (n_params,) = struct.unpack("<I", _read_exact(buf, 4))
         params: dict[str, np.ndarray] = {}
         for _ in range(n_params):
@@ -486,24 +612,6 @@ class Checkpoint:
             kind=kind, config=config, params=params, dtype=dtype,
             seed=seed, step=step, adam=adam, format_version=version,
         )
-
-
-def _config_from_meta(kind: str, meta: dict):
-    config_cls = _KINDS[kind][0]
-    kwargs = {}
-    for f in fields(config_cls):
-        raw = meta.get(f"cfg.{f.name}")
-        if raw is None:
-            raise CheckpointCorruptError(f"header missing config field {f.name!r}")
-        if f.type.startswith("tuple"):
-            kwargs[f.name] = tuple(int(v) for v in raw.split(",")) if raw else ()
-        elif f.type == "int":
-            kwargs[f.name] = int(raw)
-        elif f.type == "float":
-            kwargs[f.name] = float(raw)
-        else:
-            kwargs[f.name] = raw
-    return config_cls(**kwargs)
 
 
 def _read_exact(buf: BytesIO, n: int) -> bytes:

@@ -9,6 +9,7 @@ import numpy as np
 from . import diffgraph as dg
 from . import dsp
 from .dsp import DEFAULT_STFT, PowerSpectrogram, Signal, SpectrogramParams
+from .models import phase_shuffle  # noqa: F401  re-exported: probe.phase_shuffle
 
 
 @dataclass
@@ -102,28 +103,6 @@ def _exact_period(x: np.ndarray, max_period: int) -> int | None:
         if np.array_equal(x[p:], x[:-p]):
             return p
     return None
-
-
-def phase_shuffle(x, n: int, rng: np.random.Generator):
-    """Shift each batch item's time axis by a uniform draw from [-n, n].
-
-    Vacated samples are filled by reflection. Differentiable (pure gather).
-    """
-    x = dg.Tensor(x) if not isinstance(x, dg.Tensor) else x
-    if x.ndim != 3:
-        raise ValueError(f"phase_shuffle expects rank 3, got shape {x.shape}")
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"shift bound must be an integer >= 0, got {n}")
-    b, _, length = x.shape
-    if n >= length:
-        raise ValueError(f"shift bound {n} must be smaller than the time axis ({length})")
-    if n == 0:
-        return x
-    shifts = rng.integers(-n, n + 1, size=b)
-    base = np.arange(length)[None, :] - shifts[:, None]
-    idx = np.abs(base)  # reflect at the left edge, no duplicated boundary sample
-    idx = np.where(idx > length - 1, 2 * (length - 1) - idx, idx)
-    return dg.take_time(x, idx)
 
 
 def export_spectrogram(

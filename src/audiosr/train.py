@@ -12,7 +12,7 @@ from . import diffgraph as dg
 from . import dsp
 from .diffgraph import AdamState, Tensor
 from .dsp import Signal
-from .models import Checkpoint, Model, load_checkpoint
+from .models import Checkpoint, Model, load_checkpoint, upsampling_mode
 
 
 class NumericError(RuntimeError):
@@ -177,31 +177,16 @@ def _resolve_loss(model: Model, cfg: TrainConfig) -> str:
     return "l2" if model.kind == "edsr" else "l1"
 
 
-def _validate_supervised(model: Model, corpus: list[Signal], cfg: TrainConfig) -> None:
+def _validate_run(model: Model, corpus: list[Signal], cfg: TrainConfig) -> None:
     if not corpus:
         raise ValueError("empty corpus")
-    expected_mode = {"edsr": "post", "unet": "pre"}.get(model.kind)
-    if expected_mode is None:
-        raise ValueError(f"cannot train a {model.kind!r} model with a supervised loss")
-    if cfg.mode != expected_mode:
-        raise ValueError(
-            f"model kind {model.kind!r} requires mode {expected_mode!r}, got {cfg.mode!r}"
-        )
     check_scale_compatibility(model.kind, cfg.scale)
-    if model.kind == "edsr" and model.scale != cfg.scale:
+    upsampling_mode(model, cfg.scale, cfg.mode)
+    need = model.length_divisor * cfg.scale
+    if cfg.patch_length % need != 0:
         raise ValueError(
-            f"model upsamples by {model.scale}, but the run is configured for scale {cfg.scale}"
-        )
-    if cfg.mode == "pre":
-        need = model.length_divisor * cfg.scale
-        if cfg.patch_length % need != 0:
-            raise ValueError(
-                f"patch_length must be divisible by {need} "
-                f"(2**depth * scale) in pre mode, got {cfg.patch_length}"
-            )
-    elif cfg.patch_length % cfg.scale != 0:
-        raise ValueError(
-            f"patch_length must be divisible by the scale {cfg.scale}, got {cfg.patch_length}"
+            f"patch_length must be divisible by {need} (the model's length divisor "
+            f"times the scale), got {cfg.patch_length}"
         )
 
 
@@ -224,7 +209,7 @@ def train_supervised(
     """Algorithm: per step sample a batch of aligned patches, degrade them,
     regress the reconstruction under the configured loss, and take one Adam
     step. Deterministic given (seed, config, corpus)."""
-    _validate_supervised(model, corpus, cfg)
+    _validate_run(model, corpus, cfg)
     loss_name = _resolve_loss(model, cfg)
     loss_fn = dg.l1 if loss_name == "l1" else dg.l2
     sampler = _PatchSampler(corpus, cfg.patch_length, cfg.scale, cfg.seed)
@@ -313,22 +298,13 @@ def train_wgan_gp(
     """Adversarial loop: n_critic critic updates (Wasserstein loss plus the
     gradient penalty), then one generator update, per outer iteration."""
     base = cfg.base
-    if not corpus:
-        raise ValueError("empty corpus")
-    if generator.kind != "unet":
+    if generator.mode != "pre":
         raise ValueError(
             f"adversarial training needs a pre-upsampling generator, got {generator.kind!r}"
         )
     if critic.kind != "critic":
         raise ValueError(f"second model must be a critic, got {critic.kind!r}")
-    if base.mode != "pre":
-        raise ValueError("adversarial training runs in pre mode")
-    need = generator.length_divisor * base.scale
-    if base.patch_length % need != 0:
-        raise ValueError(
-            f"patch_length must be divisible by {need} (2**depth * scale), "
-            f"got {base.patch_length}"
-        )
+    _validate_run(generator, corpus, base)
     if cfg.warm_start is not None:
         loaded = load_checkpoint(cfg.warm_start, expect_kind=generator.kind)
         if set(loaded.params) != set(generator.params):
@@ -365,7 +341,7 @@ def train_wgan_gp(
         critic_losses, penalties = [], []
         for _ in range(cfg.n_critic):
             patches = sampler.batch(base.batch_size)
-            inp, tgt = _batch_arrays(patches, base.scale, "pre")
+            inp, tgt = _batch_arrays(patches, base.scale, base.mode)
             with dg.no_grad():
                 fake = generator.forward(Tensor(inp), training=True, rng=gen_rng)
             eps = eps_rng.random(base.batch_size)
@@ -391,7 +367,7 @@ def train_wgan_gp(
             penalties.append(p_val)
 
         patches = sampler.batch(base.batch_size)
-        inp, tgt = _batch_arrays(patches, base.scale, "pre")
+        inp, tgt = _batch_arrays(patches, base.scale, base.mode)
         generator.zero_grad()
         critic.zero_grad()
         fake = generator.forward(Tensor(inp), training=True, rng=gen_rng)

@@ -52,6 +52,39 @@ class TestUpsample:
         assert len(out) == 4096
         assert out.sample_rate == 24000
 
+    def test_scale_mismatch_is_usage_error(self, tmp_path, tiny_ckpt, capsys):
+        src = tmp_path / "in.wav"
+        write_tone(src, n=512)
+        code = run(
+            "upsample", "--scale", "4", "--method", "model",
+            "--checkpoint", str(tiny_ckpt), str(src), str(tmp_path / "o.wav"),
+        )
+        assert code == 1
+        assert "upsamples by 2" in capsys.readouterr().err
+
+    def test_unet_drops_the_tail_of_odd_inputs(self, tmp_path):
+        # known defect kept on purpose: the spline is cropped to the divisor
+        cfg = models.UnetConfig(depth=2, down_filters=(4, 8), down_kernels=(9, 9), bottleneck_filters=8)
+        ckpt = tmp_path / "unet.ckpt"
+        models.save_checkpoint(models.build_unet(cfg, seed=0), ckpt)
+        src, dst = tmp_path / "in.wav", tmp_path / "out.wav"
+        write_tone(src, n=1001)
+        code = run("upsample", "--scale", "2", "--method", "model", "--checkpoint", str(ckpt), str(src), str(dst))
+        assert code == 0
+        assert len(data.wav_read(dst)) == 2000
+
+    def test_input_shorter_than_divisor_names_it(self, tmp_path, capsys):
+        cfg = models.UnetConfig(
+            depth=4, down_filters=(4, 4, 4, 4), down_kernels=(9, 9, 9, 9), bottleneck_filters=4
+        )
+        ckpt = tmp_path / "unet.ckpt"
+        models.save_checkpoint(models.build_unet(cfg, seed=0), ckpt)
+        src = tmp_path / "in.wav"
+        write_tone(src, n=5)
+        code = run("upsample", "--scale", "2", "--method", "model", "--checkpoint", str(ckpt), str(src), str(tmp_path / "o.wav"))
+        assert code == 2
+        assert "length divisor 16" in capsys.readouterr().err
+
     def test_missing_input_is_data_error(self, tmp_path):
         code = run("upsample", "--scale", "2", str(tmp_path / "nope.wav"), str(tmp_path / "o.wav"))
         assert code == 2
@@ -97,6 +130,22 @@ class TestEvalCommand:
 
     def test_needs_checkpoint_or_spline(self, tmp_path):
         assert run("eval", "--scale", "2", "--out", str(tmp_path / "e")) == 1
+
+    def test_mode_flag_is_gone(self, tmp_path, tiny_ckpt):
+        code = run(
+            "eval", "--checkpoint", str(tiny_ckpt), "--scale", "2", "--mode", "post",
+            "--synth", "2", "--out", str(tmp_path / "e"),
+        )
+        assert code == 1
+        assert not (tmp_path / "e").exists()
+
+    def test_mode_follows_the_checkpoint(self, tmp_path):
+        cfg = models.UnetConfig(depth=2, down_filters=(4, 8), down_kernels=(9, 9), bottleneck_filters=8)
+        ckpt = tmp_path / "unet.ckpt"
+        models.save_checkpoint(models.build_unet(cfg, seed=0), ckpt)
+        out = tmp_path / "e"
+        assert run("eval", "--checkpoint", str(ckpt), "--scale", "2", "--synth", "2", "--out", str(out)) == 0
+        assert "# mode = pre" in (out / "metrics.csv").read_text()
 
 
 class TestPrepareAndTrain:
@@ -159,6 +208,29 @@ class TestPrepareAndTrain:
         cfgfile.write_text("[train]\nsteps = 1\nbogus_key = 5\n")
         assert run("train", "--config", str(cfgfile), "--out", str(tmp_path / "o")) == 1
         assert "bogus_key" in capsys.readouterr().err
+
+    # small enough to train in a moment should a bad key ever be ignored
+    TINY_RUN = (
+        "[model]\nfilters = 4\nn_blocks = 1\n"
+        "[train]\nsteps = 1\nbatch_size = 1\npatch_length = 256\n"
+        "[data]\nsynth_count = 2\nsynth_length = 1024\n"
+    )
+
+    def test_run_kind_key_is_usage_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("[run]\nmodel = edsr\nkind = banana\n" + self.TINY_RUN)
+        assert run("train", "--config", str(cfgfile), "--out", str(tmp_path / "o")) == 1
+        assert "'kind'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, bad",
+        [("filters = 4", "filters = x"), ("filters = 4", "filters = 0"),
+         ("steps = 1", "steps = 1.5"), ("steps = 1", "steps = 1\nloss = l3")],
+    )
+    def test_bad_section_value_is_usage_error(self, tmp_path, line, bad):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("[run]\nmodel = edsr\n" + self.TINY_RUN.replace(line, bad))
+        assert run("train", "--config", str(cfgfile), "--out", str(tmp_path / "o")) == 1
 
     def test_unknown_section_is_usage_error(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"

@@ -166,6 +166,26 @@ class TestEvaluateModel:
         with pytest.raises(ValueError):
             metrics.evaluate_model(m, self.corpus(), 4, "post")
 
+    def test_mode_defaults_to_the_models_own(self):
+        m = models.build_edsr(models.EdsrConfig(filters=4, n_blocks=1), seed=0)
+        rep = metrics.evaluate_model(m, self.corpus(count=1), 2)
+        assert rep.mode == "post"
+        assert rep.per_item == metrics.evaluate_model(m, self.corpus(count=1), 2, "post").per_item
+
+    @pytest.mark.parametrize(
+        "build, mode",
+        [
+            (lambda: models.build_edsr(models.EdsrConfig(filters=4, n_blocks=1)), "pre"),
+            (lambda: models.build_unet(models.UnetConfig(
+                depth=2, down_filters=(4, 8), down_kernels=(9, 9), bottleneck_filters=8)), "post"),
+            (lambda: models.build_critic(models.CriticConfig(layers=2, base_filters=2, kernel=5)), "pre"),
+            (lambda: models.build_critic(models.CriticConfig(layers=2, base_filters=2, kernel=5)), None),
+        ],
+    )
+    def test_contradicting_mode_rejected(self, build, mode):
+        with pytest.raises(ValueError, match="mode|does not upsample"):
+            metrics.evaluate_model(build(), self.corpus(count=1), 2, mode)
+
     def test_csv_round_shape(self, tmp_path):
         rep = metrics.evaluate_model(None, self.corpus(), 2, "pre", item_ids=["a", "b", "c"])
         out = tmp_path / "metrics.csv"

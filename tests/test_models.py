@@ -1,8 +1,12 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
-from audiosr import diffgraph as dg, models
+from audiosr import diffgraph as dg, dsp, models
 from audiosr.diffgraph import Tensor
+from audiosr.dsp import Signal
 from audiosr.models import (
     Checkpoint,
     CheckpointCorruptError,
@@ -183,11 +187,101 @@ class TestCritic:
         assert np.isfinite(s0) and np.isfinite(s1)
 
 
-class TestForwardDispatch:
-    def test_module_level_forward(self):
+class TestReconstruct:
+    """The one inference path: spline, post model on the low-rate input, or
+    pre model on the spline cropped to its length divisor."""
+
+    UNET = UnetConfig(depth=2, down_filters=(4, 8), down_kernels=(9, 9), bottleneck_filters=8, scale=2)
+    # sha256 of the float64 output bytes, recorded before inference moved into
+    # models.reconstruct; an odd input loses its last 2 target-rate samples
+    UNET_OUTPUT_SHA256 = {
+        250: (500, "b8907c08db126845b1900d8dbba16f00763ec947372315472501ade01b3ce0ba"),
+        251: (500, "abb1a8e5111abe8312eff0fd4f88c7302768216bce27fdc91d162968fa1b778f"),
+    }
+
+    @staticmethod
+    def low(n, rate=6000):
+        return Signal(np.random.default_rng(n).normal(0, 0.1, n), rate)
+
+    def test_no_model_is_the_spline(self):
+        low = self.low(301)
+        got = models.reconstruct(None, low, 3)
+        want = dsp.spline_upsample(low, 3)
+        assert got.sample_rate == want.sample_rate == 18000
+        assert np.array_equal(got.samples, want.samples)
+
+    def test_post_model_reads_the_low_rate_input(self):
         m = models.build_edsr(TINY_EDSR, seed=1)
-        x = Tensor(np.zeros((1, 1, 32)))
-        assert np.array_equal(models.forward(m, x).data, m.forward(x).data)
+        low = self.low(101)
+        got = models.reconstruct(m, low, 2)
+        assert got.sample_rate == 12000 and got.samples.dtype == np.float64
+        with dg.no_grad():
+            want = m.forward(Tensor(low.samples[None, None, :])).data[0, 0]
+        assert np.array_equal(got.samples, want)
+
+    @pytest.mark.parametrize("n", [250, 251])
+    def test_pre_model_reads_the_cropped_spline(self, n):
+        m = models.build_unet(self.UNET, seed=3)
+        low = self.low(n)
+        got = models.reconstruct(m, low, 2)
+        base = dsp.spline_upsample(low, 2).samples
+        with dg.no_grad():
+            want = m.forward(Tensor(base[None, None, : len(base) // 4 * 4])).data[0, 0]
+        assert np.array_equal(got.samples, want)
+        length, digest = self.UNET_OUTPUT_SHA256[n]
+        assert len(got) == length
+        assert hashlib.sha256(got.samples.tobytes()).hexdigest() == digest
+
+    def test_float32_model_output_is_float64(self):
+        m = models.build_edsr(TINY_EDSR, dtype="float32", seed=1)
+        assert models.reconstruct(m, self.low(64), 2).samples.dtype == np.float64
+
+    def test_critic_rejected(self):
+        with pytest.raises(ValueError, match="critic"):
+            models.reconstruct(models.build_critic(TINY_CRITIC), self.low(64), 2)
+
+    def test_post_scale_mismatch_rejected(self):
+        with pytest.raises(models.ScaleMismatchError, match="upsamples by 2"):
+            models.reconstruct(models.build_edsr(TINY_EDSR), self.low(64), 4)
+
+    def test_input_shorter_than_divisor_names_it(self):
+        cfg = UnetConfig(
+            depth=4, down_filters=(4, 4, 4, 4), down_kernels=(9, 9, 9, 9),
+            bottleneck_filters=4, scale=2,
+        )
+        with pytest.raises(ValueError, match="length divisor 16"):
+            models.reconstruct(models.build_unet(cfg), self.low(5), 2)
+
+
+class TestConfigCodec:
+    @pytest.mark.parametrize("cfg", [TINY_EDSR, TINY_UNET, TINY_CRITIC, EdsrConfig(), UnetConfig()])
+    def test_roundtrip(self, cfg):
+        assert models.decode_config(type(cfg), models.encode_config(cfg)) == cfg
+
+    def test_field_types_drive_parsing(self):
+        from audiosr import train
+
+        cfg = models.decode_config(
+            train.TrainConfig, {"steps": " 3 ", "lr": "1e-3", "loss": "none"}, mode="post"
+        )
+        assert (cfg.steps, cfg.lr, cfg.loss, cfg.mode) == (3, 1e-3, None, "post")
+        unet = models.decode_config(UnetConfig, {"depth": "2", "down_filters": "4, 8,", "down_kernels": "9,9"})
+        assert unet.down_filters == (4, 8)
+
+    @pytest.mark.parametrize(
+        "values, match",
+        [({"bogus": "1"}, "unknown key"), ({"filters": "x"}, "filters"), ({"filters": "0"}, ">= 1")],
+    )
+    def test_bad_values_raise_value_error(self, values, match):
+        with pytest.raises(ValueError, match=match):
+            models.decode_config(EdsrConfig, values)
+
+    def test_non_string_field_rejected(self):
+        from audiosr import train
+
+        base = train.TrainConfig(steps=1, mode="pre")
+        with pytest.raises(ValueError, match="base"):
+            models.decode_config(train.GanConfig, {"base": "x"}, base=base)
 
 
 class TestCheckpoint:
@@ -277,3 +371,49 @@ class TestCheckpoint:
         m2 = models.load_checkpoint(path)
         assert str(m2.dtype) == "float32"
         assert np.array_equal(m2.forward(x).data, y.data)
+
+    # sha256 of checkpoint files written before the header used the shared codec
+    CHECKPOINT_SHA256 = {
+        "edsr": "7532baefcb13709dffe6731f862eff56d54e5272664ce6b246813355aaf0d447",
+        "unet_adam": "8df8c528453e66c03b2d956ce46d622c75cbe682e1a107f91689580bda5ddb09",
+        "critic_f32": "ce8ef54caa423e860bf83e8bbd0520d030732aa587b9828443b5def7c93061db",
+    }
+
+    @pytest.mark.parametrize("name", sorted(CHECKPOINT_SHA256))
+    def test_bytes_unchanged(self, tmp_path, name):
+        path = tmp_path / "m.ckpt"
+        if name == "edsr":
+            m = models.build_edsr(TINY_EDSR, seed=9)
+            m.train_step = 17
+            models.save_checkpoint(m, path)
+        elif name == "unet_adam":
+            m = models.build_unet(TINY_UNET, seed=9)
+            adam = dg.AdamState(alpha=3e-4, t=5)
+            for p in m.parameters():
+                adam.m[p.name] = np.random.default_rng(0).normal(size=p.shape)
+                adam.v[p.name] = np.abs(np.random.default_rng(1).normal(size=p.shape))
+            models.save_checkpoint(m, path, adam_state=adam)
+        else:
+            models.save_checkpoint(models.build_critic(TINY_CRITIC, dtype="float32", seed=9), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.CHECKPOINT_SHA256[name]
+
+    @pytest.mark.parametrize(
+        "line, bad",
+        [
+            ("cfg.filters = 8", "cfg.filters = x"),
+            ("cfg.filters = 8", "cfg.filters = 0"),
+            ("seed = 9", "seed = z"),
+            ("dtype = float64", "dtype = float16"),
+        ],
+    )
+    def test_malformed_header_value_is_corrupt(self, tmp_path, line, bad):
+        path = tmp_path / "edsr.ckpt"
+        models.save_checkpoint(models.build_edsr(TINY_EDSR, seed=9), path)
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack("<I", blob[12:16])
+        header = blob[16 : 16 + hlen].decode()
+        assert line + "\n" in header
+        new = header.replace(line + "\n", bad + "\n").encode()
+        path.write_bytes(blob[:12] + struct.pack("<I", len(new)) + new + blob[16 + hlen :])
+        with pytest.raises(CheckpointCorruptError):
+            models.load_checkpoint(path)

@@ -85,6 +85,10 @@ class TestZeroInputProbe:
 
 
 class TestPhaseShuffle:
+    def test_probe_reexports_the_models_function(self):
+        # the critic calls the models-layer function; probe keeps the old name
+        assert probe.phase_shuffle is models.phase_shuffle
+
     def test_zero_bound_is_identity(self):
         x = Tensor(np.random.default_rng(0).normal(size=(2, 3, 16)))
         assert probe.phase_shuffle(x, 0, np.random.default_rng(1)) is x
