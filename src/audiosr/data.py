@@ -246,20 +246,6 @@ def scan_corpus(root, split_ratios=(0.8, 0.1, 0.1), seed: int = 0) -> CorpusInde
     return CorpusIndex(entries=entries, split=split, seed=seed, ratios=tuple(split_ratios))
 
 
-def extract_patches(s: Signal, length: int, stride: int) -> list[Signal]:
-    """Windows at offsets 0, stride, 2*stride, ...; a final partial window is dropped."""
-    if length < 1:
-        raise ValueError(f"patch length must be >= 1, got {length}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    if length > len(s):
-        return []
-    return [
-        Signal(s.samples[i : i + length].copy(), s.sample_rate)
-        for i in range(0, len(s) - length + 1, stride)
-    ]
-
-
 @dataclass(frozen=True)
 class SynthSpec:
     """Recipe for a reproducible synthetic test corpus."""

@@ -6,6 +6,11 @@ Backward functions are themselves built from these operators, so a second
 backward pass (needed for the critic's gradient penalty) falls out of the same
 tape. Dropout is the one exception: its backward is detached, so it cannot sit
 on a double-differentiated path.
+
+A convolution is a k-tap sum of matmuls over shifted views of its padded
+input; no per-conv window tensor is built. It is one of three tape ops, the
+conv, its transposed conv (input gradient) and a correlation (weight
+gradient), whose VJPs are built from each other.
 """
 from __future__ import annotations
 
@@ -283,14 +288,27 @@ def dropout(x, rate: float, rng: np.random.Generator | None = None, training: bo
 # structural primitives: pad / slice / concat / gather
 # ---------------------------------------------------------------------------
 
+def _zero_pad(a: np.ndarray, axis: int, before: int, after: int) -> np.ndarray:
+    """``a`` with zeros added on both ends of ``axis``.
+
+    One allocation and one copy; np.pad's per-call Python overhead dominates
+    on the critic's small tensors.
+    """
+    shape = list(a.shape)
+    shape[axis] += before + after
+    out = np.zeros(shape, dtype=a.dtype)
+    inner = [slice(None)] * a.ndim
+    inner[axis] = slice(before, before + a.shape[axis])
+    out[tuple(inner)] = a
+    return out
+
+
 def pad_axis(x, axis: int, before: int, after: int) -> Tensor:
     x = _as_tensor(x)
-    widths = [(0, 0)] * x.ndim
-    widths[axis] = (before, after)
     length = x.shape[axis]
     def vjp(g):
         return (slice_axis(g, axis, before, length),)
-    return _from_op(np.pad(x.data, widths), (x,), vjp, "pad")
+    return _from_op(_zero_pad(x.data, axis, before, after), (x,), vjp, "pad")
 
 
 def slice_axis(x, axis: int, start: int, length: int) -> Tensor:
@@ -354,42 +372,120 @@ def _put_time(g, idx: np.ndarray, length: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# convolution via unfold + contraction
+# convolution as k-tap matmul accumulation
+#
+# A conv is a sum over its k taps of matmuls on shifted views of the padded
+# input; no (b, c, W, k) window tensor is built. The conv and its two
+# gradients are three bilinear tape ops whose VJPs are built from each other,
+# so gradients of any order (the critic's double backward) stay on the tape:
+#   _conv(x, w)   -> y      VJP: (_conv_t(g, w), _corr(x, g))
+#   _conv_t(g, w) -> x-grad VJP: (_conv(h, w), _corr(h, g))
+#   _corr(x, g)   -> w-grad VJP: (_conv_t(g, h), _conv(x, h))
 # ---------------------------------------------------------------------------
 
-def _unfold(x, k: int, stride: int) -> Tensor:
-    """(b, c, L) -> (b, c, W, k) sliding windows at the given stride."""
-    x = _as_tensor(x)
-    length = x.shape[2]
-    view = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=2)
-    data = np.ascontiguousarray(view[:, :, ::stride, :])
+# bytes of one batch chunk in _tap_sum: small enough for the per-tap product
+# buffer to stay in cache
+_CHUNK_BYTES = 1 << 18
+
+
+def _taps(x: np.ndarray, stride: int, k: int, width: int) -> list[np.ndarray]:
+    """Views x[:, :, j : j + stride*(width-1)+1 : stride] for each tap j < k.
+
+    At stride > 1 each view is cut from a contiguous copy of its polyphase
+    component, so matmul sees unit-stride rows instead of copying per tap.
+    """
+    if stride == 1:
+        return [x[:, :, j : j + width] for j in range(k)]
+    phases = [np.ascontiguousarray(x[:, :, r::stride]) for r in range(min(stride, k))]
+    return [phases[j % stride][:, :, j // stride : j // stride + width] for j in range(k)]
+
+
+def _tap_major(w: np.ndarray, axes) -> np.ndarray:
+    """Contiguous copy of w with the tap axis first, one BLAS-ready matrix per tap."""
+    return np.ascontiguousarray(w.transpose(axes))
+
+
+def _tap_sum(mats, views) -> np.ndarray:
+    """sum_j mats[j] @ views[j] for (b, rows, cols) views, accumulated in place.
+
+    Runs over batch chunks so that the per-tap product lands in a small,
+    cache-resident temporary instead of a fresh output-sized array.
+    """
+    b, cols = views[0].shape[0], views[0].shape[2]
+    rows = mats[0].shape[0]
+    dtype = np.result_type(mats[0], views[0])
+    out = np.empty((b, rows, cols), dtype)
+    step = max(1, _CHUNK_BYTES // max(1, rows * cols * dtype.itemsize))
+    tmp = np.empty((min(step, b), rows, cols), dtype)
+    for s in range(0, b, step):
+        o = out[s : s + step]
+        np.matmul(mats[0], views[0][s : s + step], out=o)
+        t = tmp[: len(o)]
+        for m, v in zip(mats[1:], views[1:]):
+            o += np.matmul(m, v[s : s + step], out=t)
+    return out
+
+
+def _conv(x, w, stride: int, width: int) -> Tensor:
+    """y[:, o, t] = sum_{c,j} w[o, c, j] x[:, c, j + stride*t] for t < width."""
+    x, w = _as_tensor(x), _as_tensor(w)
+    k, length = w.shape[2], x.shape[2]
+    out = _tap_sum(_tap_major(w.data, (2, 0, 1)), _taps(x.data, stride, k, width))
     def vjp(g):
-        return (_fold(g, length, stride),)
-    return _from_op(data, (x,), vjp, "unfold")
+        return _conv_t(g, w, stride, length), _corr(x, g, stride, k)
+    return _from_op(out, (x, w), vjp, "conv")
 
 
-def _fold(g, length: int, stride: int) -> Tensor:
-    """Transpose of _unfold: scatter-add windows back onto the time axis."""
-    g = _as_tensor(g)
-    b, c, w, k = g.shape
-    out = np.zeros((b, c, length), dtype=g.data.dtype)
-    for j in range(k):
-        out[:, :, j : j + stride * w : stride] += g.data[:, :, :, j]
-    def vjp(gg):
-        return (_unfold(gg, k, stride),)
-    return _from_op(out, (g,), vjp, "fold")
+def _shift_sum(g: np.ndarray, wt: np.ndarray, length: int) -> np.ndarray:
+    """out[:, :, i] = sum_q wt[q] @ g[:, :, i - q] over i < length (g zero outside).
+
+    Reads shifted views of a zero-padded g, so every tap adds into the whole
+    contiguous output instead of scattering into a shifted slice of it.
+    """
+    n, width = len(wt), g.shape[2]
+    gp = _zero_pad(g, 2, n - 1, length - width)
+    return _tap_sum(wt[::-1], [gp[:, :, q : q + length] for q in range(n)])
 
 
-def _contract(a, b, spec: str) -> Tensor:
-    """einsum over two operands; every index must appear in two of the three terms."""
+def _conv_t(g, w, stride: int, length: int) -> Tensor:
+    """Transposed conv: x-grad[:, c, j + stride*t] += sum_o w[o, c, j] g[:, o, t].
+
+    At stride > 1 output phase r only receives taps j = r, r + stride, ...,
+    so each phase is a stride-1 transposed conv with those taps.
+    """
+    g, w = _as_tensor(g), _as_tensor(w)
+    b, _, width = g.shape
+    c_in, k = w.shape[1], w.shape[2]
+    wt = _tap_major(w.data, (2, 1, 0))
+    if stride == 1:
+        out = _shift_sum(g.data, wt, length)
+    else:
+        out = np.zeros((b, c_in, length), dtype=np.result_type(g.data, w.data))
+        for r in range(min(stride, k)):
+            out[:, :, r::stride] = _shift_sum(g.data, wt[r::stride], len(range(r, length, stride)))
+    def vjp(h):
+        return _conv(h, w, stride, width), _corr(h, g, stride, k)
+    return _from_op(out, (g, w), vjp, "conv_t")
+
+
+def _corr(x, g, stride: int, k: int) -> Tensor:
+    """Weight gradient: dw[o, c, j] = sum_{b,t} g[b, o, t] x[b, c, j + stride*t]."""
+    x, g = _as_tensor(x), _as_tensor(g)
+    width, length = g.shape[2], x.shape[2]
+    out = np.empty((g.shape[1], x.shape[1], k), dtype=np.result_type(x.data, g.data))
+    for j, t in enumerate(_taps(x.data, stride, k, width)):
+        np.matmul(g.data, t.transpose(0, 2, 1)).sum(axis=0, out=out[:, :, j])
+    def vjp(h):
+        return _conv_t(g, h, stride, length), _conv(x, h, stride, width)
+    return _from_op(out, (x, g), vjp, "corr")
+
+
+def _matmul(a, b) -> Tensor:
+    """2-D matrix product a @ b."""
     a, b = _as_tensor(a), _as_tensor(b)
-    ins, out = spec.split("->")
-    sa, sb = ins.split(",")
     def vjp(g):
-        ga = _contract(g, b, f"{out},{sb}->{sa}")
-        gb = _contract(a, g, f"{sa},{out}->{sb}")
-        return ga, gb
-    return _from_op(np.einsum(spec, a.data, b.data, optimize=True), (a, b), vjp, "contract")
+        return _matmul(g, transpose(b, (1, 0))), _matmul(transpose(a, (1, 0)), g)
+    return _from_op(np.matmul(a.data, b.data), (a, b), vjp, "matmul")
 
 
 def conv1d(x, weight, bias=None, stride: int = 1, padding: str = "same") -> Tensor:
@@ -423,10 +519,7 @@ def conv1d(x, weight, bias=None, stride: int = 1, padding: str = "same") -> Tens
         xp = x
     else:
         raise ValueError(f"padding must be 'same' or 'valid', got {padding!r}")
-    windows = _unfold(xp, k, stride)
-    if windows.shape[2] > out_len:
-        windows = slice_axis(windows, 2, 0, out_len)
-    y = _contract(windows, weight, "bcwk,fck->bfw")
+    y = _conv(xp, weight, stride, out_len)
     if bias is not None:
         bias = _as_tensor(bias)
         if bias.shape != (c_out,):
@@ -440,7 +533,7 @@ def dense(x, weight, bias=None) -> Tensor:
     x, weight = _as_tensor(x), _as_tensor(weight)
     if x.ndim != 2 or weight.ndim != 2 or x.shape[1] != weight.shape[0]:
         raise ValueError(f"dense shapes incompatible: {x.shape} @ {weight.shape}")
-    y = _contract(x, weight, "bf,fo->bo")
+    y = _matmul(x, weight)
     if bias is not None:
         bias = _as_tensor(bias)
         if bias.shape != (weight.shape[1],):

@@ -355,13 +355,14 @@ def count_parameters(m: Model) -> int:
 # ---------------------------------------------------------------------------
 
 class ScaleMismatchError(ValueError):
-    """A post-upsampling model was asked for a scale it was not built for."""
+    """An upsampling model was asked for a scale it was not built for."""
 
 
 def upsampling_mode(m: Model, scale: int, mode: str | None = None) -> str:
     """The input ``m`` takes when upsampling by ``scale``: "pre" or "post".
 
-    A given ``mode`` must agree with the model's own.
+    A given ``mode`` must agree with the model's own, and ``scale`` with the
+    scale the model was built for.
     """
     own = getattr(m, "mode", None)
     kind = getattr(m, "kind", type(m).__name__)
@@ -369,7 +370,7 @@ def upsampling_mode(m: Model, scale: int, mode: str | None = None) -> str:
         raise ValueError(f"a {kind!r} model does not upsample audio")
     if mode not in (None, own):
         raise ValueError(f"a {kind!r} model runs in {own!r} mode, got mode {mode!r}")
-    if own == "post" and m.scale != scale:
+    if m.scale != scale:
         raise ScaleMismatchError(f"model upsamples by {m.scale}, but scale {scale} was requested")
     return own
 

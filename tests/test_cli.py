@@ -62,6 +62,20 @@ class TestUpsample:
         assert code == 1
         assert "upsamples by 2" in capsys.readouterr().err
 
+    def test_unet_scale_mismatch_is_usage_error(self, tmp_path, capsys):
+        cfg = models.UnetConfig(depth=2, down_filters=(4, 8), down_kernels=(9, 9), bottleneck_filters=8)
+        ckpt = tmp_path / "unet.ckpt"
+        models.save_checkpoint(models.build_unet(cfg, seed=0), ckpt)
+        src = tmp_path / "in.wav"
+        write_tone(src, n=512)
+        code = run(
+            "upsample", "--scale", "4", "--method", "model",
+            "--checkpoint", str(ckpt), str(src), str(tmp_path / "o.wav"),
+        )
+        assert code == 1
+        assert "upsamples by 2" in capsys.readouterr().err
+        assert not (tmp_path / "o.wav").exists()
+
     def test_unet_drops_the_tail_of_odd_inputs(self, tmp_path):
         # known defect kept on purpose: the spline is cropped to the divisor
         cfg = models.UnetConfig(depth=2, down_filters=(4, 8), down_kernels=(9, 9), bottleneck_filters=8)

@@ -221,38 +221,6 @@ class TestCorpusScan:
         assert index.entries[0].duration == pytest.approx(200 / 48000)
 
 
-class TestExtractPatches:
-    def sig(self, n=10):
-        return Signal(np.arange(n, dtype=float) / 100, 8000)
-
-    def test_count_formula(self):
-        patches = data.extract_patches(self.sig(10), 4, 2)
-        assert len(patches) == 4  # 1 + (10-4)//2
-        assert np.array_equal(patches[1].samples, self.sig().samples[2:6])
-
-    def test_non_overlapping_tiling(self):
-        patches = data.extract_patches(self.sig(12), 4, 4)
-        stitched = np.concatenate([p.samples for p in patches])
-        assert np.array_equal(stitched, self.sig(12).samples)
-
-    def test_too_long_patch_gives_empty_list(self):
-        assert data.extract_patches(self.sig(3), 4, 1) == []
-
-    def test_bad_stride_rejected(self):
-        with pytest.raises(ValueError):
-            data.extract_patches(self.sig(), 4, 0)
-
-    def test_count_formula_property(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            n = int(rng.integers(1, 50))
-            length = int(rng.integers(1, 50))
-            stride = int(rng.integers(1, 10))
-            got = len(data.extract_patches(self.sig(n), length, stride))
-            want = 0 if length > n else 1 + (n - length) // stride
-            assert got == want
-
-
 class TestSynthSignals:
     def test_seeded_reproducibility(self):
         spec = SynthSpec(count=4, length=1024)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from audiosr import diffgraph as dg
@@ -340,6 +340,120 @@ class TestFiniteDifferences:
         fd_check(loss, [w1, b1, w2, b2])
 
 
+def direct_conv(x, w, stride, padding):
+    """float64 direct-sum conv1d with its input and weight gradients for ``proj``.
+
+    Returns ``(y, grads)`` where ``grads(proj)`` gives (dx, dw) of sum(y * proj).
+    """
+    b, c_in, length = x.shape
+    c_out, _, k = w.shape
+    if padding == "same":
+        width = -(-length // stride)
+        total = max((width - 1) * stride + k - length, 0)
+        left = total // 2
+    else:
+        width, total, left = (length - k) // stride + 1, 0, 0
+    xp = np.zeros((b, c_in, length + total))
+    xp[:, :, left : left + length] = x
+    y = np.zeros((b, c_out, width))
+    for i, o, t in np.ndindex(b, c_out, width):
+        y[i, o, t] = sum(
+            w[o, c, j] * xp[i, c, j + stride * t] for c in range(c_in) for j in range(k)
+        )
+
+    def grads(proj):
+        dxp = np.zeros_like(xp)
+        dw = np.zeros_like(w)
+        for i, o, t, c, j in np.ndindex(b, c_out, width, c_in, k):
+            dxp[i, c, j + stride * t] += w[o, c, j] * proj[i, o, t]
+            dw[o, c, j] += proj[i, o, t] * xp[i, c, j + stride * t]
+        return dxp[:, :, left : left + length], dw
+
+    return y, grads
+
+
+def assert_close_rel(got, want, rtol=1e-12):
+    assert got.shape == want.shape
+    scale = max(float(np.max(np.abs(want), initial=0.0)), 1e-300)
+    assert float(np.max(np.abs(got - want), initial=0.0)) <= rtol * scale
+
+
+@st.composite
+def conv_cases(draw):
+    padding = draw(st.sampled_from(["same", "valid"]))
+    k = draw(st.integers(1, 9).filter(lambda k: k % 2 == 1 or padding == "valid"))
+    stride = draw(st.integers(1, 3))
+    length = draw(st.integers(k if padding == "valid" else 1, k + 10))
+    b, c_in, c_out = (draw(st.integers(1, 3)) for _ in range(3))
+    return b, c_in, c_out, k, stride, padding, length
+
+
+class TestConvAgainstDirectSum:
+    """conv1d and its gradients against an independent float64 loop reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=conv_cases(), seed=st.integers(0, 2**32 - 1))
+    @example(case=(2, 3, 2, 9, 2, "valid", 9), seed=0)  # L == k
+    @example(case=(1, 2, 3, 4, 3, "valid", 4), seed=1)  # even k, L == k
+    @example(case=(2, 1, 2, 5, 2, "same", 5), seed=2)  # L == k, stride does not divide L
+    @example(case=(3, 2, 1, 7, 3, "same", 11), seed=3)  # stride does not divide L
+    def test_forward_and_gradients(self, case, seed):
+        self.check(case, seed)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_one_batch_item_per_chunk(self, monkeypatch, stride):
+        # long or wide inputs run _tap_sum one batch item at a time
+        monkeypatch.setattr(dg, "_CHUNK_BYTES", 1)
+        self.check((3, 2, 3, 5, stride, "same", 13), seed=5)
+
+    @staticmethod
+    def check(case, seed):
+        b, c_in, c_out, k, stride, padding, length = case
+        rng = np.random.default_rng(seed)
+        xdata = rng.normal(size=(b, c_in, length))
+        wdata = rng.normal(size=(c_out, c_in, k))
+        want, grads = direct_conv(xdata, wdata, stride, padding)
+        x = Tensor(xdata.copy(), requires_grad=True)
+        w = Parameter("w", wdata.copy())
+        y = dg.conv1d(x, w.tensor, stride=stride, padding=padding)
+        assert_close_rel(y.data, want)
+        proj = rng.normal(size=want.shape)
+        dg.backward(dg.sum_all(dg.mul(y, Tensor(proj))), [w])
+        want_dx, want_dw = grads(proj)
+        assert_close_rel(x.grad.data, want_dx)
+        assert_close_rel(w.grad.data, want_dw)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_float32_stays_float32(self, stride):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(2, 3, 11)).astype(np.float32), requires_grad=True)
+        w = Parameter("w", rng.normal(size=(4, 3, 5)).astype(np.float32))
+        b = Parameter("b", np.zeros(4, dtype=np.float32))
+        y = dg.conv1d(x, w.tensor, b.tensor, stride=stride)
+        assert y.dtype == np.float32
+        g = dg.input_gradient(dg.sum_all(dg.mul(y, y)), x)
+        assert g.dtype == np.float32
+        dg.backward(dg.sum_all(dg.mul(g, g)), [w, b])
+        assert {t.grad.dtype for t in (x, w.tensor, b.tensor)} == {np.dtype(np.float32)}
+
+    @pytest.mark.parametrize("op", ["conv", "conv_t", "corr"])
+    def test_each_conv_op_vjp_matches_fd(self, op):
+        # the three ops differentiate each other; check each one's VJP directly
+        rng = np.random.default_rng(11)
+        stride, k, length, width = 2, 3, 9, 4
+        x = rand_param(rng, "x", (2, 2, length))
+        w = rand_param(rng, "w", (3, 2, k))
+        g = rand_param(rng, "g", (2, 3, width))
+        if op == "conv":
+            build, params = (lambda: dg._conv(x.tensor, w.tensor, stride, width)), [x, w]
+        elif op == "conv_t":
+            build, params = (lambda: dg._conv_t(g.tensor, w.tensor, stride, length)), [g, w]
+        else:
+            build, params = (lambda: dg._corr(x.tensor, g.tensor, stride, k)), [x, g]
+        proj = Tensor(rng.normal(size=build().shape))
+        fd_check(lambda: dg.sum_all(dg.mul(build(), proj)), params)
+
+
 class TestInputGradientAndDoubleBackward:
     def test_linear_graph_input_gradient_exact(self):
         w = np.zeros(8)
@@ -380,7 +494,9 @@ class TestInputGradientAndDoubleBackward:
         with pytest.raises(GraphError, match="dropout"):
             dg.input_gradient(dg.sum_all(y), x)
 
-    def test_double_backward_through_conv_matches_fd(self):
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_double_backward_through_conv_matches_fd(self, stride, padding):
         rng = np.random.default_rng(3)
         w = rand_param(rng, "w", (2, 1, 3), 0.6)
         b = rand_param(rng, "b", (2,), 0.3)
@@ -388,7 +504,7 @@ class TestInputGradientAndDoubleBackward:
 
         def penalty():
             x = Tensor(xdata, requires_grad=True)
-            h = dg.leaky_relu(dg.conv1d(x, w.tensor, b.tensor, stride=2), 0.2)
+            h = dg.leaky_relu(dg.conv1d(x, w.tensor, b.tensor, stride=stride, padding=padding), 0.2)
             score = dg.sum_all(dg.mean_time(h))
             g = dg.input_gradient(score, x)
             per_item = dg.sum_axes(dg.mul(g, g), (1, 2))

@@ -1,5 +1,6 @@
 import hashlib
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,12 +193,15 @@ class TestReconstruct:
     pre model on the spline cropped to its length divisor."""
 
     UNET = UnetConfig(depth=2, down_filters=(4, 8), down_kernels=(9, 9), bottleneck_filters=8, scale=2)
-    # sha256 of the float64 output bytes, recorded before inference moved into
-    # models.reconstruct; an odd input loses its last 2 target-rate samples
+    # sha256 of the float64 output bytes under the k-tap conv; an odd input
+    # loses its last 2 target-rate samples
     UNET_OUTPUT_SHA256 = {
-        250: (500, "b8907c08db126845b1900d8dbba16f00763ec947372315472501ade01b3ce0ba"),
-        251: (500, "abb1a8e5111abe8312eff0fd4f88c7302768216bce27fdc91d162968fa1b778f"),
+        250: (500, "767bfddb19ae736fe27459c930e3237a427182502645cf75829c833be30a485d"),
+        251: (500, "90b10f18473ba7ff27ec5ca5ff3484e98886b1c4e86589371833fa545b5230e6"),
     }
+    # outputs of the former unfold + einsum conv; the k-tap conv sums in
+    # another order, so it may differ in the last bits only
+    UNET_OUTPUT_EINSUM = Path(__file__).parent / "data" / "unet_reconstruct_einsum.npz"
 
     @staticmethod
     def low(n, rate=6000):
@@ -230,6 +234,8 @@ class TestReconstruct:
         assert np.array_equal(got.samples, want)
         length, digest = self.UNET_OUTPUT_SHA256[n]
         assert len(got) == length
+        einsum = np.load(self.UNET_OUTPUT_EINSUM)[str(n)]
+        assert np.max(np.abs(got.samples - einsum)) <= 1e-12
         assert hashlib.sha256(got.samples.tobytes()).hexdigest() == digest
 
     def test_float32_model_output_is_float64(self):
@@ -243,6 +249,10 @@ class TestReconstruct:
     def test_post_scale_mismatch_rejected(self):
         with pytest.raises(models.ScaleMismatchError, match="upsamples by 2"):
             models.reconstruct(models.build_edsr(TINY_EDSR), self.low(64), 4)
+
+    def test_pre_scale_mismatch_rejected(self):
+        with pytest.raises(models.ScaleMismatchError, match="upsamples by 2"):
+            models.reconstruct(models.build_unet(self.UNET), self.low(100), 4)
 
     def test_input_shorter_than_divisor_names_it(self):
         cfg = UnetConfig(
