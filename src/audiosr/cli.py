@@ -9,7 +9,7 @@ import argparse
 import configparser
 import hashlib
 import sys
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +31,21 @@ class _Parser(argparse.ArgumentParser):
 # config files: flat "key = value" with sections, unknown keys rejected
 # ---------------------------------------------------------------------------
 
-_DATA_KEYS = {
-    "manifest", "split", "synth_count", "synth_length", "synth_rate", "synth_seed",
-    "synth_freq_lo", "synth_freq_hi", "synth_kinds",
-}
+@dataclass(frozen=True)
+class DataConfig:
+    """The [data] section: a manifest split, or else a seeded synthetic corpus."""
+
+    manifest: str | None = None
+    split: str = "train"
+    synth_count: int = 64
+    synth_length: int = 8192
+    synth_rate: int = 12000
+    synth_seed: int = 1
+    synth_freq_lo: float = 100.0
+    synth_freq_hi: float = 2800.0
+    synth_kinds: tuple[str, ...] = ("sine", "chirp")
+
+
 # run.model values: the kinds that upsample
 _UPSAMPLERS = [kind for kind, (_, model_cls) in models.KINDS.items() if model_cls.mode]
 
@@ -48,7 +59,10 @@ def _section_config(cfg: dict, section: str, cls, **defaults):
 
 def _read_config(path) -> dict[str, dict[str, str]]:
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except configparser.Error as exc:
+        raise UsageError(f"malformed config file: {exc}") from exc
     if not read:
         raise UsageError(f"cannot read config file {path}")
     return {name: dict(parser[name]) for name in parser.sections()}
@@ -74,38 +88,30 @@ def _load_run_config(path, want_gan: bool):
     if want_gan:
         critic_cfg = _section_config(cfg, "critic", models.CriticConfig)
         gan_cfg = _section_config(cfg, "gan", train.GanConfig, base=train_cfg)
-
-    for key in cfg.get("data", {}):
-        if key not in _DATA_KEYS:
-            raise UsageError(f"unknown key {key!r} in [data]")
-    return model_kind, model_cfg, train_cfg, gan_cfg, critic_cfg, cfg.get("data", {})
+    data_cfg = _section_config(cfg, "data", DataConfig)
+    return model_kind, model_cfg, train_cfg, gan_cfg, critic_cfg, data_cfg
 
 
-def _corpus_from_data_section(section: dict, default_count: int = 64):
-    if "manifest" in section:
-        index = data.CorpusIndex.read_manifest(section["manifest"])
-        split = section.get("split", "train")
-        entries = index.items(split)
+def _load_corpus(cfg: DataConfig):
+    if cfg.manifest:
+        index = data.CorpusIndex.read_manifest(cfg.manifest)
+        entries = index.items(cfg.split)
         if not entries:
-            raise data.CorpusError(f"manifest has no entries in split {split!r}")
+            raise data.CorpusError(f"manifest has no entries in split {cfg.split!r}")
         corpus = [data.wav_read(e.path) for e in entries]
         ids = [f"{e.speaker}/{e.utterance}" for e in entries]
-        text = Path(section["manifest"]).read_text(encoding="utf-8") + f"|split={split}"
+        text = Path(cfg.manifest).read_text(encoding="utf-8") + f"|split={cfg.split}"
         return corpus, ids, _sha256(text.encode())
     spec = data.SynthSpec(
-        count=int(section.get("synth_count", default_count)),
-        length=int(section.get("synth_length", 8192)),
-        sample_rate=int(section.get("synth_rate", 12000)),
-        freq_range=(
-            float(section.get("synth_freq_lo", 100.0)),
-            float(section.get("synth_freq_hi", 2800.0)),
-        ),
-        kinds=tuple((section.get("synth_kinds", "sine,chirp")).split(",")),
+        count=cfg.synth_count,
+        length=cfg.synth_length,
+        sample_rate=cfg.synth_rate,
+        freq_range=(cfg.synth_freq_lo, cfg.synth_freq_hi),
+        kinds=cfg.synth_kinds,
     )
-    seed = int(section.get("synth_seed", 1))
-    corpus = data.synth_signals(spec, seed)
+    corpus = data.synth_signals(spec, cfg.synth_seed)
     ids = [str(i) for i in range(len(corpus))]
-    return corpus, ids, _sha256(f"{spec}|seed={seed}".encode())
+    return corpus, ids, _sha256(f"{spec}|seed={cfg.synth_seed}".encode())
 
 
 def _sha256(blob: bytes) -> str:
@@ -166,9 +172,9 @@ def _build_model(kind: str, model_cfg, seed: int):
 
 
 def _cmd_train(args) -> int:
-    kind, model_cfg, train_cfg, _, _, data_section = _load_run_config(args.config, want_gan=False)
+    kind, model_cfg, train_cfg, _, _, data_cfg = _load_run_config(args.config, want_gan=False)
     out = _out_dir(args.out)
-    corpus, _, corpus_hash = _corpus_from_data_section(data_section)
+    corpus, _, corpus_hash = _load_corpus(data_cfg)
     model = _build_model(kind, model_cfg, train_cfg.seed)
     ckpt, log = train.train_supervised(
         model, corpus, train_cfg, out_dir=str(out), progress_every=args.progress_every
@@ -185,13 +191,13 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_train_gan(args) -> int:
-    kind, model_cfg, train_cfg, gan_cfg, critic_cfg, data_section = _load_run_config(
+    kind, model_cfg, train_cfg, gan_cfg, critic_cfg, data_cfg = _load_run_config(
         args.config, want_gan=True
     )
     if kind != "unet":
         raise UsageError("train-gan needs run.model = unet (pre-upsampling generator)")
     out = _out_dir(args.out)
-    corpus, _, corpus_hash = _corpus_from_data_section(data_section)
+    corpus, _, corpus_hash = _load_corpus(data_cfg)
     generator = models.build_unet(model_cfg, seed=train_cfg.seed)
     critic = models.build_critic(critic_cfg, seed=train_cfg.seed + 1)
     _, _, log = train.train_wgan_gp(
@@ -223,14 +229,9 @@ def _flatten_cfg(*cfgs) -> str:
 
 def _cmd_eval(args) -> int:
     out = _out_dir(args.out)
-    section = {}
-    if args.manifest:
-        section["manifest"] = args.manifest
-        section["split"] = args.split
-    else:
-        section["synth_count"] = str(args.synth)
-        section["synth_seed"] = str(args.synth_seed)
-    corpus, ids, corpus_hash = _corpus_from_data_section(section)
+    corpus, ids, corpus_hash = _load_corpus(DataConfig(
+        manifest=args.manifest, split=args.split, synth_count=args.synth, synth_seed=args.synth_seed,
+    ))
     if args.spline:
         model = None
         ckpt_id = "spline-baseline"
@@ -263,10 +264,7 @@ def _cmd_upsample(args) -> int:
         if not args.checkpoint:
             raise UsageError("--method model needs --checkpoint")
         model = models.load_checkpoint(args.checkpoint)
-    try:
-        result = models.reconstruct(model, sig, args.scale)
-    except models.ScaleMismatchError as exc:
-        raise UsageError(f"{args.checkpoint}: {exc}") from exc
+    result = models.reconstruct(model, sig, args.scale)
     clipped = np.clip(result.samples, -1.0, 1.0)
     n_clipped = int(np.sum(clipped != result.samples))
     if n_clipped:
@@ -433,7 +431,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, models.ScaleMismatchError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except train.NumericError as exc:

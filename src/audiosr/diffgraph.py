@@ -4,8 +4,7 @@ Covers exactly the operator set the models need: 1D convolution, subpixel
 shuffling, pointwise activations, concatenation, reductions, and the losses.
 Backward functions are themselves built from these operators, so a second
 backward pass (needed for the critic's gradient penalty) falls out of the same
-tape. Dropout is the one exception: its backward is detached, so it cannot sit
-on a double-differentiated path.
+tape.
 
 A convolution is a k-tap sum of matmuls over shifted views of its padded
 input; no per-conv window tensor is built. It is one of three tape ops, the
@@ -28,10 +27,12 @@ class GraphError(ValueError):
 class no_grad:
     """Context manager that disables graph recording."""
 
+    enabled = False
+
     def __enter__(self):
         global _grad_enabled
         self._prev = _grad_enabled
-        _grad_enabled = False
+        _grad_enabled = self.enabled
         return self
 
     def __exit__(self, *exc):
@@ -40,23 +41,14 @@ class no_grad:
         return False
 
 
-class _enable_grad:
-    def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = True
-        return self
-
-    def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
-        return False
+class _enable_grad(no_grad):
+    enabled = True
 
 
 class Tensor:
     """Real-valued array node in a dynamically recorded computation graph."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_op", "_double_ok")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_op")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -68,7 +60,6 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._vjp = None
         self._op = "leaf"
-        self._double_ok = True
 
     @property
     def shape(self):
@@ -90,9 +81,6 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def __add__(self, other):
         return add(self, other)
@@ -133,14 +121,13 @@ def _pair(x, y) -> tuple[Tensor, Tensor]:
     return _as_tensor(x), _as_tensor(y)
 
 
-def _from_op(data, parents, vjp, op: str, double_ok: bool = True) -> Tensor:
+def _from_op(data, parents, vjp, op: str) -> Tensor:
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._vjp = vjp
         out._op = op
-        out._double_ok = double_ok
     return out
 
 
@@ -267,10 +254,7 @@ def leaky_relu(x, slope: float = 0.2) -> Tensor:
 
 
 def dropout(x, rate: float, rng: np.random.Generator | None = None, training: bool = True) -> Tensor:
-    """Inverted dropout; identity in eval mode and at rate 0.
-
-    Backward is detached, so dropout cannot appear on a double-backward path.
-    """
+    """Inverted dropout; identity in eval mode and at rate 0."""
     x = _as_tensor(x)
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
@@ -280,8 +264,8 @@ def dropout(x, rate: float, rng: np.random.Generator | None = None, training: bo
         raise ValueError("training-mode dropout needs an rng")
     mask = (rng.random(x.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
     def vjp(g):
-        return (Tensor(g.data * mask),)
-    return _from_op(x.data * mask, (x,), vjp, "dropout", double_ok=False)
+        return (mul(g, Tensor(mask)),)
+    return _from_op(x.data * mask, (x,), vjp, "dropout")
 
 
 # ---------------------------------------------------------------------------
@@ -644,8 +628,6 @@ def _backprop(root: Tensor, seed: Tensor, create_graph: bool, capture_ids: set[i
                 captured[id(node)] = g
             if node._vjp is None:
                 continue
-            if create_graph and not node._double_ok:
-                raise GraphError(f"op '{node._op}' does not support double-backward")
             parent_grads = node._vjp(g)
             for p, pg in zip(node._parents, parent_grads):
                 if pg is None or not p.requires_grad:

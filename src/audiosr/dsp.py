@@ -56,10 +56,6 @@ class BiquadCascade:
             self, "sections", tuple(tuple(float(v) for v in s) for s in self.sections)
         )
 
-    @property
-    def order(self) -> int:
-        return 2 * len(self.sections)
-
     def pole_magnitudes(self) -> np.ndarray:
         """|pole| for every section, flattened."""
         mags = []

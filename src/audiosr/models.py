@@ -162,8 +162,13 @@ class Model:
     # --- contracts overridden per kind ---
 
     @property
+    def scale(self) -> int:
+        return self.config.scale
+
+    @property
     def upsample_ratio(self) -> int:
-        return 1
+        """Output samples per input sample: the scale for post models, else 1."""
+        return self.scale if self.mode == "post" else 1
 
     @property
     def length_divisor(self) -> int:
@@ -189,14 +194,6 @@ class EdsrModel(Model):
         for q in range(config.upsample_stages):
             self._conv_init(rng, f"up{q}", 2 * f, f, ks)
         self._conv_init(rng, "head", 1, f, ks)
-
-    @property
-    def scale(self) -> int:
-        return self.config.scale
-
-    @property
-    def upsample_ratio(self) -> int:
-        return self.config.scale
 
     def forward(self, x, training: bool = False, rng=None):
         x = self._check_input(x)
@@ -237,10 +234,6 @@ class UnetModel(Model):
         self._conv_init(rng, "head", 2, c_in, config.final_kernel)
 
     @property
-    def scale(self) -> int:
-        return self.config.scale
-
-    @property
     def length_divisor(self) -> int:
         return 2**self.config.depth
 
@@ -273,8 +266,6 @@ class UnetModel(Model):
             h = dg.concat_channels(h, skip)
         h = self._conv(h, "head")
         h = dg.subpixel_shuffle1d(h, 2)
-        if h.shape[2] > x.shape[2]:
-            h = dg.slice_time(h, 0, x.shape[2])
         return dg.add(h, x)
 
 
@@ -375,27 +366,31 @@ def upsampling_mode(m: Model, scale: int, mode: str | None = None) -> str:
     return own
 
 
-def reconstruct(m: Model | None, low: Signal, scale: int) -> Signal:
-    """Upsample ``low`` by ``scale`` with the spline (``m=None``) or a model.
+def model_input(m: Model, low: Signal, scale: int) -> np.ndarray:
+    """The samples ``m`` reads to upsample ``low`` by ``scale``.
 
     A post model reads ``low`` itself. A pre model reads its spline
     interpolation, cropped to the model's length divisor; the cropped tail is
     missing from the output.
     """
-    if m is not None and upsampling_mode(m, scale) == "post":
-        feed = low.samples
-    else:
-        base = dsp.spline_upsample(low, scale)
-        if m is None:
-            return base
-        divisor = m.length_divisor
-        usable = len(base) // divisor * divisor
-        if usable == 0:
-            raise ValueError(
-                f"{len(base)} samples at the target rate are fewer than the model's "
-                f"length divisor {divisor}"
-            )
-        feed = base.samples[:usable]
+    if upsampling_mode(m, scale) == "post":
+        return low.samples
+    base = dsp.spline_upsample(low, scale)
+    divisor = m.length_divisor
+    usable = len(base) // divisor * divisor
+    if usable == 0:
+        raise ValueError(
+            f"{len(base)} samples at the target rate are fewer than the model's "
+            f"length divisor {divisor}"
+        )
+    return base.samples[:usable]
+
+
+def reconstruct(m: Model | None, low: Signal, scale: int) -> Signal:
+    """Upsample ``low`` by ``scale`` with the spline (``m=None``) or a model."""
+    if m is None:
+        return dsp.spline_upsample(low, scale)
+    feed = model_input(m, low, scale)
     with dg.no_grad():
         out = m.forward(Tensor(feed[None, None, :]), training=False)
     return Signal(out.data[0, 0], low.sample_rate * scale)
@@ -496,7 +491,6 @@ class Checkpoint:
     seed: int = 0
     step: int = 0
     adam: AdamState | None = None
-    format_version: int = FORMAT_VERSION
 
     @classmethod
     def from_model(cls, m: Model, adam: AdamState | None = None, seed: int | None = None) -> "Checkpoint":
@@ -528,7 +522,7 @@ class Checkpoint:
     def save(self, path) -> None:
         buf = BytesIO()
         buf.write(CHECKPOINT_MAGIC)
-        buf.write(struct.pack("<I", self.format_version))
+        buf.write(struct.pack("<I", FORMAT_VERSION))
         header = self._header_text().encode("utf-8")
         buf.write(struct.pack("<I", len(header)))
         buf.write(header)
@@ -611,7 +605,7 @@ class Checkpoint:
             raise CheckpointCorruptError("missing trailer; file is corrupt")
         return cls(
             kind=kind, config=config, params=params, dtype=dtype,
-            seed=seed, step=step, adam=adam, format_version=version,
+            seed=seed, step=step, adam=adam,
         )
 
 

@@ -1,5 +1,5 @@
 """Training loops: supervised L1/L2 regression and WGAN-GP adversarial
-training, plus pair construction for pre- and post-upsampling models."""
+training on patches degraded into (model input, target) pairs."""
 from __future__ import annotations
 
 import math
@@ -12,7 +12,7 @@ from . import diffgraph as dg
 from . import dsp
 from .diffgraph import AdamState, Tensor
 from .dsp import Signal
-from .models import Checkpoint, Model, load_checkpoint, upsampling_mode
+from .models import Checkpoint, Model, load_checkpoint, model_input, upsampling_mode
 
 
 class NumericError(RuntimeError):
@@ -93,9 +93,6 @@ class TrainLog:
             raise ValueError("step indices must be strictly increasing")
         self.records.append(rec)
 
-    def losses(self) -> list[float]:
-        return [r.loss for r in self.records]
-
     def trajectory(self) -> list[tuple]:
         """Deterministic per-step numbers (everything except wall time)."""
         if self.kind == "supervised":
@@ -118,29 +115,6 @@ class TrainLog:
                 )
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-
-
-def make_pair(x: Signal, scale: int, mode: str) -> tuple[Signal, Signal]:
-    """Degrade a high-resolution signal into a (model input, target) pair.
-
-    post mode keeps the input at the low rate; pre mode spline-interpolates it
-    back to the target rate first.
-    """
-    if mode not in ("pre", "post"):
-        raise ValueError(f"mode must be 'pre' or 'post', got {mode!r}")
-    if len(x) % scale != 0:
-        raise ValueError(f"signal length {len(x)} not divisible by scale {scale}")
-    low = dsp.downsample(x, scale)
-    if mode == "post":
-        return low, x
-    return dsp.spline_upsample(low, scale), x
-
-
-def check_scale_compatibility(kind: str, scale: int) -> None:
-    if kind == "edsr" and scale & (scale - 1) != 0:
-        raise ValueError(
-            f"AudioEDSR supports power-of-two scales only, got {scale}"
-        )
 
 
 class _PatchSampler:
@@ -180,7 +154,6 @@ def _resolve_loss(model: Model, cfg: TrainConfig) -> str:
 def _validate_run(model: Model, corpus: list[Signal], cfg: TrainConfig) -> None:
     if not corpus:
         raise ValueError("empty corpus")
-    check_scale_compatibility(model.kind, cfg.scale)
     upsampling_mode(model, cfg.scale, cfg.mode)
     need = model.length_divisor * cfg.scale
     if cfg.patch_length % need != 0:
@@ -190,12 +163,9 @@ def _validate_run(model: Model, corpus: list[Signal], cfg: TrainConfig) -> None:
         )
 
 
-def _batch_arrays(patches: list[Signal], scale: int, mode: str):
-    inputs, targets = [], []
-    for p in patches:
-        low, high = make_pair(p, scale, mode)
-        inputs.append(low.samples)
-        targets.append(high.samples)
+def _batch_arrays(patches: list[Signal], model: Model, scale: int):
+    inputs = [model_input(model, dsp.downsample(p, scale), scale) for p in patches]
+    targets = [p.samples for p in patches]
     return np.stack(inputs)[:, None, :], np.stack(targets)[:, None, :]
 
 
@@ -232,7 +202,7 @@ def train_supervised(
     t0 = time.perf_counter()
     for step in range(1, cfg.steps + 1):
         patches = sampler.batch(cfg.batch_size)
-        inp, tgt = _batch_arrays(patches, cfg.scale, cfg.mode)
+        inp, tgt = _batch_arrays(patches, model, cfg.scale)
         model.zero_grad()
         out = model.forward(Tensor(inp), training=True, rng=net_rng)
         loss = loss_fn(out, Tensor(tgt))
@@ -341,7 +311,7 @@ def train_wgan_gp(
         critic_losses, penalties = [], []
         for _ in range(cfg.n_critic):
             patches = sampler.batch(base.batch_size)
-            inp, tgt = _batch_arrays(patches, base.scale, base.mode)
+            inp, tgt = _batch_arrays(patches, generator, base.scale)
             with dg.no_grad():
                 fake = generator.forward(Tensor(inp), training=True, rng=gen_rng)
             eps = eps_rng.random(base.batch_size)
@@ -367,7 +337,7 @@ def train_wgan_gp(
             penalties.append(p_val)
 
         patches = sampler.batch(base.batch_size)
-        inp, tgt = _batch_arrays(patches, base.scale, base.mode)
+        inp, tgt = _batch_arrays(patches, generator, base.scale)
         generator.zero_grad()
         critic.zero_grad()
         fake = generator.forward(Tensor(inp), training=True, rng=gen_rng)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from audiosr import cli, data, models
 from audiosr.dsp import Signal
@@ -145,6 +147,14 @@ class TestEvalCommand:
     def test_needs_checkpoint_or_spline(self, tmp_path):
         assert run("eval", "--scale", "2", "--out", str(tmp_path / "e")) == 1
 
+    def test_scale_mismatch_is_usage_error(self, tmp_path, tiny_ckpt, capsys):
+        code = run(
+            "eval", "--checkpoint", str(tiny_ckpt), "--scale", "4",
+            "--synth", "2", "--out", str(tmp_path / "e"),
+        )
+        assert code == 1
+        assert "upsamples by 2" in capsys.readouterr().err
+
     def test_mode_flag_is_gone(self, tmp_path, tiny_ckpt):
         code = run(
             "eval", "--checkpoint", str(tiny_ckpt), "--scale", "2", "--mode", "post",
@@ -239,12 +249,27 @@ class TestPrepareAndTrain:
     @pytest.mark.parametrize(
         "line, bad",
         [("filters = 4", "filters = x"), ("filters = 4", "filters = 0"),
-         ("steps = 1", "steps = 1.5"), ("steps = 1", "steps = 1\nloss = l3")],
+         ("steps = 1", "steps = 1.5"), ("steps = 1", "steps = 1\nloss = l3"),
+         ("steps = 1", "steps = 1\nscale = 4"), ("synth_count = 2", "synth_count = x"),
+         ("synth_count = 2", "synth_count = 2\nsynth_seed = 1.5"),
+         ("synth_count = 2", "synth_count = 2\nbogus = 1")],
     )
     def test_bad_section_value_is_usage_error(self, tmp_path, line, bad):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("[run]\nmodel = edsr\n" + self.TINY_RUN.replace(line, bad))
         assert run("train", "--config", str(cfgfile), "--out", str(tmp_path / "o")) == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[model]\nfilters = 4\nfilters = 8\n", "[model]\nfilters = 4\n[model]\nn_blocks = 1\n",
+         "filters = 4\n[model]\n"],
+        ids=["duplicate-key", "duplicate-section", "missing-section-header"],
+    )
+    def test_malformed_config_file_is_usage_error(self, tmp_path, capsys, text):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(text)
+        assert run("train", "--config", str(cfgfile), "--out", str(tmp_path / "o")) == 1
+        assert "malformed config file" in capsys.readouterr().err
 
     def test_unknown_section_is_usage_error(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
@@ -280,6 +305,59 @@ class TestPrepareAndTrain:
         assert run("train-gan", "--config", str(cfgfile), "--out", str(out)) == 0
         assert (out / "generator.ckpt").exists()
         assert (out / "critic.ckpt").exists()
+
+
+# a valid tiny config; [critic] and [gan] are read by train-gan only
+FUZZ_LINES = [
+    "[run]", "model = unet",
+    "[model]", "depth = 2", "down_filters = 4,8", "down_kernels = 9,9", "bottleneck_filters = 8",
+    "[train]", "steps = 1", "batch_size = 1", "patch_length = 256",
+    "[data]", "synth_count = 2", "synth_length = 1024", "synth_kinds = sine,chirp",
+]
+FUZZ_GAN_LINES = ["[critic]", "layers = 2", "[gan]", "n_critic = 1"]
+NAMES = st.from_regex(r"[a-z_]{1,10}", fullmatch=True)
+JUNK = st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=12)
+
+
+@st.composite
+def mutated_configs(draw):
+    want_gan = draw(st.booleans())
+    lines = FUZZ_LINES + (FUZZ_GAN_LINES if want_gan else [])
+    headers = [i for i, line in enumerate(lines) if line.startswith("[")]
+    keys = [i for i, line in enumerate(lines) if " = " in line]
+    at = draw(st.integers(0, len(lines)))
+    kind = draw(st.sampled_from(
+        ["unchanged", "dup-line", "drop-header", "dup-header", "junk-value", "new-key", "new-section"]
+    ))
+    if kind == "dup-line":
+        i = draw(st.integers(0, len(lines) - 1))
+        lines.insert(i + 1, lines[i])
+    elif kind == "drop-header":
+        del lines[draw(st.sampled_from(headers))]
+    elif kind == "dup-header":
+        lines.insert(at, lines[draw(st.sampled_from(headers))])
+    elif kind == "junk-value":
+        i = draw(st.sampled_from(keys))
+        lines[i] = lines[i].split(" = ")[0] + " = " + draw(JUNK)
+    elif kind == "new-key":
+        lines.insert(at, f"{draw(NAMES)} = {draw(JUNK)}")
+    elif kind == "new-section":
+        lines.insert(at, f"[{draw(NAMES)}]")
+    return "\n".join(lines) + "\n", want_gan
+
+
+class TestConfigFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(case=mutated_configs())
+    def test_parses_or_raises_usage_error(self, tmp_path_factory, case):
+        text, want_gan = case
+        path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+        path.write_text(text, encoding="utf-8")
+        try:
+            parsed = cli._load_run_config(path, want_gan)
+        except cli.UsageError:
+            return
+        assert isinstance(parsed[5], cli.DataConfig)
 
 
 class TestCompareLosses:

@@ -487,16 +487,12 @@ class TestInputGradientAndDoubleBackward:
         with pytest.raises(GraphError):
             dg.input_gradient(dg.sum_all(dg.add(x, y)), x)
 
-    def test_dropout_blocks_double_backward_by_name(self):
-        x = Tensor(np.random.default_rng(1).normal(size=(1, 2, 6)), requires_grad=True)
-        rng = np.random.default_rng(2)
-        y = dg.dropout(x, 0.3, rng, training=True)
-        with pytest.raises(GraphError, match="dropout"):
-            dg.input_gradient(dg.sum_all(y), x)
-
-    @pytest.mark.parametrize("padding", ["same", "valid"])
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_double_backward_through_conv_matches_fd(self, stride, padding):
+    @pytest.mark.parametrize(
+        "stride, padding, dropout",
+        [(1, "same", False), (1, "valid", False), (2, "same", False), (2, "valid", False),
+         (1, "same", True)],
+    )
+    def test_double_backward_through_conv_matches_fd(self, stride, padding, dropout):
         rng = np.random.default_rng(3)
         w = rand_param(rng, "w", (2, 1, 3), 0.6)
         b = rand_param(rng, "b", (2,), 0.3)
@@ -505,6 +501,8 @@ class TestInputGradientAndDoubleBackward:
         def penalty():
             x = Tensor(xdata, requires_grad=True)
             h = dg.leaky_relu(dg.conv1d(x, w.tensor, b.tensor, stride=stride, padding=padding), 0.2)
+            if dropout:  # the same mask on every evaluation
+                h = dg.dropout(h, 0.3, np.random.default_rng(4), training=True)
             score = dg.sum_all(dg.mean_time(h))
             g = dg.input_gradient(score, x)
             per_item = dg.sum_axes(dg.mul(g, g), (1, 2))

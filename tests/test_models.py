@@ -238,6 +238,18 @@ class TestReconstruct:
         assert np.max(np.abs(got.samples - einsum)) <= 1e-12
         assert hashlib.sha256(got.samples.tobytes()).hexdigest() == digest
 
+    def test_model_input_post_is_the_low_rate_input(self):
+        low = self.low(101)
+        got = models.model_input(models.build_edsr(TINY_EDSR), low, 2)
+        assert np.array_equal(got, low.samples)
+
+    @pytest.mark.parametrize("n", [250, 251])
+    def test_model_input_pre_is_the_spline_cropped_to_the_divisor(self, n):
+        low = self.low(n)
+        got = models.model_input(models.build_unet(self.UNET), low, 2)
+        assert len(got) == 500
+        assert np.array_equal(got, dsp.spline_upsample(low, 2).samples[:500])
+
     def test_float32_model_output_is_float64(self):
         m = models.build_edsr(TINY_EDSR, dtype="float32", seed=1)
         assert models.reconstruct(m, self.low(64), 2).samples.dtype == np.float64

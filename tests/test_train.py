@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from audiosr import data, diffgraph as dg, models, train
+from audiosr import data, diffgraph as dg, dsp, models, train
 from audiosr.diffgraph import AdamState, Parameter, Tensor
 from audiosr.dsp import Signal
 from audiosr.train import GanConfig, NumericError, TrainConfig
@@ -23,34 +23,12 @@ def toy_corpus(count=6, length=2048, seed=3):
 
 
 class TestMakePair:
-    def test_post_mode_contract(self):
-        x = toy_corpus(1, 8192)[0]
-        low, high = train.make_pair(x, 2, "post")
-        assert len(low) == 4096 and low.sample_rate == 6000
-        assert len(high) == 8192 and high.sample_rate == 12000
-        assert np.array_equal(high.samples, x.samples)
-
-    def test_pre_mode_contract(self):
-        x = toy_corpus(1, 8192)[0]
-        low, high = train.make_pair(x, 2, "pre")
-        assert len(low) == 8192 and low.sample_rate == 12000
-        assert len(high) == 8192
-
-    def test_indivisible_length_rejected(self):
-        x = Signal(np.zeros(4097), 12000)
-        with pytest.raises(ValueError):
-            train.make_pair(x, 2, "post")
-
-    def test_edsr_rejects_non_power_of_two_scale(self):
-        with pytest.raises(ValueError, match="power-of-two"):
-            train.check_scale_compatibility("edsr", 3)
-        train.check_scale_compatibility("edsr", 4)
-        train.check_scale_compatibility("unet", 3)
+    """Training pairs: each patch is degraded and fed through models.model_input."""
 
     def test_edsr_scale_three_run_rejected(self):
         m = models.build_edsr(TINY_EDSR, seed=0)
         cfg = TrainConfig(steps=1, mode="post", scale=3, batch_size=1, patch_length=96)
-        with pytest.raises(ValueError, match="power-of-two"):
+        with pytest.raises(ValueError, match="upsamples by 2"):
             train.train_supervised(m, toy_corpus(), cfg)
 
 
@@ -126,10 +104,9 @@ class TestSupervised:
         m = models.build_edsr(models.EdsrConfig(filters=2, n_blocks=1), seed=6)
         before = {p.name: p.data.copy() for p in m.parameters()}
 
-        low, high = train.make_pair(
-            Signal(corpus[0].samples[:64], 12000), 2, "post"
-        )
-        inp = Tensor(low.samples[None, None, :])
+        high = Signal(corpus[0].samples[:64], 12000)
+        low = models.model_input(m, dsp.downsample(high, 2), 2)
+        inp = Tensor(low[None, None, :])
         tgt = Tensor(high.samples[None, None, :])
 
         def batch_loss():
