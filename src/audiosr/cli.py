@@ -61,7 +61,7 @@ def _read_config(path) -> dict[str, dict[str, str]]:
     parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path, encoding="utf-8")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise UsageError(f"malformed config file: {exc}") from exc
     if not read:
         raise UsageError(f"cannot read config file {path}")
@@ -136,9 +136,9 @@ def _out_dir(path_str: str) -> Path:
 # ---------------------------------------------------------------------------
 
 def _cmd_prepare(args) -> int:
-    out = _out_dir(args.out)
     target = args.target_rate
     src_index = data.scan_corpus(args.root, seed=args.seed)
+    out = _out_dir(args.out)
     audio_dir = out / "audio"
     for entry in src_index.entries:
         sig = data.wav_read(entry.path, downmix=args.downmix)
@@ -173,7 +173,7 @@ def _build_model(kind: str, model_cfg, seed: int):
 
 def _cmd_train(args) -> int:
     kind, model_cfg, train_cfg, _, _, data_cfg = _load_run_config(args.config, want_gan=False)
-    out = _out_dir(args.out)
+    out = Path(args.out)  # made by the trainer when it first saves a checkpoint
     corpus, _, corpus_hash = _load_corpus(data_cfg)
     model = _build_model(kind, model_cfg, train_cfg.seed)
     ckpt, log = train.train_supervised(
@@ -196,7 +196,7 @@ def _cmd_train_gan(args) -> int:
     )
     if kind != "unet":
         raise UsageError("train-gan needs run.model = unet (pre-upsampling generator)")
-    out = _out_dir(args.out)
+    out = Path(args.out)  # made by the trainer when it first saves a checkpoint
     corpus, _, corpus_hash = _load_corpus(data_cfg)
     generator = models.build_unet(model_cfg, seed=train_cfg.seed)
     critic = models.build_critic(critic_cfg, seed=train_cfg.seed + 1)
@@ -228,7 +228,6 @@ def _flatten_cfg(*cfgs) -> str:
 
 
 def _cmd_eval(args) -> int:
-    out = _out_dir(args.out)
     corpus, ids, corpus_hash = _load_corpus(DataConfig(
         manifest=args.manifest, split=args.split, synth_count=args.synth, synth_seed=args.synth_seed,
     ))
@@ -241,6 +240,7 @@ def _cmd_eval(args) -> int:
         model = models.load_checkpoint(args.checkpoint)
         ckpt_id = Path(args.checkpoint).name
     report = metrics.evaluate_model(model, corpus, args.scale, item_ids=ids, checkpoint_id=ckpt_id)
+    out = _out_dir(args.out)
     report.to_csv(out / "metrics.csv")
     _write_run_meta(out, "eval", {
         "scale": args.scale,
@@ -283,7 +283,6 @@ def _cmd_upsample(args) -> int:
 
 
 def _cmd_compare_losses(args) -> int:
-    out = _out_dir(args.out)
     train_spec = data.SynthSpec(count=args.synth, length=args.patch * 2, sample_rate=12000)
     eval_spec = data.SynthSpec(count=max(args.synth // 4, 8), length=8192, sample_rate=12000)
     train_corpus = data.synth_signals(train_spec, args.seed + 1)
@@ -322,6 +321,7 @@ def _cmd_compare_losses(args) -> int:
     ]
     for loss, rep in rows:
         lines.append(f"{loss},{rep.snr_mean!r},{rep.snr_std!r},{rep.lsd_mean!r},{rep.lsd_std!r}")
+    out = _out_dir(args.out)
     (out / "compare.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     _write_run_meta(out, "compare-losses", {
         "model": args.model,
@@ -334,7 +334,6 @@ def _cmd_compare_losses(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    out = _out_dir(args.out)
     model = models.load_checkpoint(args.checkpoint)
     report = probe.zero_input_probe(
         model,
@@ -342,6 +341,7 @@ def _cmd_probe(args) -> int:
         sample_rate=args.rate,
         peak_threshold_db=args.threshold,
     )
+    out = _out_dir(args.out)
     probe.write_report(report, out / "report.txt")
     probe.export_spectrogram(report.spectrogram, out / "spec.csv", fmt="csv")
     probe.export_spectrogram(report.spectrogram, out / "spec.pgm", fmt="pgm")

@@ -659,9 +659,8 @@ def backward(loss: Tensor, params=None, create_graph: bool = False) -> None:
             t.grad = gt if t.grad is None else Tensor(t.grad.data + gt.data)
     if params is not None:
         for p in params:
-            t = p.tensor if isinstance(p, Parameter) else p
-            if t.grad is None:
-                t.grad = Tensor(np.zeros_like(t.data))
+            if p.grad is None:
+                p.grad = Tensor(np.zeros_like(p.data))
 
 
 def input_gradient(output: Tensor, x: Tensor, create_graph: bool = True) -> Tensor:
@@ -689,40 +688,16 @@ def input_gradient(output: Tensor, x: Tensor, create_graph: bool = True) -> Tens
 # parameters and Adam
 # ---------------------------------------------------------------------------
 
-class Parameter:
-    """Named trainable tensor."""
+class Parameter(Tensor):
+    """Named trainable leaf tensor."""
+
+    __slots__ = ("name",)
 
     def __init__(self, name: str, data):
-        arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float64)
-        if not np.all(np.isfinite(arr)):
+        super().__init__(data, requires_grad=True)
+        if not np.all(np.isfinite(self.data)):
             raise ValueError(f"parameter {name!r} contains non-finite values")
         self.name = name
-        self.tensor = Tensor(arr, requires_grad=True)
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.tensor.data
-
-    @data.setter
-    def data(self, value):
-        self.tensor.data = np.asarray(value, dtype=self.tensor.data.dtype)
-
-    @property
-    def grad(self) -> Tensor | None:
-        return self.tensor.grad
-
-    @property
-    def shape(self):
-        return self.tensor.shape
-
-    @property
-    def size(self) -> int:
-        return self.tensor.size
-
-    def zero_grad(self) -> None:
-        self.tensor.grad = None
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.shape})"

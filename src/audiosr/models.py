@@ -141,12 +141,10 @@ class Model:
 
     def zero_grad(self) -> None:
         for p in self.params.values():
-            p.zero_grad()
+            p.grad = None
 
     def _conv(self, x, name: str, stride: int = 1):
-        return dg.conv1d(
-            x, self.params[f"{name}.w"].tensor, self.params[f"{name}.b"].tensor, stride=stride
-        )
+        return dg.conv1d(x, self.params[f"{name}.w"], self.params[f"{name}.b"], stride=stride)
 
     def _check_input(self, x: Tensor) -> Tensor:
         if not isinstance(x, Tensor):
@@ -317,7 +315,7 @@ class CriticModel(Model):
             if shuffle and i < cfg.layers - 1:
                 h = phase_shuffle(h, cfg.phase_shuffle_n, rng)
         pooled = dg.mean_time(h)
-        score = dg.dense(pooled, self.params["score.w"].tensor, self.params["score.b"].tensor)
+        score = dg.dense(pooled, self.params["score.w"], self.params["score.b"])
         return dg.reshape(score, (x.shape[0],))
 
 
@@ -493,28 +491,15 @@ class Checkpoint:
     adam: AdamState | None = None
 
     @classmethod
-    def from_model(cls, m: Model, adam: AdamState | None = None, seed: int | None = None) -> "Checkpoint":
-        return cls(
-            kind=m.kind,
-            config=m.config,
-            params={name: p.data.copy() for name, p in m.params.items()},
-            dtype=str(m.dtype),
-            seed=m.init_seed if seed is None else seed,
-            step=m.train_step,
-            adam=adam if adam is not None else m.adam_state,
-        )
+    def from_model(cls, m: Model, seed: int | None = None) -> "Checkpoint":
+        params = {name: p.data.copy() for name, p in m.params.items()}
+        seed = m.init_seed if seed is None else seed
+        return cls(m.kind, m.config, params, str(m.dtype), seed, m.train_step, m.adam_state)
 
     def build_model(self) -> Model:
         model_cls = KINDS[self.kind][1]
         m = model_cls(self.config, dtype=self.dtype, init_seed=self.seed)
-        if set(m.params) != set(self.params):
-            raise CheckpointCorruptError("parameter names do not match the model architecture")
-        for name, arr in self.params.items():
-            if m.params[name].shape != arr.shape:
-                raise CheckpointCorruptError(
-                    f"parameter {name!r} has shape {arr.shape}, expected {m.params[name].shape}"
-                )
-            m.params[name].data = arr.copy()
+        load_params(m, self.params)
         m.train_step = self.step
         m.adam_state = self.adam
         return m
@@ -564,7 +549,7 @@ class Checkpoint:
                 f"checkpoint format version {version} unsupported (expected {FORMAT_VERSION})"
             )
         (hlen,) = struct.unpack("<I", _read_exact(buf, 4))
-        header = _read_exact(buf, hlen).decode("utf-8")
+        header = _utf8(_read_exact(buf, hlen))
         meta = {}
         for line in header.splitlines():
             if not line.strip():
@@ -596,24 +581,31 @@ class Checkpoint:
         adam = None
         if has_adam:
             t, alpha, beta1, beta2, eps = struct.unpack("<Qdddd", _read_exact(buf, 40))
-            adam = AdamState(alpha=alpha, beta1=beta1, beta2=beta2, eps=eps, t=t)
+            try:
+                adam = AdamState(alpha=alpha, beta1=beta1, beta2=beta2, eps=eps, t=t)
+            except ValueError as exc:
+                raise CheckpointCorruptError(f"bad optimizer state: {exc}") from exc
             for name in params:
                 adam.m[name] = _read_array(buf)
                 adam.v[name] = _read_array(buf)
         trailer = _read_exact(buf, len(CHECKPOINT_TRAILER))
         if trailer != CHECKPOINT_TRAILER:
             raise CheckpointCorruptError("missing trailer; file is corrupt")
-        return cls(
-            kind=kind, config=config, params=params, dtype=dtype,
-            seed=seed, step=step, adam=adam,
-        )
+        return cls(kind, config, params, dtype, seed, step, adam)
 
 
 def _read_exact(buf: BytesIO, n: int) -> bytes:
-    data = buf.read(n)
+    data = buf.read(min(n, 1 << 62))  # read() rejects sizes past 2**63; no file is that long
     if len(data) != n:
         raise CheckpointCorruptError("unexpected end of file; checkpoint is truncated")
     return data
+
+
+def _utf8(raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointCorruptError(f"text field is not valid UTF-8: {exc}") from exc
 
 
 def _write_array(buf: BytesIO, arr: np.ndarray) -> None:
@@ -628,9 +620,11 @@ def _read_array(buf: BytesIO) -> np.ndarray:
     code, ndim = struct.unpack("<BB", _read_exact(buf, 2))
     if code not in _CODE_DTYPES:
         raise CheckpointCorruptError(f"unknown dtype code {code}")
+    if ndim > 64:  # numpy's limit
+        raise CheckpointCorruptError(f"array rank {ndim} exceeds 64")
     dims = tuple(struct.unpack("<I", _read_exact(buf, 4))[0] for _ in range(ndim))
     dtype = _CODE_DTYPES[code]
-    count = int(np.prod(dims)) if dims else 1
+    count = math.prod(dims)  # exact: np.prod would wrap around past 2**63
     payload = _read_exact(buf, count * dtype.itemsize)
     arr = np.frombuffer(payload, dtype=dtype.newbyteorder("<")).astype(dtype)
     return arr.reshape(dims)
@@ -645,12 +639,24 @@ def _write_blob(buf: BytesIO, name: str, arr: np.ndarray) -> None:
 
 def _read_blob(buf: BytesIO):
     (nlen,) = struct.unpack("<H", _read_exact(buf, 2))
-    name = _read_exact(buf, nlen).decode("utf-8")
+    name = _utf8(_read_exact(buf, nlen))
     return name, _read_array(buf)
 
 
-def save_checkpoint(m: Model, path, adam_state: AdamState | None = None) -> None:
-    Checkpoint.from_model(m, adam=adam_state).save(path)
+def load_params(m: Model, params: dict[str, np.ndarray]) -> None:
+    """Copy ``params`` into ``m``, cast to its dtype; names and shapes must match."""
+    if set(m.params) != set(params):
+        raise CheckpointCorruptError("parameter names do not match the model architecture")
+    for name, arr in params.items():
+        if m.params[name].shape != arr.shape:
+            raise CheckpointCorruptError(
+                f"parameter {name!r} has shape {arr.shape}, expected {m.params[name].shape}"
+            )
+        m.params[name].data = arr.astype(m.dtype)
+
+
+def save_checkpoint(m: Model, path) -> None:
+    Checkpoint.from_model(m).save(path)
 
 
 def load_checkpoint(path, expect_kind: str | None = None) -> Model:

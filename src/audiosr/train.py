@@ -3,6 +3,7 @@ training on patches degraded into (model input, target) pairs."""
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -12,7 +13,7 @@ from . import diffgraph as dg
 from . import dsp
 from .diffgraph import AdamState, Tensor
 from .dsp import Signal
-from .models import Checkpoint, Model, load_checkpoint, model_input, upsampling_mode
+from .models import Checkpoint, Model, load_checkpoint, load_params, model_input, upsampling_mode
 
 
 class NumericError(RuntimeError):
@@ -93,26 +94,23 @@ class TrainLog:
             raise ValueError("step indices must be strictly increasing")
         self.records.append(rec)
 
+    @property
+    def columns(self) -> tuple[str, ...]:
+        """The per-step loss fields this kind of run logs."""
+        return ("loss",) if self.kind == "supervised" else ("critic_loss", "penalty", "gen_loss")
+
     def trajectory(self) -> list[tuple]:
         """Deterministic per-step numbers (everything except wall time)."""
-        if self.kind == "supervised":
-            return [(r.step, r.loss) for r in self.records]
-        return [(r.step, r.critic_loss, r.penalty, r.gen_loss) for r in self.records]
+        return [(r.step, *(getattr(r, c) for c in self.columns)) for r in self.records]
 
     def to_csv(self, path) -> None:
         lines = [f"# kind = {self.kind}"]
         for key, val in sorted(self.meta.items()):
             lines.append(f"# {key} = {val}")
-        if self.kind == "supervised":
-            lines.append("step,loss,wall_time_s")
-            for r in self.records:
-                lines.append(f"{r.step},{r.loss!r},{r.wall_time:.3f}")
-        else:
-            lines.append("step,critic_loss,penalty,gen_loss,wall_time_s")
-            for r in self.records:
-                lines.append(
-                    f"{r.step},{r.critic_loss!r},{r.penalty!r},{r.gen_loss!r},{r.wall_time:.3f}"
-                )
+        lines.append(",".join(("step", *self.columns, "wall_time_s")))
+        for r in self.records:
+            losses = "".join(f"{getattr(r, c)!r}," for c in self.columns)
+            lines.append(f"{r.step},{losses}{r.wall_time:.3f}")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -163,6 +161,26 @@ def _validate_run(model: Model, corpus: list[Signal], cfg: TrainConfig) -> None:
         )
 
 
+def _update(model: Model, params, objective: Tensor, step: int, what: str, **values) -> None:
+    """One optimizer step: abort if any logged value is non-finite, else
+    backpropagate ``objective`` and apply ``model``'s Adam state to ``params``."""
+    if not all(math.isfinite(v) for v in values.values()):
+        raise NumericError(f"non-finite {what} {step}", step, values)
+    dg.backward(objective, params)
+    dg.adam_step(params, model.adam_state)
+    model.train_step += 1
+
+
+def _save(out_dir, seed: int, files: dict[str, Model]) -> list[Checkpoint]:
+    """Checkpoint each model; given ``out_dir``, make it and write each file there."""
+    ckpts = [Checkpoint.from_model(m, seed=seed) for m in files.values()]
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        for name, ckpt in zip(files, ckpts):
+            ckpt.save(f"{out_dir}/{name}")
+    return ckpts
+
+
 def _batch_arrays(patches: list[Signal], model: Model, scale: int):
     inputs = [model_input(model, dsp.downsample(p, scale), scale) for p in patches]
     targets = [p.samples for p in patches]
@@ -184,7 +202,7 @@ def train_supervised(
     loss_fn = dg.l1 if loss_name == "l1" else dg.l2
     sampler = _PatchSampler(corpus, cfg.patch_length, cfg.scale, cfg.seed)
     net_rng = np.random.default_rng([cfg.seed, 1])
-    adam = AdamState(alpha=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
+    model.adam_state = AdamState(alpha=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
     log = TrainLog(
         kind="supervised",
         meta={
@@ -207,24 +225,13 @@ def train_supervised(
         out = model.forward(Tensor(inp), training=True, rng=net_rng)
         loss = loss_fn(out, Tensor(tgt))
         value = loss.item()
-        if not math.isfinite(value):
-            raise NumericError(
-                f"non-finite loss at step {step}", step, {"loss": value}
-            )
-        dg.backward(loss, params)
-        dg.adam_step(params, adam)
-        model.train_step += 1
+        _update(model, params, loss, step, "loss at step", loss=value)
         log.append(StepRecord(step=step, loss=value, wall_time=time.perf_counter() - t0))
         if progress_every and step % progress_every == 0:
             print(f"step {step}/{cfg.steps}  {loss_name} loss {value:.6f}", flush=True)
         if out_dir is not None and cfg.checkpoint_every and step % cfg.checkpoint_every == 0:
-            Checkpoint.from_model(model, adam=adam, seed=cfg.seed).save(
-                f"{out_dir}/ckpt_{step:06d}.ckpt"
-            )
-    model.adam_state = adam
-    ckpt = Checkpoint.from_model(model, adam=adam, seed=cfg.seed)
-    if out_dir is not None:
-        ckpt.save(f"{out_dir}/final.ckpt")
+            _save(out_dir, cfg.seed, {f"ckpt_{step:06d}.ckpt": model})
+    (ckpt,) = _save(out_dir, cfg.seed, {"final.ckpt": model})
     return ckpt, log
 
 
@@ -277,19 +284,14 @@ def train_wgan_gp(
     _validate_run(generator, corpus, base)
     if cfg.warm_start is not None:
         loaded = load_checkpoint(cfg.warm_start, expect_kind=generator.kind)
-        if set(loaded.params) != set(generator.params):
-            raise ValueError("warm-start checkpoint does not match the generator architecture")
-        for name, p in loaded.params.items():
-            if generator.params[name].shape != p.shape:
-                raise ValueError("warm-start checkpoint does not match the generator architecture")
-            generator.params[name].data = p.data.copy()
+        load_params(generator, {name: p.data for name, p in loaded.params.items()})
 
     sampler = _PatchSampler(corpus, base.patch_length, base.scale, base.seed)
     gen_rng = np.random.default_rng([base.seed, 1])
     critic_rng = np.random.default_rng([base.seed, 2])
     eps_rng = np.random.default_rng([base.seed, 3])
-    adam_g = AdamState(alpha=base.lr, beta1=base.beta1, beta2=base.beta2)
-    adam_c = AdamState(alpha=base.lr, beta1=base.beta1, beta2=base.beta2)
+    generator.adam_state = AdamState(alpha=base.lr, beta1=base.beta1, beta2=base.beta2)
+    critic.adam_state = AdamState(alpha=base.lr, beta1=base.beta1, beta2=base.beta2)
     log = TrainLog(
         kind="wgan-gp",
         meta={
@@ -324,15 +326,8 @@ def train_wgan_gp(
                 dg.mul(pen, cfg.gp_weight),
             )
             c_val, p_val = loss_c.item(), pen.item()
-            if not (math.isfinite(c_val) and math.isfinite(p_val)):
-                raise NumericError(
-                    f"non-finite critic loss at outer step {step}",
-                    step,
-                    {"critic_loss": c_val, "penalty": p_val},
-                )
-            dg.backward(loss_c, critic_params)
-            dg.adam_step(critic_params, adam_c)
-            critic.train_step += 1
+            _update(critic, critic_params, loss_c, step, "critic loss at outer step",
+                    critic_loss=c_val, penalty=p_val)
             critic_losses.append(c_val)
             penalties.append(p_val)
 
@@ -346,13 +341,7 @@ def train_wgan_gp(
         if cfg.content_weight > 0:
             loss_g = dg.add(loss_g, dg.mul(dg.l1(fake, Tensor(tgt)), cfg.content_weight))
         g_val = loss_g.item()
-        if not math.isfinite(g_val):
-            raise NumericError(
-                f"non-finite generator loss at outer step {step}", step, {"gen_loss": g_val}
-            )
-        dg.backward(loss_g, gen_params)
-        dg.adam_step(gen_params, adam_g)
-        generator.train_step += 1
+        _update(generator, gen_params, loss_g, step, "generator loss at outer step", gen_loss=g_val)
 
         log.append(
             StepRecord(
@@ -370,12 +359,11 @@ def train_wgan_gp(
                 f"penalty {np.mean(penalties):.4f}  gen {g_val:.4f}",
                 flush=True,
             )
+        if out_dir is not None and base.checkpoint_every and step % base.checkpoint_every == 0:
+            _save(out_dir, base.seed, {f"generator_{step:06d}.ckpt": generator,
+                                       f"critic_{step:06d}.ckpt": critic})
 
-    generator.adam_state = adam_g
-    critic.adam_state = adam_c
-    gen_ckpt = Checkpoint.from_model(generator, adam=adam_g, seed=base.seed)
-    critic_ckpt = Checkpoint.from_model(critic, adam=adam_c, seed=base.seed)
-    if out_dir is not None:
-        gen_ckpt.save(f"{out_dir}/generator.ckpt")
-        critic_ckpt.save(f"{out_dir}/critic.ckpt")
+    gen_ckpt, critic_ckpt = _save(
+        out_dir, base.seed, {"generator.ckpt": generator, "critic.ckpt": critic}
+    )
     return gen_ckpt, critic_ckpt, log

@@ -147,7 +147,7 @@ def test_criterion_3_filter_response():
 def _fd_worst(build_loss, params, h=1e-5):
     loss = build_loss()
     for p in params:
-        p.tensor.grad = None
+        p.grad = None
     dg.backward(loss, params)
     worst = 0.0
     for p in params:
@@ -178,47 +178,47 @@ def test_criterion_4_gradient_checks():
     w = Parameter("w", rng.normal(size=(3, 2, 5)) * 0.6)
     b = Parameter("b", rng.normal(size=(3,)) * 0.3)
     results["conv1d"] = proj_loss(
-        lambda: dg.conv1d(x, w.tensor, b.tensor, stride=2), (2, 3, 6), [w, b]
+        lambda: dg.conv1d(x, w, b, stride=2), (2, 3, 6), [w, b]
     )
     s = Parameter("s", rng.normal(size=(1, 4, 6)))
     results["subpixel_shuffle"] = proj_loss(
-        lambda: dg.subpixel_shuffle1d(s.tensor, 2), (1, 2, 12), [s]
+        lambda: dg.subpixel_shuffle1d(s, 2), (1, 2, 12), [s]
     )
     r = Parameter("r", np.where(np.abs(rng.normal(size=(3, 4))) < 0.05, 0.2, 1.0) * rng.normal(size=(3, 4)))
     r.data = np.where(np.abs(r.data) < 0.05, r.data + 0.2, r.data)
-    results["relu"] = proj_loss(lambda: dg.relu(r.tensor), (3, 4), [r])
-    results["leaky_relu"] = proj_loss(lambda: dg.leaky_relu(r.tensor, 0.2), (3, 4), [r])
+    results["relu"] = proj_loss(lambda: dg.relu(r), (3, 4), [r])
+    results["leaky_relu"] = proj_loss(lambda: dg.leaky_relu(r, 0.2), (3, 4), [r])
     a2 = Parameter("a2", rng.normal(size=(2, 3, 4)))
     b2 = Parameter("b2", rng.normal(size=(1, 3, 1)))
-    results["add"] = proj_loss(lambda: dg.add(a2.tensor, b2.tensor), (2, 3, 4), [a2, b2])
-    results["mul"] = proj_loss(lambda: dg.mul(a2.tensor, b2.tensor), (2, 3, 4), [a2, b2])
+    results["add"] = proj_loss(lambda: dg.add(a2, b2), (2, 3, 4), [a2, b2])
+    results["mul"] = proj_loss(lambda: dg.mul(a2, b2), (2, 3, 4), [a2, b2])
     c1 = Parameter("c1", rng.normal(size=(1, 2, 4)))
     c2 = Parameter("c2", rng.normal(size=(1, 3, 4)))
     results["concat"] = proj_loss(
-        lambda: dg.concat_channels(c1.tensor, c2.tensor), (1, 5, 4), [c1, c2]
+        lambda: dg.concat_channels(c1, c2), (1, 5, 4), [c1, c2]
     )
     dw = Parameter("dw", rng.normal(size=(4, 2)))
     db = Parameter("db", rng.normal(size=(2,)))
     xp2 = Tensor(rng.normal(size=(3, 4, 5)))
     results["dense+mean_time"] = proj_loss(
-        lambda: dg.dense(dg.mean_time(xp2), dw.tensor, db.tensor), (3, 2), [dw, db]
+        lambda: dg.dense(dg.mean_time(xp2), dw, db), (3, 2), [dw, db]
     )
     pred = Parameter("pred", r.data.copy())
     target = Tensor(np.zeros((3, 4)))
-    results["l2"] = _fd_worst(lambda: dg.l2(pred.tensor, target), [pred])
-    results["l1"] = _fd_worst(lambda: dg.l1(pred.tensor, target), [pred])
+    results["l2"] = _fd_worst(lambda: dg.l2(pred, target), [pred])
+    results["l1"] = _fd_worst(lambda: dg.l1(pred, target), [pred])
     q = Parameter("q", np.abs(rng.normal(size=(5,))) + 1.0)
-    results["sqrt"] = _fd_worst(lambda: dg.sum_all(dg.sqrt(q.tensor)), [q])
+    results["sqrt"] = _fd_worst(lambda: dg.sum_all(dg.sqrt(q)), [q])
     g = Parameter("g", rng.normal(size=(2, 2, 6)))
     idx = rng.integers(0, 6, size=(2, 6))
-    results["take_time"] = proj_loss(lambda: dg.take_time(g.tensor, idx), (2, 2, 6), [g])
+    results["take_time"] = proj_loss(lambda: dg.take_time(g, idx), (2, 2, 6), [g])
     d = Parameter("d", rng.normal(size=(1, 2, 8)))
     drng = np.random.default_rng(0)
     mask_rng_state = drng.bit_generator.state
 
     def dropout_loss():
         drng.bit_generator.state = mask_rng_state  # same mask for every probe
-        return dg.sum_all(dg.dropout(d.tensor, 0.3, drng, training=True))
+        return dg.sum_all(dg.dropout(d, 0.3, drng, training=True))
 
     results["dropout"] = _fd_worst(dropout_loss, [d])
 

@@ -121,6 +121,7 @@ class TestProbeCommand:
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"garbage")
         assert run("probe", "--checkpoint", str(bad), "--out", str(tmp_path / "p")) == 2
+        assert not (tmp_path / "p").exists()
 
 
 class TestEvalCommand:
@@ -154,6 +155,11 @@ class TestEvalCommand:
         )
         assert code == 1
         assert "upsamples by 2" in capsys.readouterr().err
+
+    def test_failed_run_leaves_no_out_dir(self, tmp_path, tiny_ckpt):
+        out = tmp_path / "e_bad"
+        assert run("eval", "--checkpoint", str(tiny_ckpt), "--scale", "4", "--out", str(out)) == 1
+        assert not out.exists()
 
     def test_mode_flag_is_gone(self, tmp_path, tiny_ckpt):
         code = run(
@@ -200,6 +206,7 @@ class TestPrepareAndTrain:
     def test_prepare_empty_root_is_data_error(self, tmp_path):
         (tmp_path / "raw").mkdir()
         assert run("prepare", "--root", str(tmp_path / "raw"), "--out", str(tmp_path / "o")) == 2
+        assert not (tmp_path / "o").exists()
 
     def test_train_from_config(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
@@ -261,15 +268,26 @@ class TestPrepareAndTrain:
 
     @pytest.mark.parametrize(
         "text",
-        ["[model]\nfilters = 4\nfilters = 8\n", "[model]\nfilters = 4\n[model]\nn_blocks = 1\n",
-         "filters = 4\n[model]\n"],
-        ids=["duplicate-key", "duplicate-section", "missing-section-header"],
+        [b"[model]\nfilters = 4\nfilters = 8\n", b"[model]\nfilters = 4\n[model]\nn_blocks = 1\n",
+         b"filters = 4\n[model]\n", b"[run]\nmodel = \xff\n"],
+        ids=["duplicate-key", "duplicate-section", "missing-section-header", "not-utf-8"],
     )
     def test_malformed_config_file_is_usage_error(self, tmp_path, capsys, text):
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text(text)
+        cfgfile.write_bytes(text)
         assert run("train", "--config", str(cfgfile), "--out", str(tmp_path / "o")) == 1
         assert "malformed config file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, bad, code",
+        [("steps = 1", "steps = 1\nscale = 4", 1), ("patch_length = 256", "patch_length = 4096", 2)],
+        ids=["scale-mismatch", "corpus-too-short"],
+    )
+    def test_failed_train_leaves_no_out_dir(self, tmp_path, line, bad, code):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("[run]\nmodel = edsr\n" + self.TINY_RUN.replace(line, bad))
+        assert run("train", "--config", str(cfgfile), "--out", str(tmp_path / "o")) == code
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_section_is_usage_error(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
@@ -305,6 +323,28 @@ class TestPrepareAndTrain:
         assert run("train-gan", "--config", str(cfgfile), "--out", str(out)) == 0
         assert (out / "generator.ckpt").exists()
         assert (out / "critic.ckpt").exists()
+
+    # a valid tiny GAN run, apart from what each case below changes in it
+    TINY_GAN_RUN = (
+        "[model]\ndepth = 1\ndown_filters = 4\ndown_kernels = 9\nbottleneck_filters = 4\n"
+        "[train]\nsteps = 1\nbatch_size = 1\npatch_length = 256\n"
+        "[gan]\nn_critic = 1\n"
+        "[data]\nsynth_count = 2\nsynth_length = 1024\n"
+    )
+
+    @pytest.mark.parametrize(
+        "line, bad, code",
+        [("steps = 1", "steps = 1\nscale = 4", 1),
+         ("n_critic = 1", "n_critic = 1\nwarm_start = {missing}", 2)],
+        ids=["scale-mismatch", "missing-warm-start"],
+    )
+    def test_failed_train_gan_leaves_no_out_dir(self, tmp_path, line, bad, code):
+        cfgfile = tmp_path / "gan.cfg"
+        text = self.TINY_GAN_RUN.replace(line, bad).format(missing=tmp_path / "missing.ckpt")
+        cfgfile.write_text(text)
+        out = tmp_path / "gan"
+        assert run("train-gan", "--config", str(cfgfile), "--out", str(out)) == code
+        assert not out.exists()
 
 
 # a valid tiny config; [critic] and [gan] are read by train-gan only
@@ -373,6 +413,11 @@ class TestCompareLosses:
         assert body[0] == "loss,snr_mean,snr_std,lsd_mean,lsd_std"
         assert body[1].startswith("l1,")
         assert body[2].startswith("l2,")
+
+    def test_failed_run_leaves_no_out_dir(self, tmp_path):
+        out = tmp_path / "cmp"
+        assert run("compare-losses", "--model", "edsr", "--scale", "3", "--out", str(out)) == 1
+        assert not out.exists()
 
 
 class TestExitCodes:

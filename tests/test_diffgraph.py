@@ -11,13 +11,11 @@ def fd_check(build_loss, params, h=1e-5, rtol=1e-6, atol=1e-9):
     """Central finite differences against reverse-mode gradients."""
     loss = build_loss()
     for p in params:
-        t = p.tensor if isinstance(p, Parameter) else p
-        t.grad = None
+        p.grad = None
     dg.backward(loss, params)
     for p in params:
-        t = p.tensor if isinstance(p, Parameter) else p
-        grad = t.grad.data.reshape(-1)
-        flat = t.data.reshape(-1)
+        grad = p.grad.data.reshape(-1)
+        flat = p.data.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
@@ -180,7 +178,7 @@ class TestBackward:
     def test_unused_parameters_get_zero_grads(self):
         used = Parameter("used", np.ones(3))
         unused = Parameter("unused", np.ones(3))
-        dg.backward(dg.sum_all(used.tensor), [used, unused])
+        dg.backward(dg.sum_all(used), [used, unused])
         assert np.array_equal(unused.grad.data, np.zeros(3))
         assert np.array_equal(used.grad.data, np.ones(3))
 
@@ -196,8 +194,8 @@ class TestBackward:
         w1 = Parameter("w1", rng.normal(size=(4, 2, 3)))
         b1 = Parameter("b1", rng.normal(size=(4,)))
         w2 = Parameter("w2", rng.normal(size=(2, 4, 3)))
-        h = dg.leaky_relu(dg.conv1d(x, w1.tensor, b1.tensor, stride=2), 0.2)
-        out = dg.subpixel_shuffle1d(dg.conv1d(h, w2.tensor), 2)
+        h = dg.leaky_relu(dg.conv1d(x, w1, b1, stride=2), 0.2)
+        out = dg.subpixel_shuffle1d(dg.conv1d(h, w2), 2)
         dg.backward(dg.l2(out, Tensor(np.zeros(out.shape))), [w1, b1, w2])
         for p in (w1, b1, w2):
             assert np.all(np.isfinite(p.grad.data))
@@ -222,7 +220,7 @@ class TestFiniteDifferences:
 
             def loss():
                 nonlocal proj
-                y = dg.conv1d(x, w.tensor, b.tensor, stride=stride, padding=padding)
+                y = dg.conv1d(x, w, b, stride=stride, padding=padding)
                 if proj is None:
                     proj = self._proj(y.shape)
                 return dg.sum_all(dg.mul(y, proj))
@@ -234,32 +232,32 @@ class TestFiniteDifferences:
         xp = rand_param(rng, "x", (1, 2, 8))
         w = Tensor(rng.normal(size=(2, 2, 5)))
         proj = self._proj((1, 2, 4))
-        fd_check(lambda: dg.sum_all(dg.mul(dg.conv1d(xp.tensor, w, stride=2), proj)), [xp])
+        fd_check(lambda: dg.sum_all(dg.mul(dg.conv1d(xp, w, stride=2), proj)), [xp])
 
     def test_subpixel_shuffle(self):
         p = rand_param(self.rng, "x", (2, 4, 6))
         proj = self._proj((2, 2, 12))
-        fd_check(lambda: dg.sum_all(dg.mul(dg.subpixel_shuffle1d(p.tensor, 2), proj)), [p])
+        fd_check(lambda: dg.sum_all(dg.mul(dg.subpixel_shuffle1d(p, 2), proj)), [p])
 
     def test_relu_off_kink(self):
         p = rand_param(self.rng, "x", (3, 5), off_kink=True)
         proj = self._proj((3, 5))
-        fd_check(lambda: dg.sum_all(dg.mul(dg.relu(p.tensor), proj)), [p], rtol=1e-4)
+        fd_check(lambda: dg.sum_all(dg.mul(dg.relu(p), proj)), [p], rtol=1e-4)
 
     def test_leaky_relu_off_kink(self):
         p = rand_param(self.rng, "x", (3, 5), off_kink=True)
         proj = self._proj((3, 5))
-        fd_check(lambda: dg.sum_all(dg.mul(dg.leaky_relu(p.tensor, 0.2), proj)), [p], rtol=1e-4)
+        fd_check(lambda: dg.sum_all(dg.mul(dg.leaky_relu(p, 0.2), proj)), [p], rtol=1e-4)
 
     def test_add_mul_broadcast(self):
         a = rand_param(self.rng, "a", (2, 3, 4))
         bias = rand_param(self.rng, "b", (1, 3, 1))
         proj = self._proj((2, 3, 4))
         fd_check(
-            lambda: dg.sum_all(dg.mul(dg.add(a.tensor, bias.tensor), proj)), [a, bias]
+            lambda: dg.sum_all(dg.mul(dg.add(a, bias), proj)), [a, bias]
         )
         fd_check(
-            lambda: dg.sum_all(dg.mul(dg.mul(a.tensor, bias.tensor), proj)), [a, bias]
+            lambda: dg.sum_all(dg.mul(dg.mul(a, bias), proj)), [a, bias]
         )
 
     def test_concat_and_slices(self):
@@ -268,19 +266,19 @@ class TestFiniteDifferences:
         proj = self._proj((1, 5, 4))
 
         def loss():
-            cat = dg.concat_channels(a.tensor, b.tensor)
+            cat = dg.concat_channels(a, b)
             return dg.sum_all(dg.mul(cat, proj))
 
         fd_check(loss, [a, b])
         proj2 = self._proj((1, 2, 2))
         fd_check(
-            lambda: dg.sum_all(dg.mul(dg.slice_time(a.tensor, 1, 2), proj2)), [a]
+            lambda: dg.sum_all(dg.mul(dg.slice_time(a, 1, 2), proj2)), [a]
         )
 
     def test_pad_axis(self):
         a = rand_param(self.rng, "a", (1, 2, 4))
         proj = self._proj((1, 2, 9))
-        fd_check(lambda: dg.sum_all(dg.mul(dg.pad_axis(a.tensor, 2, 2, 3), proj)), [a])
+        fd_check(lambda: dg.sum_all(dg.mul(dg.pad_axis(a, 2, 2, 3), proj)), [a])
 
     def test_dense_and_mean_time(self):
         x = Tensor(self.rng.normal(size=(3, 4, 6)))
@@ -290,37 +288,37 @@ class TestFiniteDifferences:
 
         def loss():
             pooled = dg.mean_time(x)
-            return dg.sum_all(dg.mul(dg.dense(pooled, w.tensor, b.tensor), proj))
+            return dg.sum_all(dg.mul(dg.dense(pooled, w, b), proj))
 
         fd_check(loss, [w, b])
 
     def test_losses(self):
         pred = rand_param(self.rng, "p", (2, 3), off_kink=True)
         target = Tensor(np.zeros((2, 3)))
-        fd_check(lambda: dg.l2(pred.tensor, target), [pred])
-        fd_check(lambda: dg.l1(pred.tensor, target), [pred], rtol=1e-4)
+        fd_check(lambda: dg.l2(pred, target), [pred])
+        fd_check(lambda: dg.l1(pred, target), [pred], rtol=1e-4)
 
     def test_sqrt_and_pow(self):
         p = rand_param(self.rng, "p", (4,), scale=0.5)
         p.data = np.abs(p.data) + 1.0
-        fd_check(lambda: dg.sum_all(dg.sqrt(p.tensor)), [p])
-        fd_check(lambda: dg.sum_all(dg.pow_const(p.tensor, 3.0)), [p])
+        fd_check(lambda: dg.sum_all(dg.sqrt(p)), [p])
+        fd_check(lambda: dg.sum_all(dg.pow_const(p, 3.0)), [p])
 
     def test_take_time_gather(self):
         p = rand_param(self.rng, "p", (2, 3, 8))
         idx = np.array([[0, 2, 2, 5, 7, 1, 1, 0], [3, 3, 3, 0, 1, 2, 6, 7]])
         proj = self._proj((2, 3, 8))
-        fd_check(lambda: dg.sum_all(dg.mul(dg.take_time(p.tensor, idx), proj)), [p])
+        fd_check(lambda: dg.sum_all(dg.mul(dg.take_time(p, idx), proj)), [p])
 
     def test_transpose_reshape_broadcast(self):
         p = rand_param(self.rng, "p", (2, 3, 4))
         proj = self._proj((4, 3, 2))
         fd_check(
-            lambda: dg.sum_all(dg.mul(dg.transpose(p.tensor, (2, 1, 0)), proj)), [p]
+            lambda: dg.sum_all(dg.mul(dg.transpose(p, (2, 1, 0)), proj)), [p]
         )
         proj2 = self._proj((2, 12))
         fd_check(
-            lambda: dg.sum_all(dg.mul(dg.reshape(p.tensor, (2, 12)), proj2)), [p]
+            lambda: dg.sum_all(dg.mul(dg.reshape(p, (2, 12)), proj2)), [p]
         )
 
     def test_two_layer_conv_graph(self):
@@ -333,8 +331,8 @@ class TestFiniteDifferences:
         proj = self._proj((2, 1, 12))
 
         def loss():
-            h = dg.relu(dg.conv1d(x, w1.tensor, b1.tensor))
-            y = dg.conv1d(h, w2.tensor, b2.tensor)
+            h = dg.relu(dg.conv1d(x, w1, b1))
+            y = dg.conv1d(h, w2, b2)
             return dg.sum_all(dg.mul(y, proj))
 
         fd_check(loss, [w1, b1, w2, b2])
@@ -415,7 +413,7 @@ class TestConvAgainstDirectSum:
         want, grads = direct_conv(xdata, wdata, stride, padding)
         x = Tensor(xdata.copy(), requires_grad=True)
         w = Parameter("w", wdata.copy())
-        y = dg.conv1d(x, w.tensor, stride=stride, padding=padding)
+        y = dg.conv1d(x, w, stride=stride, padding=padding)
         assert_close_rel(y.data, want)
         proj = rng.normal(size=want.shape)
         dg.backward(dg.sum_all(dg.mul(y, Tensor(proj))), [w])
@@ -429,12 +427,12 @@ class TestConvAgainstDirectSum:
         x = Tensor(rng.normal(size=(2, 3, 11)).astype(np.float32), requires_grad=True)
         w = Parameter("w", rng.normal(size=(4, 3, 5)).astype(np.float32))
         b = Parameter("b", np.zeros(4, dtype=np.float32))
-        y = dg.conv1d(x, w.tensor, b.tensor, stride=stride)
+        y = dg.conv1d(x, w, b, stride=stride)
         assert y.dtype == np.float32
         g = dg.input_gradient(dg.sum_all(dg.mul(y, y)), x)
         assert g.dtype == np.float32
         dg.backward(dg.sum_all(dg.mul(g, g)), [w, b])
-        assert {t.grad.dtype for t in (x, w.tensor, b.tensor)} == {np.dtype(np.float32)}
+        assert {t.grad.dtype for t in (x, w, b)} == {np.dtype(np.float32)}
 
     @pytest.mark.parametrize("op", ["conv", "conv_t", "corr"])
     def test_each_conv_op_vjp_matches_fd(self, op):
@@ -445,11 +443,11 @@ class TestConvAgainstDirectSum:
         w = rand_param(rng, "w", (3, 2, k))
         g = rand_param(rng, "g", (2, 3, width))
         if op == "conv":
-            build, params = (lambda: dg._conv(x.tensor, w.tensor, stride, width)), [x, w]
+            build, params = (lambda: dg._conv(x, w, stride, width)), [x, w]
         elif op == "conv_t":
-            build, params = (lambda: dg._conv_t(g.tensor, w.tensor, stride, length)), [g, w]
+            build, params = (lambda: dg._conv_t(g, w, stride, length)), [g, w]
         else:
-            build, params = (lambda: dg._corr(x.tensor, g.tensor, stride, k)), [x, g]
+            build, params = (lambda: dg._corr(x, g, stride, k)), [x, g]
         proj = Tensor(rng.normal(size=build().shape))
         fd_check(lambda: dg.sum_all(dg.mul(build(), proj)), params)
 
@@ -467,7 +465,7 @@ class TestInputGradientAndDoubleBackward:
         # for score = <w, x> the penalty (||w||-1)^2 has gradient 2(||w||-1) w/||w||
         wp = Parameter("w", np.array([3.0, 4.0]))  # norm 5
         x = Tensor(np.array([[0.7, -0.2]]), requires_grad=True)
-        score = dg.sum_all(dg.mul(x, dg.reshape(wp.tensor, (1, 2))))
+        score = dg.sum_all(dg.mul(x, dg.reshape(wp, (1, 2))))
         g = dg.input_gradient(score, x)
         norm = dg.sqrt(dg.sum_all(dg.mul(g, g)))
         pen = dg.mul(dg.sub(norm, Tensor(1.0)), dg.sub(norm, Tensor(1.0)))
@@ -500,7 +498,7 @@ class TestInputGradientAndDoubleBackward:
 
         def penalty():
             x = Tensor(xdata, requires_grad=True)
-            h = dg.leaky_relu(dg.conv1d(x, w.tensor, b.tensor, stride=stride, padding=padding), 0.2)
+            h = dg.leaky_relu(dg.conv1d(x, w, b, stride=stride, padding=padding), 0.2)
             if dropout:  # the same mask on every evaluation
                 h = dg.dropout(h, 0.3, np.random.default_rng(4), training=True)
             score = dg.sum_all(dg.mean_time(h))
@@ -514,16 +512,16 @@ class TestInputGradientAndDoubleBackward:
     def test_second_forward_unaffected_by_backward(self):
         x = Tensor(np.random.default_rng(4).normal(size=(1, 1, 8)))
         w = Parameter("w", np.random.default_rng(5).normal(size=(1, 1, 3)))
-        y1 = dg.conv1d(x, w.tensor)
+        y1 = dg.conv1d(x, w)
         dg.backward(dg.sum_all(y1), [w])
-        y2 = dg.conv1d(x, w.tensor)
+        y2 = dg.conv1d(x, w)
         assert np.array_equal(y1.data, y2.data)
 
 
 class TestAdam:
     def test_first_step_is_signed_alpha(self):
         p = Parameter("p", np.array([1.0, -2.0, 3.0]))
-        p.tensor.grad = Tensor(np.array([10.0, -0.5, 2.0]))
+        p.grad = Tensor(np.array([10.0, -0.5, 2.0]))
         state = AdamState(alpha=0.01)
         before = p.data.copy()
         dg.adam_step([p], state)
@@ -533,7 +531,7 @@ class TestAdam:
 
     def test_zero_gradient_keeps_parameters(self):
         p = Parameter("p", np.array([1.0, 2.0]))
-        p.tensor.grad = Tensor(np.zeros(2))
+        p.grad = Tensor(np.zeros(2))
         state = AdamState(alpha=0.1)
         before = p.data.copy()
         dg.adam_step([p], state)
@@ -551,7 +549,7 @@ class TestAdam:
             theta -= alpha * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
 
         for g in (1.0, -1.0):
-            p.tensor.grad = Tensor(np.array([g]))
+            p.grad = Tensor(np.array([g]))
             dg.adam_step([p], state)
         assert p.data[0] == pytest.approx(theta, abs=1e-15)
         assert state.t == 2

@@ -11,6 +11,7 @@ from audiosr.dsp import Signal
 from audiosr.models import (
     Checkpoint,
     CheckpointCorruptError,
+    CheckpointError,
     CheckpointKindError,
     CheckpointVersionError,
     CriticConfig,
@@ -326,7 +327,8 @@ class TestCheckpoint:
             adam.m[p.name] = np.random.default_rng(0).normal(size=p.shape)
             adam.v[p.name] = np.abs(np.random.default_rng(1).normal(size=p.shape))
         path = tmp_path / "unet.ckpt"
-        models.save_checkpoint(m, path, adam_state=adam)
+        m.adam_state = adam
+        models.save_checkpoint(m, path)
         m2 = models.load_checkpoint(path)
         assert m2.adam_state is not None
         assert m2.adam_state.t == 5
@@ -344,6 +346,37 @@ class TestCheckpoint:
             path.write_bytes(blob[:cut])
             with pytest.raises(CheckpointCorruptError):
                 models.load_checkpoint(path)
+
+    def test_every_truncation_and_byte_flip_raises_a_checkpoint_error(self, tmp_path):
+        m = models.build_critic(CriticConfig(layers=1, base_filters=1, kernel=1), seed=9)
+        m.adam_state = dg.AdamState(t=1)
+        for p in m.parameters():
+            m.adam_state.m[p.name] = np.full(p.shape, 0.5)
+            m.adam_state.v[p.name] = np.full(p.shape, 0.25)
+        path = tmp_path / "c.ckpt"
+        models.save_checkpoint(m, path)
+        blob = path.read_bytes()
+        truncations = [blob[:i] for i in range(len(blob))]
+        flips = [blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1 :] for i in range(len(blob))]
+        for bad in truncations + flips:
+            path.write_bytes(bad)
+            try:
+                models.load_checkpoint(path)
+            except CheckpointError:
+                pass  # any other exception fails the test
+
+    @pytest.mark.parametrize("dims", [(1,) * 65, (65536,) * 4], ids=["rank-65", "size-past-int64"])
+    def test_impossible_array_shape_is_corrupt(self, tmp_path, dims):
+        path = tmp_path / "edsr.ckpt"
+        models.save_checkpoint(models.build_edsr(TINY_EDSR, seed=9), path)
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack("<I", blob[12:16])
+        first = 16 + hlen + 4  # the first parameter's name length, then its name
+        (nlen,) = struct.unpack("<H", blob[first : first + 2])
+        array = struct.pack(f"<BB{len(dims)}I", 0, len(dims), *dims) + bytes(8)  # one float64
+        path.write_bytes(blob[: first + 2 + nlen] + array + b"AEND")
+        with pytest.raises(CheckpointCorruptError):
+            models.load_checkpoint(path)
 
     def test_kind_mismatch_distinct_error(self, tmp_path):
         m = models.build_edsr(TINY_EDSR, seed=9)
@@ -414,7 +447,8 @@ class TestCheckpoint:
             for p in m.parameters():
                 adam.m[p.name] = np.random.default_rng(0).normal(size=p.shape)
                 adam.v[p.name] = np.abs(np.random.default_rng(1).normal(size=p.shape))
-            models.save_checkpoint(m, path, adam_state=adam)
+            m.adam_state = adam
+            models.save_checkpoint(m, path)
         else:
             models.save_checkpoint(models.build_critic(TINY_CRITIC, dtype="float32", seed=9), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.CHECKPOINT_SHA256[name]

@@ -131,7 +131,7 @@ class TestPhaseShuffle:
 
     def test_gradient_flows_through(self):
         p = dg.Parameter("x", np.random.default_rng(3).normal(size=(2, 1, 12)))
-        y = probe.phase_shuffle(p.tensor, 2, np.random.default_rng(4))
+        y = probe.phase_shuffle(p, 2, np.random.default_rng(4))
         dg.backward(dg.sum_all(y), [p])
         assert np.all(np.isfinite(p.grad.data))
         # a pure gather conserves the seed gradient mass

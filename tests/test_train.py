@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -131,7 +132,7 @@ class TestSupervised:
         expected = {}
         for name, b in before.items():
             ref = Parameter(name, b)
-            ref.tensor.grad = Tensor(fd_grads[name])
+            ref.grad = Tensor(fd_grads[name])
             dg.adam_step([ref], AdamState(alpha=1e-3))
             expected[name] = ref.data
         for p in m.parameters():
@@ -274,17 +275,44 @@ class TestWganGp:
         with pytest.raises(ValueError, match="pre-upsampling"):
             train.train_wgan_gp(edsr, critic, toy_corpus(), cfg)
 
-    def test_warm_start_loads_generator(self, tmp_path):
-        gen0 = models.build_unet(TINY_UNET, seed=11)
+    def test_warm_start_equals_starting_from_the_checkpoint(self, tmp_path):
         path = tmp_path / "warm.ckpt"
-        models.save_checkpoint(gen0, path)
-        gen, critic, corpus, cfg = self.gan_setup(steps=1)
-        cfg = GanConfig(base=cfg.base, warm_start=str(path))
-        before = {p.name: p.data.copy() for p in gen0.parameters()}
+        models.save_checkpoint(models.build_unet(TINY_UNET, seed=11), path)
+        gen, critic, corpus, cfg = self.gan_setup(steps=2)
+        _, _, warm = train.train_wgan_gp(
+            gen, critic, corpus, GanConfig(base=cfg.base, warm_start=str(path))
+        )
+        loaded = models.Checkpoint.load(path).build_model()
+        _, critic, corpus, cfg = self.gan_setup(steps=2)
+        _, _, ref = train.train_wgan_gp(loaded, critic, corpus, cfg)
+        assert warm.trajectory() == ref.trajectory()
+
+    def test_warm_start_keeps_the_generator_dtype(self, tmp_path):
+        # a float64 checkpoint into a float32 generator; the content loss gives
+        # the generator float64 gradients, and Adam must not promote it
+        path = tmp_path / "warm.ckpt"
+        models.save_checkpoint(models.build_unet(TINY_UNET, seed=11), path)
+        gen = models.build_unet(TINY_UNET, dtype="float32", seed=5)
+        _, critic, corpus, cfg = self.gan_setup(steps=1)
+        cfg = GanConfig(base=cfg.base, content_weight=1.0, warm_start=str(path))
         train.train_wgan_gp(gen, critic, corpus, cfg)
-        # generator started from the warm checkpoint, then took one step
-        for name, b in before.items():
-            assert gen.params[name].data.shape == b.shape
+        assert gen.adam_state.t == 1
+        assert {p.data.dtype for p in gen.parameters()} == {np.dtype(np.float32)}
+
+    def test_checkpoint_every_saves_both_models(self, tmp_path):
+        gen, critic, corpus, cfg = self.gan_setup(steps=2)
+        cfg = GanConfig(base=dataclasses.replace(cfg.base, checkpoint_every=1))
+        train.train_wgan_gp(gen, critic, corpus, cfg, out_dir=str(tmp_path))
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == [
+            "critic.ckpt", "critic_000001.ckpt", "critic_000002.ckpt",
+            "generator.ckpt", "generator_000001.ckpt", "generator_000002.ckpt",
+        ]
+        assert models.load_checkpoint(tmp_path / "generator_000001.ckpt").train_step == 1
+        assert models.load_checkpoint(tmp_path / "critic_000001.ckpt").train_step == cfg.n_critic
+        for name in ("generator", "critic"):
+            last = (tmp_path / f"{name}_000002.ckpt").read_bytes()
+            assert last == (tmp_path / f"{name}.ckpt").read_bytes()
 
     def test_warm_start_kind_checked(self, tmp_path):
         edsr = models.build_edsr(TINY_EDSR, seed=0)
