@@ -122,7 +122,7 @@ def _write_run_meta(out_dir: Path, command: str, items: dict) -> None:
     lines = [f"command = {command}", f"version = {__version__}"]
     for key in sorted(items):
         lines.append(f"{key} = {items[key]}")
-    (out_dir / "run.meta").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    data.write_atomic(out_dir / "run.meta", "\n".join(lines) + "\n")
 
 
 def _out_dir(path_str: str) -> Path:
@@ -322,7 +322,7 @@ def _cmd_compare_losses(args) -> int:
     for loss, rep in rows:
         lines.append(f"{loss},{rep.snr_mean!r},{rep.snr_std!r},{rep.lsd_mean!r},{rep.lsd_std!r}")
     out = _out_dir(args.out)
-    (out / "compare.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    data.write_atomic(out / "compare.csv", "\n".join(lines) + "\n")
     _write_run_meta(out, "compare-losses", {
         "model": args.model,
         "scale": args.scale,

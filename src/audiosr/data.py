@@ -2,6 +2,7 @@
 and a seeded synthetic-signal generator for desk-scale tests."""
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +30,19 @@ class WavChannelError(WavError):
 
 class CorpusError(Exception):
     pass
+
+
+def write_atomic(path, payload: bytes | str) -> None:
+    """Write ``payload`` (a str as UTF-8) to a temporary file beside ``path``,
+    then move it onto ``path``: readers see the old file or the new one."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(payload.encode("utf-8") if isinstance(payload, str) else payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 _WAVE_FORMAT_PCM = 1
@@ -132,9 +146,7 @@ def wav_write(s: Signal, path) -> None:
         b"data",
         len(payload),
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+    write_atomic(path, header + payload)
 
 
 def wav_info(path) -> tuple[int, int, int]:
@@ -184,8 +196,7 @@ class CorpusIndex:
         ]
         for e in self.entries:
             lines.append(f"{self.split[e.speaker]}\t{e.speaker}\t{e.path}\t{e.samples}")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_atomic(path, "\n".join(lines) + "\n")
 
     @classmethod
     def read_manifest(cls, path) -> "CorpusIndex":

@@ -6,8 +6,8 @@ Backward functions are themselves built from these operators, so a second
 backward pass (needed for the critic's gradient penalty) falls out of the same
 tape.
 
-A convolution is a k-tap sum of matmuls over shifted views of its padded
-input; no per-conv window tensor is built. It is one of three tape ops, the
+A convolution, with its padding and bias, is one tape node: a k-tap sum of
+matmuls over shifted views of its input. It is one of three tape ops, the
 conv, its transposed conv (input gradient) and a correlation (weight
 gradient), whose VJPs are built from each other.
 """
@@ -192,6 +192,15 @@ def reshape(x, shape) -> Tensor:
     return _from_op(x.data.reshape(shape), (x,), vjp, "reshape")
 
 
+def astype(x, dtype) -> Tensor:
+    """x cast to ``dtype``; the gradient is cast back to x's dtype."""
+    x = _as_tensor(x)
+    old = x.dtype
+    def vjp(g):
+        return (astype(g, old),)
+    return _from_op(x.data.astype(dtype), (x,), vjp, "astype")
+
+
 def transpose(x, axes) -> Tensor:
     x = _as_tensor(x)
     inv = tuple(np.argsort(axes))
@@ -358,18 +367,26 @@ def _put_time(g, idx: np.ndarray, length: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution as k-tap matmul accumulation
 #
-# A conv is a sum over its k taps of matmuls on shifted views of the padded
-# input; no (b, c, W, k) window tensor is built. The conv and its two
-# gradients are three bilinear tape ops whose VJPs are built from each other,
-# so gradients of any order (the critic's double backward) stay on the tape:
-#   _conv(x, w)   -> y      VJP: (_conv_t(g, w), _corr(x, g))
-#   _conv_t(g, w) -> x-grad VJP: (_conv(h, w), _corr(h, g))
-#   _corr(x, g)   -> w-grad VJP: (_conv_t(g, h), _conv(x, h))
+# A conv is a sum over its k taps of matmuls on shifted views of its input,
+# zero-padded by ``left`` samples inside the op, plus its bias added in place;
+# the tape keeps no padded copy, pre-bias output or (b, c, W, k) window. The
+# conv and its two gradients are three bilinear tape ops, all taking ``left``,
+# whose VJPs are built from each other, so gradients of any order (the
+# critic's double backward) stay on the tape:
+#   _conv(x, w, b) -> y      VJP: (_conv_t(g, w), _corr(x, g), sum_axes(g))
+#   _conv_t(g, w)  -> x-grad VJP: (_conv(h, w), _corr(h, g))
+#   _corr(x, g)    -> w-grad VJP: (_conv_t(g, h), _conv(x, h))
 # ---------------------------------------------------------------------------
 
 # bytes of one batch chunk in _tap_sum: small enough for the per-tap product
 # buffer to stay in cache
 _CHUNK_BYTES = 1 << 18
+
+
+def _padded(x: np.ndarray, stride: int, k: int, width: int, left: int) -> np.ndarray:
+    """x with ``left`` zeros before it and enough after for ``width`` outputs."""
+    right = max(stride * (width - 1) + k - left - x.shape[2], 0)
+    return _zero_pad(x, 2, left, right) if left or right else x
 
 
 def _taps(x: np.ndarray, stride: int, k: int, width: int) -> list[np.ndarray]:
@@ -410,14 +427,19 @@ def _tap_sum(mats, views) -> np.ndarray:
     return out
 
 
-def _conv(x, w, stride: int, width: int) -> Tensor:
-    """y[:, o, t] = sum_{c,j} w[o, c, j] x[:, c, j + stride*t] for t < width."""
+def _conv(x, w, b, stride: int, width: int, left: int) -> Tensor:
+    """y[:, o, t] = b[o] + sum_{c,j} w[o, c, j] xp[:, c, j + stride*t] for t < width,
+    where xp is x zero-padded by ``left``; ``b`` is a tensor or None."""
     x, w = _as_tensor(x), _as_tensor(w)
     k, length = w.shape[2], x.shape[2]
-    out = _tap_sum(_tap_major(w.data, (2, 0, 1)), _taps(x.data, stride, k, width))
+    xp = _padded(x.data, stride, k, width, left)
+    out = _tap_sum(_tap_major(w.data, (2, 0, 1)), _taps(xp, stride, k, width))
+    if b is not None:
+        out += b.data[:, None]
     def vjp(g):
-        return _conv_t(g, w, stride, length), _corr(x, g, stride, k)
-    return _from_op(out, (x, w), vjp, "conv")
+        grads = _conv_t(g, w, stride, length, left), _corr(x, g, stride, k, left)
+        return grads if b is None else (*grads, sum_axes(g, (0, 2)))
+    return _from_op(out, (x, w) if b is None else (x, w, b), vjp, "conv")
 
 
 def _shift_sum(g: np.ndarray, wt: np.ndarray, length: int) -> np.ndarray:
@@ -431,36 +453,39 @@ def _shift_sum(g: np.ndarray, wt: np.ndarray, length: int) -> np.ndarray:
     return _tap_sum(wt[::-1], [gp[:, :, q : q + length] for q in range(n)])
 
 
-def _conv_t(g, w, stride: int, length: int) -> Tensor:
-    """Transposed conv: x-grad[:, c, j + stride*t] += sum_o w[o, c, j] g[:, o, t].
+def _conv_t(g, w, stride: int, length: int, left: int) -> Tensor:
+    """Transposed conv: x-grad[:, c, j + stride*t - left] += sum_o w[o, c, j] g[:, o, t].
 
-    At stride > 1 output phase r only receives taps j = r, r + stride, ...,
-    so each phase is a stride-1 transposed conv with those taps.
+    Padded phase r only receives taps j = r, r + stride, ..., so each phase is
+    a stride-1 transposed conv with those taps. It runs over the whole padded
+    phase before the padding is cropped, because BLAS results depend on the
+    column count: this one keeps them equal to a conv on a padded tensor.
     """
     g, w = _as_tensor(g), _as_tensor(w)
     b, _, width = g.shape
     c_in, k = w.shape[1], w.shape[2]
+    padded = max(left + length, stride * (width - 1) + k)
     wt = _tap_major(w.data, (2, 1, 0))
-    if stride == 1:
-        out = _shift_sum(g.data, wt, length)
-    else:
-        out = np.zeros((b, c_in, length), dtype=np.result_type(g.data, w.data))
-        for r in range(min(stride, k)):
-            out[:, :, r::stride] = _shift_sum(g.data, wt[r::stride], len(range(r, length, stride)))
+    out = np.zeros((b, c_in, length), dtype=np.result_type(g.data, w.data))
+    for r in range(min(stride, k)):
+        first = (r - left) % stride  # the first input sample in padded phase r
+        phase = _shift_sum(g.data, wt[r::stride], len(range(r, padded, stride)))
+        start = (first + left) // stride
+        out[:, :, first::stride] = phase[:, :, start : start + len(range(first, length, stride))]
     def vjp(h):
-        return _conv(h, w, stride, width), _corr(h, g, stride, k)
+        return _conv(h, w, None, stride, width, left), _corr(h, g, stride, k, left)
     return _from_op(out, (g, w), vjp, "conv_t")
 
 
-def _corr(x, g, stride: int, k: int) -> Tensor:
-    """Weight gradient: dw[o, c, j] = sum_{b,t} g[b, o, t] x[b, c, j + stride*t]."""
+def _corr(x, g, stride: int, k: int, left: int) -> Tensor:
+    """Weight gradient: dw[o, c, j] = sum_{b,t} g[b, o, t] xp[b, c, j + stride*t]."""
     x, g = _as_tensor(x), _as_tensor(g)
     width, length = g.shape[2], x.shape[2]
     out = np.empty((g.shape[1], x.shape[1], k), dtype=np.result_type(x.data, g.data))
-    for j, t in enumerate(_taps(x.data, stride, k, width)):
+    for j, t in enumerate(_taps(_padded(x.data, stride, k, width, left), stride, k, width)):
         np.matmul(g.data, t.transpose(0, 2, 1)).sum(axis=0, out=out[:, :, j])
     def vjp(h):
-        return _conv_t(g, h, stride, length), _conv(x, h, stride, width)
+        return _conv_t(g, h, stride, length, left), _conv(x, h, None, stride, width, left)
     return _from_op(out, (x, g), vjp, "corr")
 
 
@@ -493,23 +518,18 @@ def conv1d(x, weight, bias=None, stride: int = 1, padding: str = "same") -> Tens
         if k % 2 == 0:
             raise ValueError(f"same-padding requires an odd kernel, got {k}")
         out_len = -(-length // stride)
-        total = max((out_len - 1) * stride + k - length, 0)
-        left = total // 2
-        xp = pad_axis(x, 2, left, total - left) if total else x
+        left = max((out_len - 1) * stride + k - length, 0) // 2
     elif padding == "valid":
         if length < k:
             raise ValueError(f"input length {length} shorter than kernel {k}")
-        out_len = (length - k) // stride + 1
-        xp = x
+        out_len, left = (length - k) // stride + 1, 0
     else:
         raise ValueError(f"padding must be 'same' or 'valid', got {padding!r}")
-    y = _conv(xp, weight, stride, out_len)
     if bias is not None:
         bias = _as_tensor(bias)
         if bias.shape != (c_out,):
             raise ValueError(f"bias must have shape ({c_out},), got {bias.shape}")
-        y = add(y, reshape(bias, (1, c_out, 1)))
-    return y
+    return _conv(x, weight, bias, stride, out_len, left)
 
 
 def dense(x, weight, bias=None) -> Tensor:

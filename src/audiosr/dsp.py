@@ -110,44 +110,48 @@ def apply_filter(cascade: BiquadCascade, s: Signal) -> Signal:
     return Signal(y, s.sample_rate)
 
 
-def downsample(s: Signal, factor: int) -> Signal:
-    """Anti-alias with an order-8 Butterworth at the new Nyquist, then decimate.
-
-    Keeps every ``factor``-th sample starting at index 0; output length is
-    floor(len/factor).
-    """
+def decimate(x: np.ndarray, factor: int) -> np.ndarray:
+    """Lowpass each row along the last axis with an order-8 Butterworth at the
+    new Nyquist, filtered from rest, then keep every ``factor``-th sample from
+    index 0: floor(n/factor) of them."""
     if not float(factor).is_integer() or factor < 2:
         raise ValueError(f"downsample factor must be an integer >= 2, got {factor}")
-    factor = int(factor)
-    if len(s) < factor:
-        raise ValueError(f"signal of length {len(s)} too short for factor {factor}")
-    if s.sample_rate % factor != 0:
-        raise ValueError(
-            f"sample rate {s.sample_rate} is not divisible by factor {factor}"
-        )
-    cascade = design_butterworth_lowpass(8, 1.0 / factor)
-    filtered = apply_filter(cascade, s)
-    kept = filtered.samples[::factor][: len(s) // factor].copy()
-    return Signal(kept, s.sample_rate // factor)
+    factor, n = int(factor), x.shape[-1]
+    if n < factor:
+        raise ValueError(f"signal of length {n} too short for factor {factor}")
+    sos = design_butterworth_lowpass(8, 1.0 / factor).as_sos()
+    return sosfilt(sos, x, axis=-1)[..., : n // factor * factor : factor].copy()
+
+
+def check_rate(sample_rate: int, factor: int) -> None:
+    if sample_rate % factor != 0:
+        raise ValueError(f"sample rate {sample_rate} is not divisible by factor {factor}")
+
+
+def downsample(s: Signal, factor: int) -> Signal:
+    """``decimate`` a signal whose sample rate ``factor`` divides."""
+    kept = decimate(s.samples, factor)
+    check_rate(s.sample_rate, int(factor))
+    return Signal(kept, s.sample_rate // int(factor))
+
+
+def spline(x: np.ndarray, factor: int) -> np.ndarray:
+    """Natural cubic spline of each row along the last axis, on a grid
+    ``factor`` times denser. Original samples are kept exactly on the coarse
+    grid; points past the last knot evaluate the final spline segment."""
+    if not float(factor).is_integer() or factor < 2:
+        raise ValueError(f"upsample factor must be an integer >= 2, got {factor}")
+    factor, n = int(factor), x.shape[-1]
+    if n < 4:
+        raise ValueError(f"spline upsampling needs at least 4 samples, got {n}")
+    fit = CubicSpline(np.arange(n), x, axis=-1, bc_type="natural")
+    out = fit(np.arange(n * factor, dtype=np.float64) / factor)
+    out[..., ::factor] = x  # keep on-grid values bit-exact
+    return out
 
 
 def spline_upsample(s: Signal, factor: int) -> Signal:
-    """Natural cubic spline interpolation onto a grid ``factor`` times denser.
-
-    Original samples are preserved exactly on the coarse grid; points past the
-    last knot evaluate the final spline segment.
-    """
-    if not float(factor).is_integer() or factor < 2:
-        raise ValueError(f"upsample factor must be an integer >= 2, got {factor}")
-    factor = int(factor)
-    n = len(s)
-    if n < 4:
-        raise ValueError(f"spline upsampling needs at least 4 samples, got {n}")
-    spline = CubicSpline(np.arange(n), s.samples, bc_type="natural")
-    t = np.arange(n * factor, dtype=np.float64) / factor
-    out = spline(t)
-    out[::factor] = s.samples  # keep on-grid values bit-exact
-    return Signal(out, s.sample_rate * factor)
+    return Signal(spline(s.samples, factor), s.sample_rate * int(factor))
 
 
 @dataclass(frozen=True)

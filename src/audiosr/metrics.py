@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dsp
+from .data import write_atomic
 from .dsp import DEFAULT_STFT, Signal, SpectrogramParams
 from .models import reconstruct, upsampling_mode
 
@@ -80,8 +81,7 @@ class MetricReport:
             lines.append(f"{item_id},{s!r},{l!r}")
         lines.append(f"mean,{self.snr_mean!r},{self.lsd_mean!r}")
         lines.append(f"std,{self.snr_std!r},{self.lsd_std!r}")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_atomic(path, "\n".join(lines) + "\n")
 
 
 def evaluate_model(

@@ -11,6 +11,7 @@ import numpy as np
 
 from . import diffgraph as dg
 from . import dsp
+from .data import write_atomic
 from .diffgraph import AdamState, Parameter, Tensor
 from .dsp import Signal
 
@@ -153,9 +154,7 @@ class Model:
             raise ValueError(f"expected (batch, channels, length), got shape {x.shape}")
         if x.shape[1] != 1:
             raise ValueError(f"expected a single input channel, got {x.shape[1]}")
-        if x.dtype != self.dtype:
-            x = Tensor(x.data.astype(self.dtype), requires_grad=x.requires_grad)
-        return x
+        return x if x.dtype == self.dtype else dg.astype(x, self.dtype)
 
     # --- contracts overridden per kind ---
 
@@ -364,31 +363,28 @@ def upsampling_mode(m: Model, scale: int, mode: str | None = None) -> str:
     return own
 
 
-def model_input(m: Model, low: Signal, scale: int) -> np.ndarray:
-    """The samples ``m`` reads to upsample ``low`` by ``scale``.
-
-    A post model reads ``low`` itself. A pre model reads its spline
-    interpolation, cropped to the model's length divisor; the cropped tail is
-    missing from the output.
-    """
+def model_input(m: Model, low: np.ndarray, scale: int) -> np.ndarray:
+    """The samples ``m`` reads to upsample ``low`` (samples along its last
+    axis) by ``scale``: ``low`` itself for a post model, and for a pre model
+    its spline cropped to the length divisor, whose tail is then missing."""
     if upsampling_mode(m, scale) == "post":
-        return low.samples
-    base = dsp.spline_upsample(low, scale)
+        return low
+    base = dsp.spline(low, scale)
     divisor = m.length_divisor
-    usable = len(base) // divisor * divisor
+    usable = base.shape[-1] // divisor * divisor
     if usable == 0:
         raise ValueError(
-            f"{len(base)} samples at the target rate are fewer than the model's "
+            f"{base.shape[-1]} samples at the target rate are fewer than the model's "
             f"length divisor {divisor}"
         )
-    return base.samples[:usable]
+    return base[..., :usable]
 
 
 def reconstruct(m: Model | None, low: Signal, scale: int) -> Signal:
     """Upsample ``low`` by ``scale`` with the spline (``m=None``) or a model."""
     if m is None:
         return dsp.spline_upsample(low, scale)
-    feed = model_input(m, low, scale)
+    feed = model_input(m, low.samples, scale)
     with dg.no_grad():
         out = m.forward(Tensor(feed[None, None, :]), training=False)
     return Signal(out.data[0, 0], low.sample_rate * scale)
@@ -521,8 +517,7 @@ class Checkpoint:
                 _write_array(buf, a.m[name])
                 _write_array(buf, a.v[name])
         buf.write(CHECKPOINT_TRAILER)
-        with open(path, "wb") as fh:
-            fh.write(buf.getvalue())
+        write_atomic(path, buf.getvalue())
 
     def _header_text(self) -> str:
         lines = [

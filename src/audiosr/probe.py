@@ -8,6 +8,7 @@ import numpy as np
 
 from . import diffgraph as dg
 from . import dsp
+from .data import write_atomic
 from .dsp import DEFAULT_STFT, PowerSpectrogram, Signal, SpectrogramParams
 from .models import phase_shuffle  # noqa: F401  re-exported: probe.phase_shuffle
 
@@ -119,8 +120,7 @@ def export_spectrogram(
         lines = [header]
         for t, row in zip(sp.frame_times, db):
             lines.append(f"{t:.6f}," + ",".join(f"{v:.4f}" for v in row))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_atomic(path, "\n".join(lines) + "\n")
     elif fmt == "pgm":
         if not db_floor < db_ceiling:
             raise ValueError(
@@ -130,9 +130,7 @@ def export_spectrogram(
         gray = np.round(unit * 255.0).astype(np.uint8)
         image = gray.T[::-1]  # rows = bins (low freq at the bottom), cols = frames
         height, width = image.shape
-        with open(path, "wb") as fh:
-            fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-            fh.write(image.tobytes())
+        write_atomic(path, f"P5\n{width} {height}\n255\n".encode("ascii") + image.tobytes())
     else:
         raise ValueError(f"format must be 'csv' or 'pgm', got {fmt!r}")
 
@@ -152,5 +150,4 @@ def write_report(report: ArtifactReport, path) -> None:
     ]
     for freq, power, prom in report.peaks:
         lines.append(f"{freq:.2f}\t{power:.2f}\t{prom:.2f}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")

@@ -11,6 +11,7 @@ import numpy as np
 
 from . import diffgraph as dg
 from . import dsp
+from .data import write_atomic
 from .diffgraph import AdamState, Tensor
 from .dsp import Signal
 from .models import Checkpoint, Model, load_checkpoint, load_params, model_input, upsampling_mode
@@ -111,8 +112,7 @@ class TrainLog:
         for r in self.records:
             losses = "".join(f"{getattr(r, c)!r}," for c in self.columns)
             lines.append(f"{r.step},{losses}{r.wall_time:.3f}")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_atomic(path, "\n".join(lines) + "\n")
 
 
 class _PatchSampler:
@@ -132,14 +132,14 @@ class _PatchSampler:
             )
         self._queue: list[int] = []
 
-    def batch(self, size: int) -> list[Signal]:
-        out = []
-        for _ in range(size):
+    def batch(self, size: int) -> np.ndarray:
+        """The next ``size`` patches as rows of a (size, patch_length) array."""
+        out = np.empty((size, self.patch_length))
+        for row in out:
             if not self._queue:
                 self._queue = list(self.rng.permutation(len(self.slots)))
             item, start = self.slots[self._queue.pop()]
-            sig = self.corpus[item]
-            out.append(Signal(sig.samples[start : start + self.patch_length], sig.sample_rate))
+            row[:] = self.corpus[item].samples[start : start + self.patch_length]
         return out
 
 
@@ -153,6 +153,8 @@ def _validate_run(model: Model, corpus: list[Signal], cfg: TrainConfig) -> None:
     if not corpus:
         raise ValueError("empty corpus")
     upsampling_mode(model, cfg.scale, cfg.mode)
+    for sig in corpus:
+        dsp.check_rate(sig.sample_rate, cfg.scale)
     need = model.length_divisor * cfg.scale
     if cfg.patch_length % need != 0:
         raise ValueError(
@@ -181,10 +183,10 @@ def _save(out_dir, seed: int, files: dict[str, Model]) -> list[Checkpoint]:
     return ckpts
 
 
-def _batch_arrays(patches: list[Signal], model: Model, scale: int):
-    inputs = [model_input(model, dsp.downsample(p, scale), scale) for p in patches]
-    targets = [p.samples for p in patches]
-    return np.stack(inputs)[:, None, :], np.stack(targets)[:, None, :]
+def _batch_arrays(patches: np.ndarray, model: Model, scale: int):
+    """(model input, target) arrays of shape (b, 1, length) for (b, n) patches."""
+    inputs = model_input(model, dsp.decimate(patches, scale), scale)
+    return inputs[:, None, :], patches[:, None, :]
 
 
 def train_supervised(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from audiosr import data, dsp
+from audiosr import data, dsp, models
 from audiosr.data import (
     CorpusError,
     SynthSpec,
@@ -159,6 +159,86 @@ def test_wav_roundtrip_property(tmp_path_factory, ints):
     sig = Signal(np.array(ints) / 32768.0, 16000)
     data.wav_write(sig, path)
     assert np.array_equal(data.wav_read(path).samples, sig.samples)
+
+
+# (format, offset) of the header fields of a plain 44-byte WAV: RIFF size,
+# fmt size, format tag, channels, rate, byte rate, block align, bits, data size
+_WAV_FIELDS = [("<I", 4), ("<I", 16), ("<H", 20), ("<H", 22), ("<I", 24), ("<I", 28),
+               ("<H", 32), ("<H", 34), ("<I", 40)]
+_EXTREME = st.sampled_from([0, 1, 2, 15, 16, 40, 0x8000, 0xFFFF, 0x7FFFFFFF, 0x80000000,
+                            0xFFFFFFFF])
+_WAV_MUTATION = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 200), st.integers(1, 255)),
+    st.tuples(st.just("truncate"), st.integers(0, 200), st.none()),
+    st.tuples(st.just("insert"), st.integers(0, 200), st.binary(min_size=1, max_size=9)),
+    st.tuples(
+        st.just("field"),
+        st.sampled_from(_WAV_FIELDS) | st.tuples(st.just("<I"), st.integers(0, 200)),
+        _EXTREME | st.integers(0, 2**32 - 1),
+    ),
+)
+
+
+def mutate(blob: bytes, mutations) -> bytes:
+    out = bytearray(blob)
+    for kind, where, value in mutations:
+        if kind == "field":
+            fmt, pos = where
+            size = struct.calcsize(fmt)
+            if pos + size <= len(out):
+                out[pos : pos + size] = struct.pack(fmt, value % 2 ** (8 * size))
+            continue
+        pos = min(where, len(out))
+        if kind == "flip" and pos < len(out):
+            out[pos] ^= value
+        elif kind == "truncate":
+            del out[pos:]
+        elif kind == "insert":
+            out[pos:pos] = value
+    return bytes(out)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    base=st.sampled_from([
+        make_wav_bytes(np.arange(-8, 8) * 1000),
+        make_wav_bytes(np.arange(12) * 100, channels=2),
+    ]),
+    mutations=st.lists(_WAV_MUTATION, min_size=1, max_size=4),
+)
+def test_mutated_wav_raises_only_wav_errors(tmp_path_factory, base, mutations):
+    path = tmp_path_factory.mktemp("fuzz") / "m.wav"
+    path.write_bytes(mutate(base, mutations))
+    for read in (data.wav_read, lambda p: data.wav_read(p, downmix=True), data.wav_info):
+        try:
+            read(path)
+        except data.WavError:
+            pass
+
+
+class TestWriteAtomic:
+    def test_str_is_written_as_utf8(self, tmp_path):
+        data.write_atomic(tmp_path / "t.txt", "caf\u00e9\n")
+        assert (tmp_path / "t.txt").read_bytes() == "caf\u00e9\n".encode("utf-8")
+
+    @pytest.mark.parametrize("writer", ["write_atomic", "wav_write", "checkpoint"])
+    def test_failed_replace_keeps_the_old_file(self, tmp_path, monkeypatch, writer):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(data.os, "replace", fail)
+        with pytest.raises(OSError, match="replace failed"):
+            if writer == "write_atomic":
+                data.write_atomic(path, b"new")
+            elif writer == "wav_write":
+                data.wav_write(Signal(np.zeros(4), 8000), path)
+            else:
+                models.save_checkpoint(models.build_critic(models.CriticConfig(layers=1)), path)
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
 
 class TestCorpusScan:

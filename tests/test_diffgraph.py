@@ -434,25 +434,50 @@ class TestConvAgainstDirectSum:
         dg.backward(dg.sum_all(dg.mul(g, g)), [w, b])
         assert {t.grad.dtype for t in (x, w, b)} == {np.dtype(np.float32)}
 
-    @pytest.mark.parametrize("op", ["conv", "conv_t", "corr"])
-    def test_each_conv_op_vjp_matches_fd(self, op):
+    @pytest.mark.parametrize("left", [0, 1, 2])
+    @pytest.mark.parametrize("op", ["conv", "conv_bias", "conv_t", "corr"])
+    def test_each_conv_op_vjp_matches_fd(self, op, left):
         # the three ops differentiate each other; check each one's VJP directly
         rng = np.random.default_rng(11)
         stride, k, length, width = 2, 3, 9, 4
         x = rand_param(rng, "x", (2, 2, length))
         w = rand_param(rng, "w", (3, 2, k))
+        b = rand_param(rng, "b", (3,))
         g = rand_param(rng, "g", (2, 3, width))
         if op == "conv":
-            build, params = (lambda: dg._conv(x, w, stride, width)), [x, w]
+            build, params = (lambda: dg._conv(x, w, None, stride, width, left)), [x, w]
+        elif op == "conv_bias":
+            build, params = (lambda: dg._conv(x, w, b, stride, width, left)), [x, w, b]
         elif op == "conv_t":
-            build, params = (lambda: dg._conv_t(g, w, stride, length)), [g, w]
+            build, params = (lambda: dg._conv_t(g, w, stride, length, left)), [g, w]
         else:
-            build, params = (lambda: dg._corr(x, g, stride, k)), [x, g]
+            build, params = (lambda: dg._corr(x, g, stride, k, left)), [x, g]
         proj = Tensor(rng.normal(size=build().shape))
         fd_check(lambda: dg.sum_all(dg.mul(build(), proj)), params)
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_padded_biased_conv_is_one_tape_node(self, stride):
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.normal(size=(2, 3, 10)), requires_grad=True)
+        w = Parameter("w", rng.normal(size=(4, 3, 5)))
+        b = Parameter("b", rng.normal(size=4))
+        y = dg.conv1d(x, w, b, stride=stride, padding="same")
+        assert y._op == "conv"
+        assert len(y._parents) == 3
+        assert all(p is q for p, q in zip(y._parents, (x, w, b)))
+
 
 class TestInputGradientAndDoubleBackward:
+    def test_astype_casts_the_gradient_back(self):
+        x = Tensor(np.arange(4.0, dtype=np.float32), requires_grad=True)
+        y = dg.astype(x, np.float64)
+        assert y.dtype == np.float64
+        g = dg.input_gradient(dg.sum_all(dg.mul(y, y)), x)
+        assert g.dtype == np.float32
+        assert np.array_equal(g.data, 2 * x.data)
+        dg.backward(dg.sum_all(dg.mul(y, y)))
+        assert x.grad.dtype == np.float32
+
     def test_linear_graph_input_gradient_exact(self):
         w = np.zeros(8)
         w[3] = 1.0

@@ -241,13 +241,13 @@ class TestReconstruct:
 
     def test_model_input_post_is_the_low_rate_input(self):
         low = self.low(101)
-        got = models.model_input(models.build_edsr(TINY_EDSR), low, 2)
+        got = models.model_input(models.build_edsr(TINY_EDSR), low.samples, 2)
         assert np.array_equal(got, low.samples)
 
     @pytest.mark.parametrize("n", [250, 251])
     def test_model_input_pre_is_the_spline_cropped_to_the_divisor(self, n):
         low = self.low(n)
-        got = models.model_input(models.build_unet(self.UNET), low, 2)
+        got = models.model_input(models.build_unet(self.UNET), low.samples, 2)
         assert len(got) == 500
         assert np.array_equal(got, dsp.spline_upsample(low, 2).samples[:500])
 

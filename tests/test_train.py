@@ -26,6 +26,28 @@ def toy_corpus(count=6, length=2048, seed=3):
 class TestMakePair:
     """Training pairs: each patch is degraded and fed through models.model_input."""
 
+    @pytest.mark.parametrize("size", [1, 3, 32])
+    @pytest.mark.parametrize("kind", ["edsr", "unet"])
+    def test_batch_equals_the_stack_of_single_patches(self, kind, size):
+        model = models.build_edsr(TINY_EDSR) if kind == "edsr" else models.build_unet(TINY_UNET)
+        sampler = train._PatchSampler(toy_corpus(), 256, 8, seed=size)
+        patches = sampler.batch(size)
+        assert patches.shape == (size, 256)
+        inp, tgt = train._batch_arrays(patches, model, 2)
+        for row, patch in enumerate(patches):
+            low = dsp.downsample(Signal(patch, 12000), 2)
+            want = models.model_input(model, low.samples, 2)
+            assert np.array_equal(inp[row, 0], want)
+            assert np.array_equal(tgt[row, 0], patch)
+        assert inp.shape == (size, 1, 128 if kind == "edsr" else 256)
+
+    def test_indivisible_sample_rate_rejected_before_training(self):
+        m = models.build_edsr(TINY_EDSR, seed=0)
+        corpus = toy_corpus(2) + [Signal(np.zeros(512), 11025)]
+        cfg = TrainConfig(steps=1, mode="post", scale=2, batch_size=1, patch_length=256)
+        with pytest.raises(ValueError, match="sample rate 11025 is not divisible by factor 2"):
+            train.train_supervised(m, corpus, cfg)
+
     def test_edsr_scale_three_run_rejected(self):
         m = models.build_edsr(TINY_EDSR, seed=0)
         cfg = TrainConfig(steps=1, mode="post", scale=3, batch_size=1, patch_length=96)
@@ -106,7 +128,7 @@ class TestSupervised:
         before = {p.name: p.data.copy() for p in m.parameters()}
 
         high = Signal(corpus[0].samples[:64], 12000)
-        low = models.model_input(m, dsp.downsample(high, 2), 2)
+        low = models.model_input(m, dsp.downsample(high, 2).samples, 2)
         inp = Tensor(low[None, None, :])
         tgt = Tensor(high.samples[None, None, :])
 
@@ -298,6 +320,21 @@ class TestWganGp:
         train.train_wgan_gp(gen, critic, corpus, cfg)
         assert gen.adam_state.t == 1
         assert {p.data.dtype for p in gen.parameters()} == {np.dtype(np.float32)}
+
+    @pytest.mark.parametrize("gen_dtype, critic_dtype", [("float32", "float64"), ("float64", "float32")])
+    def test_mixed_dtypes_keep_the_graph_connected(self, gen_dtype, critic_dtype):
+        # the critic casts its input on the tape, so the purely adversarial
+        # generator loss still reaches a generator of another dtype, and the
+        # penalty's input gradient reaches a float32 critic's input
+        _, _, corpus, cfg = self.gan_setup(steps=1)
+        gen = models.build_unet(TINY_UNET, dtype=gen_dtype, seed=5)
+        critic = models.build_critic(TINY_CRITIC, dtype=critic_dtype, seed=6)
+        before = {p.name: p.data.copy() for p in gen.parameters()}
+        train.train_wgan_gp(gen, critic, corpus, cfg)
+        assert cfg.content_weight == 0.0
+        assert all(not np.array_equal(p.data, before[p.name]) for p in gen.parameters())
+        assert {p.data.dtype for p in gen.parameters()} == {np.dtype(gen_dtype)}
+        assert {p.data.dtype for p in critic.parameters()} == {np.dtype(critic_dtype)}
 
     def test_checkpoint_every_saves_both_models(self, tmp_path):
         gen, critic, corpus, cfg = self.gan_setup(steps=2)
