@@ -200,25 +200,37 @@ class CorpusIndex:
 
     @classmethod
     def read_manifest(cls, path) -> "CorpusIndex":
+        """Parse a manifest written by ``write_manifest``; malformed content
+        raises ``CorpusError``."""
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{path}: manifest is not valid UTF-8 ({exc})") from None
         seed, ratios = 0, (0.0, 0.0, 0.0)
         entries, split = [], {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
+        for line in text.split("\n"):
+            if not line:
+                continue
+            try:
                 if line.startswith("#"):
                     if "seed =" in line:
                         seed = int(line.split("=", 1)[1])
                     elif "ratios =" in line:
                         ratios = tuple(float(v) for v in line.split("=", 1)[1].split(","))
+                        if len(ratios) != 3:
+                            raise ValueError(f"expected three ratios, got {len(ratios)}")
                     continue
                 parts = line.split("\t")
                 if len(parts) != 4:
-                    raise CorpusError(f"{path}: malformed manifest line {line!r}")
+                    raise ValueError("expected 4 tab-separated fields")
                 sp, speaker, fpath, samples = parts
+                if sp not in ("train", "val", "test"):
+                    raise ValueError(f"unknown split {sp!r}")
+                if split.setdefault(speaker, sp) != sp:
+                    raise ValueError(f"speaker {speaker!r} is in both {split[speaker]!r} and {sp!r}")
                 entries.append(CorpusEntry(speaker, Path(fpath).stem, fpath, int(samples)))
-                split[speaker] = sp
+            except ValueError as exc:
+                raise CorpusError(f"{path}: malformed manifest line {line!r}: {exc}") from None
         if not entries:
             raise CorpusError(f"{path}: empty manifest")
         return cls(entries=entries, split=split, seed=seed, ratios=ratios)

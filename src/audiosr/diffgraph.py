@@ -4,7 +4,10 @@ Covers exactly the operator set the models need: 1D convolution, subpixel
 shuffling, pointwise activations, concatenation, reductions, and the losses.
 Backward functions are themselves built from these operators, so a second
 backward pass (needed for the critic's gradient penalty) falls out of the same
-tape.
+tape. The gradient contract: one reverse pass serves both entry points;
+``backward`` accumulates detached gradients into the ``.grad`` of every leaf a
+scalar loss reaches, and ``input_gradient`` returns one leaf's gradient,
+recorded on the tape unless recording is off.
 
 A convolution, with its padding and bias, is one tape node: a k-tap sum of
 matmuls over shifted views of its input. It is one of three tape ops, the
@@ -27,22 +30,16 @@ class GraphError(ValueError):
 class no_grad:
     """Context manager that disables graph recording."""
 
-    enabled = False
-
     def __enter__(self):
         global _grad_enabled
         self._prev = _grad_enabled
-        _grad_enabled = self.enabled
+        _grad_enabled = False
         return self
 
     def __exit__(self, *exc):
         global _grad_enabled
         _grad_enabled = self._prev
         return False
-
-
-class _enable_grad(no_grad):
-    enabled = True
 
 
 class Tensor:
@@ -246,20 +243,22 @@ def absolute(x) -> Tensor:
     return _from_op(np.abs(x.data), (x,), vjp, "abs")
 
 
+def _scale(x: Tensor, factor: np.ndarray, op: str) -> Tensor:
+    """x * factor for a constant array ``factor`` (an activation or dropout mask)."""
+    def vjp(g):
+        return (mul(g, Tensor(factor)),)
+    return _from_op(x.data * factor, (x,), vjp, op)
+
+
 def relu(x) -> Tensor:
     x = _as_tensor(x)
-    mask = (x.data > 0).astype(x.data.dtype)
-    def vjp(g):
-        return (mul(g, Tensor(mask)),)
-    return _from_op(x.data * mask, (x,), vjp, "relu")
+    return _scale(x, (x.data > 0).astype(x.data.dtype), "relu")
 
 
 def leaky_relu(x, slope: float = 0.2) -> Tensor:
     x = _as_tensor(x)
     factor = np.where(x.data > 0, x.data.dtype.type(1.0), x.data.dtype.type(slope))
-    def vjp(g):
-        return (mul(g, Tensor(factor)),)
-    return _from_op(x.data * factor, (x,), vjp, "leaky_relu")
+    return _scale(x, factor, "leaky_relu")
 
 
 def dropout(x, rate: float, rng: np.random.Generator | None = None, training: bool = True) -> Tensor:
@@ -271,10 +270,7 @@ def dropout(x, rate: float, rng: np.random.Generator | None = None, training: bo
         return x
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
-    mask = (rng.random(x.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
-    def vjp(g):
-        return (mul(g, Tensor(mask)),)
-    return _from_op(x.data * mask, (x,), vjp, "dropout")
+    return _scale(x, (rng.random(x.shape) >= rate).astype(x.data.dtype) / (1.0 - rate), "dropout")
 
 
 # ---------------------------------------------------------------------------
@@ -632,76 +628,67 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order  # dependencies before dependents
 
 
-def _backprop(root: Tensor, seed: Tensor, create_graph: bool, capture_ids: set[int]):
-    """Propagate the seed gradient; return {id: grad} for leaves and captures."""
-    grads: dict[int, Tensor] = {id(root): seed}
-    holders: dict[int, Tensor] = {id(root): root}
-    captured: dict[int, Tensor] = {}
-    order = _toposort(root)
-    ctx = _enable_grad() if create_graph else no_grad()
-    with ctx:
-        for node in reversed(order):
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            if id(node) in capture_ids or node._vjp is None:
-                captured[id(node)] = g
-            if node._vjp is None:
-                continue
-            parent_grads = node._vjp(g)
-            for p, pg in zip(node._parents, parent_grads):
-                if pg is None or not p.requires_grad:
-                    continue
-                pid = id(p)
-                holders[pid] = p
-                prev = grads.get(pid)
-                grads[pid] = pg if prev is None else add(prev, pg)
-    return captured, holders
+def _leaf_grads(root: Tensor) -> dict[int, tuple[Tensor, Tensor]]:
+    """Gradients of scalar ``root``: {id: (leaf, grad)} for every leaf it reaches.
+
+    The VJPs record on the tape exactly when recording is on. A repeated
+    gradient is summed by a fresh ``add``, never in place: VJP outputs alias
+    each other (``add`` hands one tensor to both parents, ``reshape`` a view).
+    """
+    grads: dict[int, Tensor] = {id(root): Tensor(np.ones_like(root.data))}
+    leaves: dict[int, tuple[Tensor, Tensor]] = {}
+    for node in reversed(_toposort(root)):
+        g = grads.pop(id(node))
+        if node._vjp is None:
+            leaves[id(node)] = (node, g)
+            continue
+        for p, pg in zip(node._parents, node._vjp(g)):
+            if p.requires_grad:
+                prev = grads.get(id(p))
+                grads[id(p)] = pg if prev is None else add(prev, pg)
+    return leaves
 
 
-def backward(loss: Tensor, params=None, create_graph: bool = False) -> None:
+def backward(loss: Tensor, params=None) -> None:
     """Accumulate gradients of a scalar loss into ``.grad`` of reachable leaves.
 
-    When ``params`` is given, any parameter the graph does not touch gets an
+    Runs without recording, so each ``.grad`` is a detached tensor. When
+    ``params`` is given, any parameter the graph does not touch gets an
     explicit zero gradient.
     """
     loss = _as_tensor(loss)
     if loss.size != 1:
         raise GraphError(f"backward needs a scalar loss, got shape {loss.shape}")
     if loss.requires_grad:
-        seed = Tensor(np.ones_like(loss.data))
-        captured, holders = _backprop(loss, seed, create_graph, set())
-        for nid, g in captured.items():
-            t = holders[nid]
-            if not t.requires_grad or t._vjp is not None:
-                continue
-            gt = g if create_graph else Tensor(g.data)
-            t.grad = gt if t.grad is None else Tensor(t.grad.data + gt.data)
+        with no_grad():
+            for leaf, g in _leaf_grads(loss).values():
+                leaf.grad = g if leaf.grad is None else add(leaf.grad, g)
     if params is not None:
         for p in params:
             if p.grad is None:
                 p.grad = Tensor(np.zeros_like(p.data))
 
 
-def input_gradient(output: Tensor, x: Tensor, create_graph: bool = True) -> Tensor:
-    """Gradient of a scalar graph output w.r.t. ``x``, returned as a graph node.
+def input_gradient(output: Tensor, x: Tensor) -> Tensor:
+    """Gradient of a scalar graph output w.r.t. the leaf ``x``.
 
-    With ``create_graph`` (the default) the result can be differentiated again,
-    which is what the critic's gradient penalty needs.
+    It is recorded on the tape when recording is on, so it can be
+    differentiated again (the critic's gradient penalty); under ``no_grad``
+    it is a detached tensor.
     """
     output = _as_tensor(output)
     if output.size != 1:
         raise GraphError(f"input_gradient needs a scalar output, got shape {output.shape}")
     if not isinstance(x, Tensor) or not x.requires_grad:
         raise GraphError("input tensor must have requires_grad=True")
+    if x._vjp is not None:
+        raise GraphError(f"input tensor must be a leaf, got the output of {x._op!r}")
     if not output.requires_grad:
         raise GraphError("output does not depend on any differentiable tensor")
-    seed = Tensor(np.ones_like(output.data))
-    captured, _ = _backprop(output, seed, create_graph, {id(x)})
-    g = captured.get(id(x))
-    if g is None:
+    hit = _leaf_grads(output).get(id(x))
+    if hit is None:
         raise GraphError("tensor does not participate in the output's graph")
-    return g
+    return hit[1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,62 @@
+"""The parts of the program the benchmark (perfbench/) relies on.
+
+perfbench wraps named audiosr functions and compares short fixed-seed runs
+against perfbench/reference.json. These tests import its tracer and workloads
+read-only, so a deleted function or a numerics drift fails here, not only when
+the benchmark runs.
+"""
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = _load("tracer")
+workloads = _load("workloads")
+
+
+def test_every_traced_target_resolves():
+    for owner, attr, name, *_ in tracer.TARGETS:
+        assert callable(vars(owner).get(attr)), f"{name}: {owner.__name__}.{attr} is gone"
+
+
+def test_tracer_install_and_restore_round_trip():
+    def wrapped():
+        return {(id(owner), attr): vars(owner)[attr] for owner, attr, *_ in tracer.TARGETS}
+
+    before = wrapped()
+    aliases = {(m, a): vars(m)[a] for m in tracer._package_modules() for a in vars(m)}
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert all(f is not before[k] for k, f in wrapped().items())
+    finally:
+        t.restore()
+    assert all(f is before[k] for k, f in wrapped().items())
+    assert all(vars(m)[a] is f for (m, a), f in aliases.items())
+
+
+@pytest.mark.parametrize("name", ["train_edsr", "train_gan"])
+def test_reference_trajectory_matches(name):
+    got = workloads.reference_trajectory(name)
+    want = workloads.load_reference()[name]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert workloads._close(g, w, workloads.REFERENCE_RTOL), f"got {g}, recorded {w}"
+
+
+def test_reference_eval_scores_match():
+    got, want = workloads.reference_eval_scores(), workloads.load_reference()["eval"]
+    assert [len(g) for g in got] == [len(w) for w in want]
+    dev = max(abs(g - w) for gs, ws in zip(got, want) for g, w in zip(gs, ws))
+    assert dev <= workloads.EVAL_TOL_DB

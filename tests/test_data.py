@@ -301,6 +301,101 @@ class TestCorpusScan:
         assert index.entries[0].duration == pytest.approx(200 / 48000)
 
 
+_MANIFEST_LINES = [
+    "# audiosr corpus manifest v1",
+    "# seed = 5",
+    "# ratios = 0.8,0.1,0.1",
+    "train\tp225\tp225/p225_000.wav\t200",
+    "train\tp225\tp225/p225_001.wav\t180",
+    "val\tp226\tp226/p226_000.wav\t220",
+    "test\tp227\tp227/p227_000.wav\t190",
+]
+_MANIFEST = ("\n".join(_MANIFEST_LINES) + "\n").encode()
+
+
+def read_manifest_bytes(tmp_path, raw: bytes):
+    path = tmp_path / "manifest.txt"
+    path.write_bytes(raw)
+    return data.CorpusIndex.read_manifest(path)
+
+
+class TestManifestErrors:
+    def test_valid_manifest_parses(self, tmp_path):
+        index = read_manifest_bytes(tmp_path, _MANIFEST)
+        assert (index.seed, index.ratios) == (5, (0.8, 0.1, 0.1))
+        assert index.split == {"p225": "train", "p226": "val", "p227": "test"}
+        assert [e.samples for e in index.items("train")] == [200, 180]
+
+    @pytest.mark.parametrize("old, new", [
+        ("\t200", "\t2e2"),
+        ("\t200", "\t"),
+        ("seed = 5", "seed = five"),
+        ("0.8,0.1,0.1", "0.8,x,0.1"),
+        ("0.8,0.1,0.1", "0.8,0.2"),
+        ("train\tp225\tp225/p225_000", "trian\tp225\tp225/p225_000"),
+        ("val\tp226\tp226/p226_000.wav\t220", "val\tp226\tp226/p226_000.wav"),
+    ])
+    def test_malformed_content_raises_corpus_error(self, tmp_path, old, new):
+        raw = _MANIFEST.decode().replace(old, new, 1).encode()
+        with pytest.raises(CorpusError):
+            read_manifest_bytes(tmp_path, raw)
+
+    def test_speaker_in_two_splits_raises_corpus_error(self, tmp_path):
+        with pytest.raises(CorpusError, match="p227"):
+            read_manifest_bytes(tmp_path, _MANIFEST + b"train\tp227\tp227/p227_001.wav\t190\n")
+
+    def test_non_utf8_manifest_raises_corpus_error(self, tmp_path):
+        with pytest.raises(CorpusError, match="UTF-8"):
+            read_manifest_bytes(tmp_path, _MANIFEST.replace(b"p226", b"p\xff26"))
+
+
+_MANIFEST_MUTATION = st.one_of(
+    # replace one tab-separated field of one line with arbitrary text
+    st.tuples(st.just("junk"), st.integers(0, len(_MANIFEST_LINES) - 1), st.integers(0, 3),
+              st.text(max_size=6)),
+    st.tuples(st.just("drop_tab"), st.integers(0, _MANIFEST.count(b"\t") - 1), st.none(),
+              st.none()),
+    st.tuples(st.just("flip"), st.integers(0, len(_MANIFEST) - 1), st.integers(1, 255),
+              st.none()),
+    # repeat an entry line under a split other than its own
+    st.tuples(st.just("duplicate"), st.integers(3, len(_MANIFEST_LINES) - 1),
+              st.integers(0, 1), st.none()),
+)
+
+
+def mutate_manifest(kind, where, arg, text) -> bytes:
+    lines = list(_MANIFEST_LINES)
+    if kind == "junk":
+        fields = lines[where].split("\t")
+        fields[min(arg, len(fields) - 1)] = text
+        lines[where] = "\t".join(fields)
+    elif kind == "drop_tab":
+        pos = [i for i, c in enumerate(_MANIFEST) if c == ord("\t")][where]
+        return _MANIFEST[:pos] + _MANIFEST[pos + 1 :]
+    elif kind == "flip":
+        out = bytearray(_MANIFEST)
+        out[where] ^= arg
+        return bytes(out)
+    else:
+        split, rest = lines[where].split("\t", 1)
+        other = [s for s in ("train", "val", "test") if s != split][arg]
+        lines.append(f"{other}\t{rest}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutation=_MANIFEST_MUTATION)
+def test_mutated_manifest_parses_or_raises_corpus_error(tmp_path_factory, mutation):
+    raw = mutate_manifest(*mutation)
+    try:
+        index = read_manifest_bytes(tmp_path_factory.mktemp("manifest"), raw)
+    except CorpusError:
+        return
+    assert mutation[0] != "duplicate", "a speaker under two splits was accepted"
+    assert set(index.split.values()) <= {"train", "val", "test"}
+    assert sum(len(index.items(s)) for s in ("train", "val", "test")) == len(index.entries)
+
+
 class TestSynthSignals:
     def test_seeded_reproducibility(self):
         spec = SynthSpec(count=4, length=1024)

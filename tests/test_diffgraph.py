@@ -534,6 +534,45 @@ class TestInputGradientAndDoubleBackward:
 
         fd_check(penalty, [w, b], rtol=1e-5)
 
+    def test_input_gradient_rejects_a_non_leaf(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        y = dg.mul(x, 2.0)
+        with pytest.raises(GraphError, match="leaf"):
+            dg.input_gradient(dg.sum_all(dg.mul(y, y)), y)
+
+    def test_input_gradient_under_no_grad_is_detached(self):
+        x = Tensor(np.random.default_rng(6).normal(size=(2, 1, 8)), requires_grad=True)
+        w = Parameter("w", np.random.default_rng(7).normal(size=(2, 1, 3)))
+        score = dg.sum_all(dg.leaky_relu(dg.conv1d(x, w), 0.2))
+        recorded = dg.input_gradient(score, x)
+        with dg.no_grad():
+            g = dg.input_gradient(score, x)
+        assert recorded.requires_grad and recorded._parents
+        assert not g.requires_grad and g._parents == ()
+        assert np.array_equal(g.data, recorded.data)
+
+    def test_backward_while_recording_leaves_detached_grads(self):
+        x = Tensor(np.array([0.5, -1.5, 2.0]), requires_grad=True)
+        w = Parameter("w", np.array([1.0, 2.0, -3.0]))
+        y = dg.add(dg.mul(x, w), dg.mul(x, x))  # x reaches the loss twice
+        for _ in range(2):  # the second call accumulates into existing .grad
+            dg.backward(dg.sum_all(dg.relu(y)), [w])
+        for t in (x, w):
+            assert not t.grad.requires_grad and t.grad._parents == ()
+        assert np.array_equal(x.grad.data, 2 * np.where(y.data > 0, w.data + 2 * x.data, 0.0))
+
+    def test_aliased_gradients_accumulate_correctly(self):
+        # add's VJP hands one tensor to both parents; u also gets a second
+        # contribution first, so an in-place sum would corrupt v's gradient
+        x = Parameter("x", np.array([0.3, -0.7, 1.1]))
+
+        def loss():
+            u, v = dg.mul(x, x), dg.mul(x, 3.0)
+            t = dg.add(dg.add(u, v), u)
+            return dg.sum_all(dg.mul(t, t))
+
+        fd_check(loss, [x])
+
     def test_second_forward_unaffected_by_backward(self):
         x = Tensor(np.random.default_rng(4).normal(size=(1, 1, 8)))
         w = Parameter("w", np.random.default_rng(5).normal(size=(1, 1, 3)))
