@@ -99,6 +99,9 @@ def _load_corpus(cfg: DataConfig):
         if not entries:
             raise data.CorpusError(f"manifest has no entries in split {cfg.split!r}")
         corpus = [data.wav_read(e.path) for e in entries]
+        for e, sig in zip(entries, corpus):
+            if len(sig) != e.samples:
+                raise data.CorpusError(f"{e.path}: {len(sig)} samples, but the manifest says {e.samples}")
         ids = [f"{e.speaker}/{e.utterance}" for e in entries]
         text = Path(cfg.manifest).read_text(encoding="utf-8") + f"|split={cfg.split}"
         return corpus, ids, _sha256(text.encode())
@@ -431,7 +434,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, models.ScaleMismatchError) as exc:
+    except (UsageError, models.ConfigConflictError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except train.NumericError as exc:

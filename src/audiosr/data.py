@@ -228,7 +228,10 @@ class CorpusIndex:
                     raise ValueError(f"unknown split {sp!r}")
                 if split.setdefault(speaker, sp) != sp:
                     raise ValueError(f"speaker {speaker!r} is in both {split[speaker]!r} and {sp!r}")
-                entries.append(CorpusEntry(speaker, Path(fpath).stem, fpath, int(samples)))
+                count = int(samples)
+                if count < 0:
+                    raise ValueError(f"negative sample count {count}")
+                entries.append(CorpusEntry(speaker, Path(fpath).stem, fpath, count))
             except ValueError as exc:
                 raise CorpusError(f"{path}: malformed manifest line {line!r}: {exc}") from None
         if not entries:

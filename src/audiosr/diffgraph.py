@@ -4,10 +4,12 @@ Covers exactly the operator set the models need: 1D convolution, subpixel
 shuffling, pointwise activations, concatenation, reductions, and the losses.
 Backward functions are themselves built from these operators, so a second
 backward pass (needed for the critic's gradient penalty) falls out of the same
-tape. The gradient contract: one reverse pass serves both entry points;
-``backward`` accumulates detached gradients into the ``.grad`` of every leaf a
-scalar loss reaches, and ``input_gradient`` returns one leaf's gradient,
-recorded on the tape unless recording is off.
+tape. A node records one VJP per differentiable parent; constant operands are
+not recorded. The gradient contract: one reverse pass serves both entry
+points and runs only the VJPs on a path to a requested leaf; ``backward``
+accumulates detached gradients into the ``.grad`` of the listed parameters
+only, and ``input_gradient`` returns one leaf's gradient, recorded on the
+tape unless recording is off.
 
 A convolution, with its padding and bias, is one tape node: a k-tap sum of
 matmuls over shifted views of its input. It is one of three tape ops, the
@@ -45,7 +47,7 @@ class no_grad:
 class Tensor:
     """Real-valued array node in a dynamically recorded computation graph."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_op")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjps", "_op")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -55,7 +57,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: Tensor | None = None
         self._parents: tuple[Tensor, ...] = ()
-        self._vjp = None
+        self._vjps: tuple = ()
         self._op = "leaf"
 
     @property
@@ -118,13 +120,16 @@ def _pair(x, y) -> tuple[Tensor, Tensor]:
     return _as_tensor(x), _as_tensor(y)
 
 
-def _from_op(data, parents, vjp, op: str) -> Tensor:
+def _from_op(data, op: str, *edges) -> Tensor:
+    """Wrap an op's output; record one ``(parent, vjp)`` edge per operand that
+    needs a gradient, where ``vjp`` maps the output gradient to that operand's."""
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._vjp = vjp
-        out._op = op
+    if _grad_enabled:
+        edges = [e for e in edges if e[0].requires_grad]
+        if edges:
+            out.requires_grad = True
+            out._parents, out._vjps = zip(*edges)
+            out._op = op
     return out
 
 
@@ -146,16 +151,13 @@ def _unbroadcast(g: Tensor, shape) -> Tensor:
 
 def add(x, y) -> Tensor:
     x, y = _pair(x, y)
-    def vjp(g):
-        return _unbroadcast(g, x.shape), _unbroadcast(g, y.shape)
-    return _from_op(x.data + y.data, (x, y), vjp, "add")
+    return _from_op(x.data + y.data, "add",
+                    (x, lambda g: _unbroadcast(g, x.shape)), (y, lambda g: _unbroadcast(g, y.shape)))
 
 
 def neg(x) -> Tensor:
     x = _as_tensor(x)
-    def vjp(g):
-        return (neg(g),)
-    return _from_op(-x.data, (x,), vjp, "neg")
+    return _from_op(-x.data, "neg", (x, neg))
 
 
 def sub(x, y) -> Tensor:
@@ -164,17 +166,15 @@ def sub(x, y) -> Tensor:
 
 def mul(x, y) -> Tensor:
     x, y = _pair(x, y)
-    def vjp(g):
-        return _unbroadcast(mul(g, y), x.shape), _unbroadcast(mul(g, x), y.shape)
-    return _from_op(x.data * y.data, (x, y), vjp, "mul")
+    return _from_op(x.data * y.data, "mul",
+                    (x, lambda g: _unbroadcast(mul(g, y), x.shape)),
+                    (y, lambda g: _unbroadcast(mul(g, x), y.shape)))
 
 
 def pow_const(x, p: float) -> Tensor:
     """x ** p for a constant real exponent."""
     x = _as_tensor(x)
-    def vjp(g):
-        return (mul(g, mul(p, pow_const(x, p - 1.0))),)
-    return _from_op(x.data**p, (x,), vjp, "pow_const")
+    return _from_op(x.data**p, "pow_const", (x, lambda g: mul(g, mul(p, pow_const(x, p - 1.0)))))
 
 
 def sqrt(x) -> Tensor:
@@ -184,50 +184,40 @@ def sqrt(x) -> Tensor:
 def reshape(x, shape) -> Tensor:
     x = _as_tensor(x)
     old = x.shape
-    def vjp(g):
-        return (reshape(g, old),)
-    return _from_op(x.data.reshape(shape), (x,), vjp, "reshape")
+    return _from_op(x.data.reshape(shape), "reshape", (x, lambda g: reshape(g, old)))
 
 
 def astype(x, dtype) -> Tensor:
     """x cast to ``dtype``; the gradient is cast back to x's dtype."""
     x = _as_tensor(x)
     old = x.dtype
-    def vjp(g):
-        return (astype(g, old),)
-    return _from_op(x.data.astype(dtype), (x,), vjp, "astype")
+    return _from_op(x.data.astype(dtype), "astype", (x, lambda g: astype(g, old)))
 
 
 def transpose(x, axes) -> Tensor:
     x = _as_tensor(x)
     inv = tuple(np.argsort(axes))
-    def vjp(g):
-        return (transpose(g, inv),)
-    return _from_op(np.ascontiguousarray(x.data.transpose(axes)), (x,), vjp, "transpose")
+    return _from_op(np.ascontiguousarray(x.data.transpose(axes)), "transpose",
+                    (x, lambda g: transpose(g, inv)))
 
 
 def broadcast_to(x, shape) -> Tensor:
     x = _as_tensor(x)
-    def vjp(g):
-        return (_unbroadcast(g, x.shape),)
-    return _from_op(np.broadcast_to(x.data, shape).copy(), (x,), vjp, "broadcast_to")
+    return _from_op(np.broadcast_to(x.data, shape).copy(), "broadcast_to",
+                    (x, lambda g: _unbroadcast(g, x.shape)))
 
 
 def sum_axes(x, axes, keepdims: bool = False) -> Tensor:
     x = _as_tensor(x)
     axes = tuple(axes) if not isinstance(axes, int) else (axes,)
     kept = tuple(1 if i in axes else d for i, d in enumerate(x.shape))
-    def vjp(g):
-        gg = g if keepdims else reshape(g, kept)
-        return (broadcast_to(gg, x.shape),)
-    return _from_op(x.data.sum(axis=axes, keepdims=keepdims), (x,), vjp, "sum_axes")
+    return _from_op(x.data.sum(axis=axes, keepdims=keepdims), "sum_axes",
+                    (x, lambda g: broadcast_to(g if keepdims else reshape(g, kept), x.shape)))
 
 
 def sum_all(x) -> Tensor:
     x = _as_tensor(x)
-    def vjp(g):
-        return (broadcast_to(g, x.shape),)
-    return _from_op(x.data.sum(), (x,), vjp, "sum_all")
+    return _from_op(x.data.sum(), "sum_all", (x, lambda g: broadcast_to(g, x.shape)))
 
 
 def mean_all(x) -> Tensor:
@@ -238,16 +228,12 @@ def mean_all(x) -> Tensor:
 def absolute(x) -> Tensor:
     x = _as_tensor(x)
     sign = np.sign(x.data)
-    def vjp(g):
-        return (mul(g, Tensor(sign)),)
-    return _from_op(np.abs(x.data), (x,), vjp, "abs")
+    return _from_op(np.abs(x.data), "abs", (x, lambda g: mul(g, Tensor(sign))))
 
 
 def _scale(x: Tensor, factor: np.ndarray, op: str) -> Tensor:
     """x * factor for a constant array ``factor`` (an activation or dropout mask)."""
-    def vjp(g):
-        return (mul(g, Tensor(factor)),)
-    return _from_op(x.data * factor, (x,), vjp, op)
+    return _from_op(x.data * factor, op, (x, lambda g: mul(g, Tensor(factor))))
 
 
 def relu(x) -> Tensor:
@@ -295,9 +281,8 @@ def _zero_pad(a: np.ndarray, axis: int, before: int, after: int) -> np.ndarray:
 def pad_axis(x, axis: int, before: int, after: int) -> Tensor:
     x = _as_tensor(x)
     length = x.shape[axis]
-    def vjp(g):
-        return (slice_axis(g, axis, before, length),)
-    return _from_op(_zero_pad(x.data, axis, before, after), (x,), vjp, "pad")
+    return _from_op(_zero_pad(x.data, axis, before, after), "pad",
+                    (x, lambda g: slice_axis(g, axis, before, length)))
 
 
 def slice_axis(x, axis: int, start: int, length: int) -> Tensor:
@@ -306,9 +291,8 @@ def slice_axis(x, axis: int, start: int, length: int) -> Tensor:
     if start < 0 or start + length > total:
         raise ValueError(f"slice [{start}:{start + length}] out of range for axis size {total}")
     sl = tuple(slice(start, start + length) if i == axis else slice(None) for i in range(x.ndim))
-    def vjp(g):
-        return (pad_axis(g, axis, start, total - start - length),)
-    return _from_op(x.data[sl].copy(), (x,), vjp, "slice")
+    return _from_op(x.data[sl].copy(), "slice",
+                    (x, lambda g: pad_axis(g, axis, start, total - start - length)))
 
 
 def slice_time(x, start: int, length: int) -> Tensor:
@@ -327,9 +311,8 @@ def concat_channels(x, y) -> Tensor:
     if x.shape[0] != y.shape[0] or x.shape[2] != y.shape[2]:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape} (batch/length must agree)")
     cx, cy = x.shape[1], y.shape[1]
-    def vjp(g):
-        return slice_channels(g, 0, cx), slice_channels(g, cx, cy)
-    return _from_op(np.concatenate([x.data, y.data], axis=1), (x, y), vjp, "concat")
+    return _from_op(np.concatenate([x.data, y.data], axis=1), "concat",
+                    (x, lambda g: slice_channels(g, 0, cx)), (y, lambda g: slice_channels(g, cx, cy)))
 
 
 def take_time(x, idx: np.ndarray) -> Tensor:
@@ -341,9 +324,8 @@ def take_time(x, idx: np.ndarray) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[2]):
         raise ValueError("time indices out of range")
     length = x.shape[2]
-    def vjp(g):
-        return (_put_time(g, idx, length),)
-    return _from_op(np.take_along_axis(x.data, idx[:, None, :], axis=2), (x,), vjp, "take_time")
+    return _from_op(np.take_along_axis(x.data, idx[:, None, :], axis=2), "take_time",
+                    (x, lambda g: _put_time(g, idx, length)))
 
 
 def _put_time(g, idx: np.ndarray, length: int) -> Tensor:
@@ -355,9 +337,7 @@ def _put_time(g, idx: np.ndarray, length: int) -> Tensor:
         (np.arange(b)[:, None, None], np.arange(c)[None, :, None], idx[:, None, :]),
         g.data,
     )
-    def vjp(gg):
-        return (take_time(gg, idx),)
-    return _from_op(out, (g,), vjp, "put_time")
+    return _from_op(out, "put_time", (g, lambda gg: take_time(gg, idx)))
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +348,10 @@ def _put_time(g, idx: np.ndarray, length: int) -> Tensor:
 # the tape keeps no padded copy, pre-bias output or (b, c, W, k) window. The
 # conv and its two gradients are three bilinear tape ops, all taking ``left``,
 # whose VJPs are built from each other, so gradients of any order (the
-# critic's double backward) stay on the tape:
-#   _conv(x, w, b) -> y      VJP: (_conv_t(g, w), _corr(x, g), sum_axes(g))
-#   _conv_t(g, w)  -> x-grad VJP: (_conv(h, w), _corr(h, g))
-#   _corr(x, g)    -> w-grad VJP: (_conv_t(g, h), _conv(x, h))
+# critic's double backward) stay on the tape. The VJPs, parent by parent:
+#   _conv(x, w, b) -> y      x: _conv_t(g, w)  w: _corr(x, g)  b: sum_axes(g)
+#   _conv_t(g, w)  -> x-grad g: _conv(h, w)    w: _corr(h, g)
+#   _corr(x, g)    -> w-grad x: _conv_t(g, h)  g: _conv(x, h)
 # ---------------------------------------------------------------------------
 
 # bytes of one batch chunk in _tap_sum: small enough for the per-tap product
@@ -430,12 +410,12 @@ def _conv(x, w, b, stride: int, width: int, left: int) -> Tensor:
     k, length = w.shape[2], x.shape[2]
     xp = _padded(x.data, stride, k, width, left)
     out = _tap_sum(_tap_major(w.data, (2, 0, 1)), _taps(xp, stride, k, width))
+    edges = [(x, lambda g: _conv_t(g, w, stride, length, left)),
+             (w, lambda g: _corr(x, g, stride, k, left))]
     if b is not None:
         out += b.data[:, None]
-    def vjp(g):
-        grads = _conv_t(g, w, stride, length, left), _corr(x, g, stride, k, left)
-        return grads if b is None else (*grads, sum_axes(g, (0, 2)))
-    return _from_op(out, (x, w) if b is None else (x, w, b), vjp, "conv")
+        edges.append((b, lambda g: sum_axes(g, (0, 2))))
+    return _from_op(out, "conv", *edges)
 
 
 def _shift_sum(g: np.ndarray, wt: np.ndarray, length: int) -> np.ndarray:
@@ -468,9 +448,8 @@ def _conv_t(g, w, stride: int, length: int, left: int) -> Tensor:
         phase = _shift_sum(g.data, wt[r::stride], len(range(r, padded, stride)))
         start = (first + left) // stride
         out[:, :, first::stride] = phase[:, :, start : start + len(range(first, length, stride))]
-    def vjp(h):
-        return _conv(h, w, None, stride, width, left), _corr(h, g, stride, k, left)
-    return _from_op(out, (g, w), vjp, "conv_t")
+    return _from_op(out, "conv_t", (g, lambda h: _conv(h, w, None, stride, width, left)),
+                    (w, lambda h: _corr(h, g, stride, k, left)))
 
 
 def _corr(x, g, stride: int, k: int, left: int) -> Tensor:
@@ -480,17 +459,16 @@ def _corr(x, g, stride: int, k: int, left: int) -> Tensor:
     out = np.empty((g.shape[1], x.shape[1], k), dtype=np.result_type(x.data, g.data))
     for j, t in enumerate(_taps(_padded(x.data, stride, k, width, left), stride, k, width)):
         np.matmul(g.data, t.transpose(0, 2, 1)).sum(axis=0, out=out[:, :, j])
-    def vjp(h):
-        return _conv_t(g, h, stride, length, left), _conv(x, h, None, stride, width, left)
-    return _from_op(out, (x, g), vjp, "corr")
+    return _from_op(out, "corr", (x, lambda h: _conv_t(g, h, stride, length, left)),
+                    (g, lambda h: _conv(x, h, None, stride, width, left)))
 
 
 def _matmul(a, b) -> Tensor:
     """2-D matrix product a @ b."""
     a, b = _as_tensor(a), _as_tensor(b)
-    def vjp(g):
-        return _matmul(g, transpose(b, (1, 0))), _matmul(transpose(a, (1, 0)), g)
-    return _from_op(np.matmul(a.data, b.data), (a, b), vjp, "matmul")
+    return _from_op(np.matmul(a.data, b.data), "matmul",
+                    (a, lambda g: _matmul(g, transpose(b, (1, 0)))),
+                    (b, lambda g: _matmul(transpose(a, (1, 0)), g)))
 
 
 def conv1d(x, weight, bias=None, stride: int = 1, padding: str = "same") -> Tensor:
@@ -623,49 +601,57 @@ def _toposort(root: Tensor) -> list[Tensor]:
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if p.requires_grad and id(p) not in visited:
+            if id(p) not in visited:
                 stack.append((p, False))
     return order  # dependencies before dependents
 
 
-def _leaf_grads(root: Tensor) -> dict[int, tuple[Tensor, Tensor]]:
-    """Gradients of scalar ``root``: {id: (leaf, grad)} for every leaf it reaches.
+def _leaf_grads(root: Tensor, leaves) -> list[Tensor | None]:
+    """Gradients of scalar ``root`` w.r.t. ``leaves``, aligned with them;
+    None for a leaf that ``root`` does not reach.
 
-    The VJPs record on the tape exactly when recording is on. A repeated
-    gradient is summed by a fresh ``add``, never in place: VJP outputs alias
-    each other (``add`` hands one tensor to both parents, ``reshape`` a view).
+    The walk visits only live nodes, those with a path to a requested leaf,
+    and runs only the VJPs toward live parents. Every child of a live node is
+    live, so a live node sums the same contributions, in the same order, as a
+    walk over the whole graph. The VJPs record on the tape exactly when
+    recording is on. A repeated gradient is summed by a fresh ``add``, never
+    in place: VJP outputs alias each other (``add`` hands one tensor to both
+    parents, ``reshape`` a view).
     """
+    order = _toposort(root)
+    live = {id(leaf) for leaf in leaves}
+    for node in order:
+        if any(id(p) in live for p in node._parents):
+            live.add(id(node))
     grads: dict[int, Tensor] = {id(root): Tensor(np.ones_like(root.data))}
-    leaves: dict[int, tuple[Tensor, Tensor]] = {}
-    for node in reversed(_toposort(root)):
-        g = grads.pop(id(node))
-        if node._vjp is None:
-            leaves[id(node)] = (node, g)
+    for node in reversed(order):
+        if not node._parents or id(node) not in live:
             continue
-        for p, pg in zip(node._parents, node._vjp(g)):
-            if p.requires_grad:
+        g = grads.pop(id(node))
+        for p, vjp in zip(node._parents, node._vjps):
+            if id(p) in live:
+                pg = vjp(g)
                 prev = grads.get(id(p))
                 grads[id(p)] = pg if prev is None else add(prev, pg)
-    return leaves
+    return [grads.get(id(leaf)) for leaf in leaves]
 
 
-def backward(loss: Tensor, params=None) -> None:
-    """Accumulate gradients of a scalar loss into ``.grad`` of reachable leaves.
+def backward(loss: Tensor, params) -> None:
+    """Accumulate gradients of a scalar loss into ``.grad`` of each of ``params``.
 
-    Runs without recording, so each ``.grad`` is a detached tensor. When
-    ``params`` is given, any parameter the graph does not touch gets an
-    explicit zero gradient.
+    Runs without recording, so each ``.grad`` is a detached tensor. A
+    parameter the loss does not reach gets an explicit zero gradient; no
+    other leaf's ``.grad`` is touched.
     """
     loss = _as_tensor(loss)
     if loss.size != 1:
         raise GraphError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if loss.requires_grad:
-        with no_grad():
-            for leaf, g in _leaf_grads(loss).values():
-                leaf.grad = g if leaf.grad is None else add(leaf.grad, g)
-    if params is not None:
-        for p in params:
-            if p.grad is None:
+    params = list(params)
+    with no_grad():
+        for p, g in zip(params, _leaf_grads(loss, params)):
+            if g is not None:
+                p.grad = g if p.grad is None else add(p.grad, g)
+            elif p.grad is None:
                 p.grad = Tensor(np.zeros_like(p.data))
 
 
@@ -681,14 +667,14 @@ def input_gradient(output: Tensor, x: Tensor) -> Tensor:
         raise GraphError(f"input_gradient needs a scalar output, got shape {output.shape}")
     if not isinstance(x, Tensor) or not x.requires_grad:
         raise GraphError("input tensor must have requires_grad=True")
-    if x._vjp is not None:
+    if x._parents:
         raise GraphError(f"input tensor must be a leaf, got the output of {x._op!r}")
     if not output.requires_grad:
         raise GraphError("output does not depend on any differentiable tensor")
-    hit = _leaf_grads(output).get(id(x))
-    if hit is None:
+    (g,) = _leaf_grads(output, [x])
+    if g is None:
         raise GraphError("tensor does not participate in the output's graph")
-    return hit[1]
+    return g
 
 
 # ---------------------------------------------------------------------------

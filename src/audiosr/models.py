@@ -2,6 +2,7 @@
 and the scoring critic, plus inference, parameter accounting and checkpoint I/O."""
 from __future__ import annotations
 
+import copy
 import math
 import struct
 from dataclasses import dataclass, fields
@@ -342,7 +343,11 @@ def count_parameters(m: Model) -> int:
 # inference
 # ---------------------------------------------------------------------------
 
-class ScaleMismatchError(ValueError):
+class ConfigConflictError(ValueError):
+    """A requested setting contradicts the model it is applied to."""
+
+
+class ScaleMismatchError(ConfigConflictError):
     """An upsampling model was asked for a scale it was not built for."""
 
 
@@ -357,7 +362,7 @@ def upsampling_mode(m: Model, scale: int, mode: str | None = None) -> str:
     if own is None:
         raise ValueError(f"a {kind!r} model does not upsample audio")
     if mode not in (None, own):
-        raise ValueError(f"a {kind!r} model runs in {own!r} mode, got mode {mode!r}")
+        raise ConfigConflictError(f"a {kind!r} model runs in {own!r} mode, got mode {mode!r}")
     if m.scale != scale:
         raise ScaleMismatchError(f"model upsamples by {m.scale}, but scale {scale} was requested")
     return own
@@ -490,14 +495,15 @@ class Checkpoint:
     def from_model(cls, m: Model, seed: int | None = None) -> "Checkpoint":
         params = {name: p.data.copy() for name, p in m.params.items()}
         seed = m.init_seed if seed is None else seed
-        return cls(m.kind, m.config, params, str(m.dtype), seed, m.train_step, m.adam_state)
+        adam = copy.deepcopy(m.adam_state)
+        return cls(m.kind, m.config, params, str(m.dtype), seed, m.train_step, adam)
 
     def build_model(self) -> Model:
         model_cls = KINDS[self.kind][1]
         m = model_cls(self.config, dtype=self.dtype, init_seed=self.seed)
         load_params(m, self.params)
         m.train_step = self.step
-        m.adam_state = self.adam
+        m.adam_state = copy.deepcopy(self.adam)
         return m
 
     def save(self, path) -> None:

@@ -14,7 +14,8 @@ from . import dsp
 from .data import write_atomic
 from .diffgraph import AdamState, Tensor
 from .dsp import Signal
-from .models import Checkpoint, Model, load_checkpoint, load_params, model_input, upsampling_mode
+from .models import (Checkpoint, ConfigConflictError, Model, load_checkpoint, load_params,
+                     model_input, upsampling_mode)
 
 
 class NumericError(RuntimeError):
@@ -157,7 +158,7 @@ def _validate_run(model: Model, corpus: list[Signal], cfg: TrainConfig) -> None:
         dsp.check_rate(sig.sample_rate, cfg.scale)
     need = model.length_divisor * cfg.scale
     if cfg.patch_length % need != 0:
-        raise ValueError(
+        raise ConfigConflictError(
             f"patch_length must be divisible by {need} (the model's length divisor "
             f"times the scale), got {cfg.patch_length}"
         )
@@ -336,7 +337,6 @@ def train_wgan_gp(
         patches = sampler.batch(base.batch_size)
         inp, tgt = _batch_arrays(patches, generator, base.scale)
         generator.zero_grad()
-        critic.zero_grad()
         fake = generator.forward(Tensor(inp), training=True, rng=gen_rng)
         s_fake = critic.forward(fake, training=True, rng=critic_rng)
         loss_g = dg.neg(dg.mean_all(s_fake))

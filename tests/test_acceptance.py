@@ -343,6 +343,7 @@ def test_criterion_6_zero_input_periodicity():
 
 # -- 7: toy training beats the spline --------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_7_toy_training_beats_spline(toy_runs):
     spline, trained, _, _ = toy_runs
     snr_margin = trained.snr_mean - spline.snr_mean
@@ -363,6 +364,7 @@ def test_criterion_7_toy_training_beats_spline(toy_runs):
 
 # -- 8: WGAN-GP smoke stability ----------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_8_wgan_gp_smoke():
     corpus = data.synth_signals(
         data.SynthSpec(count=16, length=2048, sample_rate=12000), 33
@@ -399,6 +401,7 @@ def test_criterion_8_wgan_gp_smoke():
 
 # -- 9: determinism -----------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_9_determinism(toy_runs):
     _, _, log_a, log_b = toy_runs
     identical = log_a.trajectory() == log_b.trajectory()

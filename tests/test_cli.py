@@ -161,6 +161,17 @@ class TestEvalCommand:
         assert run("eval", "--checkpoint", str(tiny_ckpt), "--scale", "4", "--out", str(out)) == 1
         assert not out.exists()
 
+    def test_stale_manifest_count_is_data_error(self, tmp_path, capsys):
+        wav = tmp_path / "p0" / "a.wav"
+        wav.parent.mkdir()
+        write_tone(wav, n=4096, rate=24000)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"test\tp0\t{wav}\t500\n")
+        out = tmp_path / "e"
+        assert run("eval", "--spline", "--scale", "2", "--manifest", str(manifest), "--out", str(out)) == 2
+        assert f"{wav}: 4096 samples, but the manifest says 500" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mode_flag_is_gone(self, tmp_path, tiny_ckpt):
         code = run(
             "eval", "--checkpoint", str(tiny_ckpt), "--scale", "2", "--mode", "post",
@@ -280,8 +291,9 @@ class TestPrepareAndTrain:
 
     @pytest.mark.parametrize(
         "line, bad, code",
-        [("steps = 1", "steps = 1\nscale = 4", 1), ("patch_length = 256", "patch_length = 4096", 2)],
-        ids=["scale-mismatch", "corpus-too-short"],
+        [("steps = 1", "steps = 1\nscale = 4", 1), ("patch_length = 256", "patch_length = 4096", 2),
+         ("patch_length = 256", "patch_length = 255", 1), ("steps = 1", "steps = 1\nmode = pre", 1)],
+        ids=["scale-mismatch", "corpus-too-short", "patch-length-conflict", "mode-conflict"],
     )
     def test_failed_train_leaves_no_out_dir(self, tmp_path, line, bad, code):
         cfgfile = tmp_path / "run.cfg"

@@ -334,6 +334,7 @@ class TestManifestErrors:
         ("0.8,0.1,0.1", "0.8,0.2"),
         ("train\tp225\tp225/p225_000", "trian\tp225\tp225/p225_000"),
         ("val\tp226\tp226/p226_000.wav\t220", "val\tp226\tp226/p226_000.wav"),
+        ("\t200", "\t-5"),
     ])
     def test_malformed_content_raises_corpus_error(self, tmp_path, old, new):
         raw = _MANIFEST.decode().replace(old, new, 1).encode()

@@ -157,23 +157,23 @@ def test_shuffle_bijection_property(b, c, r, length):
 class TestBackward:
     def test_mean_gradient(self):
         x = Tensor(np.arange(12, dtype=float).reshape(3, 4), requires_grad=True)
-        dg.backward(dg.mean_all(x))
+        dg.backward(dg.mean_all(x), [x])
         assert np.allclose(x.grad.data, 1.0 / 12)
 
     def test_relu_subgradient_zero_at_origin(self):
         x = Tensor(np.array([-1.0, 0.0, 2.0]), requires_grad=True)
-        dg.backward(dg.sum_all(dg.relu(x)))
+        dg.backward(dg.sum_all(dg.relu(x)), [x])
         assert np.array_equal(x.grad.data, [0.0, 0.0, 1.0])
 
     def test_leaky_relu_slope_at_origin(self):
         x = Tensor(np.array([-1.0, 0.0, 2.0]), requires_grad=True)
-        dg.backward(dg.sum_all(dg.leaky_relu(x, 0.3)))
+        dg.backward(dg.sum_all(dg.leaky_relu(x, 0.3)), [x])
         assert np.allclose(x.grad.data, [0.3, 0.3, 1.0])
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.zeros((2, 2)), requires_grad=True)
         with pytest.raises(GraphError):
-            dg.backward(dg.add(x, x))
+            dg.backward(dg.add(x, x), [x])
 
     def test_unused_parameters_get_zero_grads(self):
         used = Parameter("used", np.ones(3))
@@ -182,10 +182,22 @@ class TestBackward:
         assert np.array_equal(unused.grad.data, np.zeros(3))
         assert np.array_equal(used.grad.data, np.ones(3))
 
+    def test_only_listed_leaves_get_grads(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        w = Parameter("w", np.ones(3))
+        dg.backward(dg.sum_all(dg.mul(x, w)), [w])
+        assert x.grad is None
+        assert np.array_equal(w.grad.data, x.data)
+
+    def test_constant_operands_are_not_recorded(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        assert dg.mul(x, 2.0)._parents == (x,)
+        assert dg.mul(Tensor(np.ones(3)), x)._parents == (x,)
+
     def test_grad_accumulates_across_uses(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
         y = dg.add(dg.mul(x, x), dg.mul(3.0, x))  # x^2 + 3x
-        dg.backward(dg.sum_all(y))
+        dg.backward(dg.sum_all(y), [x])
         assert np.allclose(x.grad.data, [7.0])
 
     def test_no_nan_gradients_on_finite_graph(self):
@@ -416,7 +428,7 @@ class TestConvAgainstDirectSum:
         y = dg.conv1d(x, w, stride=stride, padding=padding)
         assert_close_rel(y.data, want)
         proj = rng.normal(size=want.shape)
-        dg.backward(dg.sum_all(dg.mul(y, Tensor(proj))), [w])
+        dg.backward(dg.sum_all(dg.mul(y, Tensor(proj))), [x, w])
         want_dx, want_dw = grads(proj)
         assert_close_rel(x.grad.data, want_dx)
         assert_close_rel(w.grad.data, want_dw)
@@ -431,7 +443,7 @@ class TestConvAgainstDirectSum:
         assert y.dtype == np.float32
         g = dg.input_gradient(dg.sum_all(dg.mul(y, y)), x)
         assert g.dtype == np.float32
-        dg.backward(dg.sum_all(dg.mul(g, g)), [w, b])
+        dg.backward(dg.sum_all(dg.mul(g, g)), [x, w, b])
         assert {t.grad.dtype for t in (x, w, b)} == {np.dtype(np.float32)}
 
     @pytest.mark.parametrize("left", [0, 1, 2])
@@ -475,7 +487,7 @@ class TestInputGradientAndDoubleBackward:
         g = dg.input_gradient(dg.sum_all(dg.mul(y, y)), x)
         assert g.dtype == np.float32
         assert np.array_equal(g.data, 2 * x.data)
-        dg.backward(dg.sum_all(dg.mul(y, y)))
+        dg.backward(dg.sum_all(dg.mul(y, y)), [x])
         assert x.grad.dtype == np.float32
 
     def test_linear_graph_input_gradient_exact(self):
@@ -556,7 +568,7 @@ class TestInputGradientAndDoubleBackward:
         w = Parameter("w", np.array([1.0, 2.0, -3.0]))
         y = dg.add(dg.mul(x, w), dg.mul(x, x))  # x reaches the loss twice
         for _ in range(2):  # the second call accumulates into existing .grad
-            dg.backward(dg.sum_all(dg.relu(y)), [w])
+            dg.backward(dg.sum_all(dg.relu(y)), [x, w])
         for t in (x, w):
             assert not t.grad.requires_grad and t.grad._parents == ()
         assert np.array_equal(x.grad.data, 2 * np.where(y.data > 0, w.data + 2 * x.data, 0.0))

@@ -415,6 +415,26 @@ class TestCheckpoint:
         x = Tensor(np.random.default_rng(5).normal(size=(2, 1, 100)))
         assert np.array_equal(m.forward(x).data, m2.forward(x).data)
 
+    def test_snapshot_owns_its_adam_state(self):
+        m = models.build_critic(TINY_CRITIC, seed=9)
+        m.adam_state = dg.AdamState()
+        params = m.parameters()
+
+        def step():
+            for p in params:
+                p.grad = Tensor(np.ones_like(p.data))
+            dg.adam_step(params, m.adam_state)
+
+        step()
+        ckpt = Checkpoint.from_model(m)
+        first = {name: a.copy() for name, a in ckpt.adam.m.items()}
+        step()
+        assert ckpt.adam.t == 1
+        assert all(np.array_equal(ckpt.adam.m[name], a) for name, a in first.items())
+        a, b = ckpt.build_model(), ckpt.build_model()
+        name = params[0].name
+        assert len({id(s.m[name]) for s in (ckpt.adam, a.adam_state, b.adam_state)}) == 3
+
     def test_single_precision_recorded_and_roundtripped(self, tmp_path):
         m = models.build_edsr(TINY_EDSR, dtype="float32", seed=9)
         assert all(p.data.dtype == np.float32 for p in m.parameters())

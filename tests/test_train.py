@@ -219,6 +219,16 @@ class TestGradientPenalty:
         assert penalty_at(1.0) < penalty_at(0.5)
         assert penalty_at(1.0) < penalty_at(2.0)
 
+    def test_input_gradient_builds_no_critic_weight_gradient(self, monkeypatch):
+        # only xhat's gradient is asked for, so no conv weight gradient runs
+        critic = models.build_critic(TINY_CRITIC, seed=0)
+        xhat = Tensor(np.random.default_rng(3).normal(size=(2, 1, 64)), requires_grad=True)
+        score = dg.sum_all(critic.forward(xhat))
+        calls, corr = [], dg._corr
+        monkeypatch.setattr(dg, "_corr", lambda *a: calls.append(a) or corr(*a))
+        assert dg.input_gradient(score, xhat).shape == xhat.shape
+        assert calls == []
+
     def test_shape_mismatch_rejected(self):
         critic = models.build_critic(TINY_CRITIC, seed=0)
         with pytest.raises(ValueError):
