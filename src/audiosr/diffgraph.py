@@ -12,9 +12,11 @@ only, and ``input_gradient`` returns one leaf's gradient, recorded on the
 tape unless recording is off.
 
 A convolution, with its padding and bias, is one tape node: a k-tap sum of
-matmuls over shifted views of its input. It is one of three tape ops, the
-conv, its transposed conv (input gradient) and a correlation (weight
-gradient), whose VJPs are built from each other.
+matmuls over shifted views of its input or, when at most ``_NARROW`` (8)
+channels feed each tap, one matmul over a window that stacks those views per
+batch chunk. It is one of three tape ops, the conv, its transposed conv
+(input gradient) and a correlation (weight gradient), whose VJPs are built
+from each other.
 """
 from __future__ import annotations
 
@@ -341,22 +343,33 @@ def _put_time(g, idx: np.ndarray, length: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# convolution as k-tap matmul accumulation
+# convolution as k-tap matmul accumulation or one stacked GEMM
 #
 # A conv is a sum over its k taps of matmuls on shifted views of its input,
 # zero-padded by ``left`` samples inside the op, plus its bias added in place;
-# the tape keeps no padded copy, pre-bias output or (b, c, W, k) window. The
-# conv and its two gradients are three bilinear tape ops, all taking ``left``,
-# whose VJPs are built from each other, so gradients of any order (the
-# critic's double backward) stay on the tape. The VJPs, parent by parent:
+# the tape keeps no padded copy, pre-bias output or window. When the per-tap
+# inner dimension K (c_in of a conv or correlation, c_out of a transposed
+# conv) is at most _NARROW, the k taps are stacked into one (n, k*K, W)
+# window per batch chunk, a transient, and one GEMM multiplies it: k rank-K
+# matmuls leave BLAS far below its rate (0.3 GFLOP/s for a one-channel 65-tap
+# conv). The limit is the measured crossover on one core: at K = 8 the window
+# wins for the conv and the transposed conv at batch x samples 32 x 256,
+# 4 x 128 and 1 x 8000, and the correlation loses 14-28% at 32 x 256 only;
+# at K = 12 it loses 60-70% there.
+# The conv and its two gradients are three bilinear tape ops, all taking
+# ``left``, whose VJPs are built from each other, so gradients of any order
+# (the critic's double backward) stay on the tape. The VJPs, parent by parent:
 #   _conv(x, w, b) -> y      x: _conv_t(g, w)  w: _corr(x, g)  b: sum_axes(g)
 #   _conv_t(g, w)  -> x-grad g: _conv(h, w)    w: _corr(h, g)
 #   _corr(x, g)    -> w-grad x: _conv_t(g, h)  g: _conv(x, h)
 # ---------------------------------------------------------------------------
 
 # bytes of one batch chunk in _tap_sum: small enough for the per-tap product
-# buffer to stay in cache
+# buffer, or a narrow conv's stacked window, to stay in cache
 _CHUNK_BYTES = 1 << 18
+
+# largest per-tap inner dimension that stacks its taps into one GEMM
+_NARROW = 8
 
 
 def _padded(x: np.ndarray, stride: int, k: int, width: int, left: int) -> np.ndarray:
@@ -382,18 +395,45 @@ def _tap_major(w: np.ndarray, axes) -> np.ndarray:
     return np.ascontiguousarray(w.transpose(axes))
 
 
-def _tap_sum(mats, views) -> np.ndarray:
-    """sum_j mats[j] @ views[j] for (b, rows, cols) views, accumulated in place.
-
-    Runs over batch chunks so that the per-tap product lands in a small,
-    cache-resident temporary instead of a fresh output-sized array.
+def _windows(x: np.ndarray, stride: int, k: int, width: int, dtype):
+    """Yield ``(items, window)`` per batch chunk of x: the (n, k*c, width)
+    window holds x[items, i, j + stride*t] at [:, j*c + i, t]. A chunk is one
+    strided copy into a reused buffer of at most ``_CHUNK_BYTES``, or one item.
     """
-    b, cols = views[0].shape[0], views[0].shape[2]
-    rows = mats[0].shape[0]
-    dtype = np.result_type(mats[0], views[0])
-    out = np.empty((b, rows, cols), dtype)
-    step = max(1, _CHUNK_BYTES // max(1, rows * cols * dtype.itemsize))
-    tmp = np.empty((min(step, b), rows, cols), dtype)
+    b, c, length = x.shape
+    if length < stride * (width - 1) + k:  # as_strided reads unchecked memory
+        raise ValueError(f"{width} outputs of {k} taps at stride {stride} need more than {length} samples")
+    sb, sc, st = x.strides
+    taps = np.lib.stride_tricks.as_strided(x, (b, k, c, width), (sb, st, sc, stride * st), writeable=False)
+    step = max(1, _CHUNK_BYTES // max(1, k * c * width * dtype.itemsize))
+    buf = np.empty((min(step, b), k, c, width), dtype)
+    for s in range(0, b, step):
+        win = buf[: min(step, b - s)]
+        win[...] = taps[s : s + step]
+        yield slice(s, s + step), win.reshape(len(win), k * c, width)
+
+
+def _tap_sum(mats, x: np.ndarray, stride: int, width: int) -> np.ndarray:
+    """sum_j mats[j] @ x[:, :, j : j + stride*(width-1)+1 : stride] over the
+    k (rows, K) mats, for a (b, K, L) x long enough for ``width`` outputs.
+
+    A narrow sum (K <= _NARROW) is one GEMM per batch chunk of the stacked
+    mats against the stacked window. A wide one accumulates the per-tap
+    products in place, over batch chunks so that each product lands in a
+    small, cache-resident temporary instead of a fresh output-sized array.
+    """
+    k, rows, inner = mats.shape
+    b = len(x)
+    dtype = np.result_type(mats, x)
+    out = np.empty((b, rows, width), dtype)
+    if inner <= _NARROW:
+        flat = mats.transpose(1, 0, 2).reshape(rows, k * inner)
+        for s, win in _windows(x, stride, k, width, dtype):
+            np.matmul(flat, win, out=out[s])
+        return out
+    views = _taps(x, stride, k, width)
+    step = max(1, _CHUNK_BYTES // max(1, rows * width * dtype.itemsize))
+    tmp = np.empty((min(step, b), rows, width), dtype)
     for s in range(0, b, step):
         o = out[s : s + step]
         np.matmul(mats[0], views[0][s : s + step], out=o)
@@ -409,7 +449,7 @@ def _conv(x, w, b, stride: int, width: int, left: int) -> Tensor:
     x, w = _as_tensor(x), _as_tensor(w)
     k, length = w.shape[2], x.shape[2]
     xp = _padded(x.data, stride, k, width, left)
-    out = _tap_sum(_tap_major(w.data, (2, 0, 1)), _taps(xp, stride, k, width))
+    out = _tap_sum(_tap_major(w.data, (2, 0, 1)), xp, stride, width)
     edges = [(x, lambda g: _conv_t(g, w, stride, length, left)),
              (w, lambda g: _corr(x, g, stride, k, left))]
     if b is not None:
@@ -426,7 +466,7 @@ def _shift_sum(g: np.ndarray, wt: np.ndarray, length: int) -> np.ndarray:
     """
     n, width = len(wt), g.shape[2]
     gp = _zero_pad(g, 2, n - 1, length - width)
-    return _tap_sum(wt[::-1], [gp[:, :, q : q + length] for q in range(n)])
+    return _tap_sum(wt[::-1], gp, 1, length)
 
 
 def _conv_t(g, w, stride: int, length: int, left: int) -> Tensor:
@@ -456,9 +496,18 @@ def _corr(x, g, stride: int, k: int, left: int) -> Tensor:
     """Weight gradient: dw[o, c, j] = sum_{b,t} g[b, o, t] xp[b, c, j + stride*t]."""
     x, g = _as_tensor(x), _as_tensor(g)
     width, length = g.shape[2], x.shape[2]
-    out = np.empty((g.shape[1], x.shape[1], k), dtype=np.result_type(x.data, g.data))
-    for j, t in enumerate(_taps(_padded(x.data, stride, k, width, left), stride, k, width)):
-        np.matmul(g.data, t.transpose(0, 2, 1)).sum(axis=0, out=out[:, :, j])
+    c_out, c_in = g.shape[1], x.shape[1]
+    dtype = np.result_type(x.data, g.data)
+    xp = _padded(x.data, stride, k, width, left)
+    if c_in <= _NARROW:
+        flat = np.zeros((c_out, k * c_in), dtype)
+        for s, win in _windows(xp, stride, k, width, dtype):
+            flat += np.matmul(g.data[s], win.transpose(0, 2, 1)).sum(axis=0)
+        out = np.ascontiguousarray(flat.reshape(c_out, k, c_in).transpose(0, 2, 1))
+    else:
+        out = np.empty((c_out, c_in, k), dtype)
+        for j, t in enumerate(_taps(xp, stride, k, width)):
+            np.matmul(g.data, t.transpose(0, 2, 1)).sum(axis=0, out=out[:, :, j])
     return _from_op(out, "corr", (x, lambda h: _conv_t(g, h, stride, length, left)),
                     (g, lambda h: _conv(x, h, None, stride, width, left)))
 

@@ -2,6 +2,7 @@
 PASS/FAIL line. The training-based criteria share a module-scoped fixture so
 the determinism check can compare two complete runs."""
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -41,11 +42,19 @@ def run_toy_training():
     return model, log
 
 
+def run_toy_training_log():
+    return run_toy_training()[1]
+
+
 @pytest.fixture(scope="module")
 def toy_runs():
+    # the second run trains in a fresh spawned process while this one trains
+    # the first, so criterion 9 also checks determinism across processes
     held = data.synth_signals(data.SynthSpec(count=24, **TOY_SPEC), 202)
-    model_a, log_a = run_toy_training()
-    model_b, log_b = run_toy_training()
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        second = pool.apply_async(run_toy_training_log)
+        model_a, log_a = run_toy_training()
+        log_b = second.get()
     spline = metrics.evaluate_model(None, held, 2, "pre")
     trained = metrics.evaluate_model(model_a, held, 2, "post")
     return spline, trained, log_a, log_b

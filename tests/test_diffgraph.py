@@ -388,13 +388,18 @@ def assert_close_rel(got, want, rtol=1e-12):
     assert float(np.max(np.abs(got - want), initial=0.0)) <= rtol * scale
 
 
+NARROW = dg._NARROW
+
+
 @st.composite
 def conv_cases(draw):
     padding = draw(st.sampled_from(["same", "valid"]))
     k = draw(st.integers(1, 9).filter(lambda k: k % 2 == 1 or padding == "valid"))
     stride = draw(st.integers(1, 3))
     length = draw(st.integers(k if padding == "valid" else 1, k + 10))
-    b, c_in, c_out = (draw(st.integers(1, 3)) for _ in range(3))
+    b = draw(st.integers(1, 3))
+    # channels on both sides of the narrow-conv limit, so both strategies run
+    c_in, c_out = (draw(st.integers(1, 3) | st.integers(NARROW, NARROW + 2)) for _ in range(2))
     return b, c_in, c_out, k, stride, padding, length
 
 
@@ -407,14 +412,40 @@ class TestConvAgainstDirectSum:
     @example(case=(1, 2, 3, 4, 3, "valid", 4), seed=1)  # even k, L == k
     @example(case=(2, 1, 2, 5, 2, "same", 5), seed=2)  # L == k, stride does not divide L
     @example(case=(3, 2, 1, 7, 3, "same", 11), seed=3)  # stride does not divide L
+    @example(case=(2, NARROW + 1, NARROW + 2, 5, 2, "same", 11), seed=4)  # wide both ways
+    @example(case=(2, 1, NARROW + 1, 9, 1, "same", 12), seed=5)  # narrow conv, wide transposed conv
+    @example(case=(2, NARROW + 1, 1, 9, 3, "valid", 14), seed=6)  # wide conv, narrow transposed conv
     def test_forward_and_gradients(self, case, seed):
         self.check(case, seed)
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_one_batch_item_per_chunk(self, monkeypatch, stride):
+    @pytest.mark.parametrize("stride, channels", [
+        pytest.param(stride, channels, id=tag + str(stride))
+        for tag, channels in (("", (2, 3)), ("wide-", (NARROW + 1, NARROW + 2)))
+        for stride in (1, 2)
+    ])
+    def test_one_batch_item_per_chunk(self, monkeypatch, stride, channels):
         # long or wide inputs run _tap_sum one batch item at a time
         monkeypatch.setattr(dg, "_CHUNK_BYTES", 1)
-        self.check((3, 2, 3, 5, stride, "same", 13), seed=5)
+        self.check((3, *channels, 5, stride, "same", 13), seed=5)
+
+    @pytest.mark.parametrize("op", ["conv", "conv_t", "corr"])
+    def test_narrow_conv_is_one_gemm_per_batch_chunk(self, monkeypatch, op):
+        # one channel per tap: the 17 taps stack into one matmul per batch item
+        monkeypatch.setattr(dg, "_CHUNK_BYTES", 1)
+        calls = []
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul", lambda *a, **kw: calls.append(a) or matmul(*a, **kw))
+        rng = np.random.default_rng(13)
+        b, k, length = 3, 17, 40
+        one = rng.normal(size=(b, 1, length))
+        if op == "conv":
+            out = dg._conv(one, rng.normal(size=(16, 1, k)), None, 1, length, k // 2)
+        elif op == "conv_t":
+            out = dg._conv_t(one, rng.normal(size=(1, 16, k)), 1, length, k // 2)
+        else:
+            out = dg._corr(one, rng.normal(size=(b, 16, length)), 1, k, k // 2)
+        assert np.all(np.isfinite(out.data))
+        assert len(calls) == b
 
     @staticmethod
     def check(case, seed):
@@ -433,12 +464,17 @@ class TestConvAgainstDirectSum:
         assert_close_rel(x.grad.data, want_dx)
         assert_close_rel(w.grad.data, want_dw)
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_float32_stays_float32(self, stride):
+    @pytest.mark.parametrize("stride, c_out, c_in", [
+        pytest.param(stride, c_out, c_in, id=tag + str(stride))
+        for tag, c_out, c_in in (("", 4, 3), ("c_in1-", 4, 1), ("c_out1-", 1, 3),
+                                 ("wide-", NARROW + 1, NARROW + 1))
+        for stride in (1, 2)
+    ])
+    def test_float32_stays_float32(self, stride, c_out, c_in):
         rng = np.random.default_rng(0)
-        x = Tensor(rng.normal(size=(2, 3, 11)).astype(np.float32), requires_grad=True)
-        w = Parameter("w", rng.normal(size=(4, 3, 5)).astype(np.float32))
-        b = Parameter("b", np.zeros(4, dtype=np.float32))
+        x = Tensor(rng.normal(size=(2, c_in, 11)).astype(np.float32), requires_grad=True)
+        w = Parameter("w", rng.normal(size=(c_out, c_in, 5)).astype(np.float32))
+        b = Parameter("b", np.zeros(c_out, dtype=np.float32))
         y = dg.conv1d(x, w, b, stride=stride)
         assert y.dtype == np.float32
         g = dg.input_gradient(dg.sum_all(dg.mul(y, y)), x)
@@ -447,15 +483,20 @@ class TestConvAgainstDirectSum:
         assert {t.grad.dtype for t in (x, w, b)} == {np.dtype(np.float32)}
 
     @pytest.mark.parametrize("left", [0, 1, 2])
-    @pytest.mark.parametrize("op", ["conv", "conv_bias", "conv_t", "corr"])
-    def test_each_conv_op_vjp_matches_fd(self, op, left):
+    @pytest.mark.parametrize("op, channels", [
+        pytest.param(op, channels, id=op + tag)
+        for tag, channels in (("", (2, 3)), ("-wide", (NARROW + 1, NARROW + 2)))
+        for op in ("conv", "conv_bias", "conv_t", "corr")
+    ])
+    def test_each_conv_op_vjp_matches_fd(self, op, left, channels):
         # the three ops differentiate each other; check each one's VJP directly
         rng = np.random.default_rng(11)
         stride, k, length, width = 2, 3, 9, 4
-        x = rand_param(rng, "x", (2, 2, length))
-        w = rand_param(rng, "w", (3, 2, k))
-        b = rand_param(rng, "b", (3,))
-        g = rand_param(rng, "g", (2, 3, width))
+        c_in, c_out = channels
+        x = rand_param(rng, "x", (2, c_in, length))
+        w = rand_param(rng, "w", (c_out, c_in, k))
+        b = rand_param(rng, "b", (c_out,))
+        g = rand_param(rng, "g", (2, c_out, width))
         if op == "conv":
             build, params = (lambda: dg._conv(x, w, None, stride, width, left)), [x, w]
         elif op == "conv_bias":

@@ -194,13 +194,14 @@ class TestReconstruct:
     pre model on the spline cropped to its length divisor."""
 
     UNET = UnetConfig(depth=2, down_filters=(4, 8), down_kernels=(9, 9), bottleneck_filters=8, scale=2)
-    # sha256 of the float64 output bytes under the k-tap conv; an odd input
-    # loses its last 2 target-rate samples
+    # sha256 of the float64 output bytes; the one-channel first layer runs as
+    # one stacked GEMM, the rest as k-tap sums; an odd input loses its last 2
+    # target-rate samples
     UNET_OUTPUT_SHA256 = {
-        250: (500, "767bfddb19ae736fe27459c930e3237a427182502645cf75829c833be30a485d"),
-        251: (500, "90b10f18473ba7ff27ec5ca5ff3484e98886b1c4e86589371833fa545b5230e6"),
+        250: (500, "dd90da21a7a1a065bcbb04d61eab7e8b20b65b0e8febd124c767a05d9a3264e5"),
+        251: (500, "a30e58fab225adff75c1a828d4afc79e0cbba8f493652c7a222ead47060fb8b6"),
     }
-    # outputs of the former unfold + einsum conv; the k-tap conv sums in
+    # outputs of the former unfold + einsum conv; the current conv sums in
     # another order, so it may differ in the last bits only
     UNET_OUTPUT_EINSUM = Path(__file__).parent / "data" / "unet_reconstruct_einsum.npz"
 
