@@ -2,6 +2,7 @@
 spline upsampling, and STFT power spectrograms."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -110,6 +111,14 @@ def apply_filter(cascade: BiquadCascade, s: Signal) -> Signal:
     return Signal(y, s.sample_rate)
 
 
+@functools.lru_cache(maxsize=16)
+def _antialias(factor: int) -> BiquadCascade:
+    """``decimate``'s lowpass for ``factor``, designed once; the cascade is
+    frozen, and each caller takes its own ``as_sos()`` copy (``sosfilt``
+    rejects a read-only one)."""
+    return design_butterworth_lowpass(8, 1.0 / factor)
+
+
 def decimate(x: np.ndarray, factor: int) -> np.ndarray:
     """Lowpass each row along the last axis with an order-8 Butterworth at the
     new Nyquist, filtered from rest, then keep every ``factor``-th sample from
@@ -119,8 +128,7 @@ def decimate(x: np.ndarray, factor: int) -> np.ndarray:
     factor, n = int(factor), x.shape[-1]
     if n < factor:
         raise ValueError(f"signal of length {n} too short for factor {factor}")
-    sos = design_butterworth_lowpass(8, 1.0 / factor).as_sos()
-    return sosfilt(sos, x, axis=-1)[..., : n // factor * factor : factor].copy()
+    return sosfilt(_antialias(factor).as_sos(), x, axis=-1)[..., : n // factor * factor : factor].copy()
 
 
 def check_rate(sample_rate: int, factor: int) -> None:

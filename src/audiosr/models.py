@@ -586,9 +586,11 @@ class Checkpoint:
                 adam = AdamState(alpha=alpha, beta1=beta1, beta2=beta2, eps=eps, t=t)
             except ValueError as exc:
                 raise CheckpointCorruptError(f"bad optimizer state: {exc}") from exc
-            for name in params:
+            for name, arr in params.items():
                 adam.m[name] = _read_array(buf)
                 adam.v[name] = _read_array(buf)
+                if adam.m[name].shape != arr.shape or adam.v[name].shape != arr.shape:
+                    raise CheckpointCorruptError(f"optimizer moments of {name!r} do not have its shape")
         trailer = _read_exact(buf, len(CHECKPOINT_TRAILER))
         if trailer != CHECKPOINT_TRAILER:
             raise CheckpointCorruptError("missing trailer; file is corrupt")
@@ -628,7 +630,10 @@ def _read_array(buf: BytesIO) -> np.ndarray:
     count = math.prod(dims)  # exact: np.prod would wrap around past 2**63
     payload = _read_exact(buf, count * dtype.itemsize)
     arr = np.frombuffer(payload, dtype=dtype.newbyteorder("<")).astype(dtype)
-    return arr.reshape(dims)
+    try:
+        return arr.reshape(dims)
+    except ValueError as exc:  # a zero dim beside others past numpy's size limit
+        raise CheckpointCorruptError(f"impossible array shape {dims}") from exc
 
 
 def _write_blob(buf: BytesIO, name: str, arr: np.ndarray) -> None:

@@ -9,7 +9,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from audiosr import data
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -60,3 +63,42 @@ def test_reference_eval_scores_match():
     assert [len(g) for g in got] == [len(w) for w in want]
     dev = max(abs(g - w) for gs, ws in zip(got, want) for g, w in zip(gs, ws))
     assert dev <= workloads.EVAL_TOL_DB
+
+
+class _CountingUfunc:
+    """Stands in for a numpy ufunc and counts calls to its ``at`` method."""
+
+    def __init__(self, ufunc, counts, name):
+        self._ufunc, self._counts, self._name = ufunc, counts, name
+
+    def __call__(self, *args, **kwargs):
+        return self._ufunc(*args, **kwargs)
+
+    def __getattr__(self, attr):
+        return getattr(self._ufunc, attr)
+
+    def at(self, *args, **kwargs):
+        self._counts[self._name] += 1
+        return self._ufunc.at(*args, **kwargs)
+
+
+def test_gan_step_avoids_generic_numpy_gathers(monkeypatch):
+    # train_gan's phase shuffle and narrow-conv windows run on take, bincount
+    # and direct ndarray views; the generic entry points cost several times
+    # as much on its few-KB arrays
+    counts = {"np.add.at": 0, "np.take_along_axis": 0, "as_strided": 0}
+
+    def counting(fn, name):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np, "add", _CountingUfunc(np.add, counts, "np.add.at"))
+    monkeypatch.setattr(np, "take_along_axis", counting(np.take_along_axis, "np.take_along_axis"))
+    monkeypatch.setattr(np.lib.stride_tricks, "as_strided",
+                        counting(np.lib.stride_tricks.as_strided, "as_strided"))
+    corpus = data.synth_signals(data.SynthSpec(count=4, **workloads.GAN_CORPUS), 0)
+    log = workloads._gan_run(corpus, 0, 0, 1)
+    assert len(log.trajectory()) == 1
+    assert counts == {"np.add.at": 0, "np.take_along_axis": 0, "as_strided": 0}

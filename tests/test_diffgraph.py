@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from audiosr import diffgraph as dg
+from audiosr import models
 from audiosr.diffgraph import AdamState, GraphError, Parameter, Tensor
 
 
@@ -464,6 +465,15 @@ class TestConvAgainstDirectSum:
         assert_close_rel(x.grad.data, want_dx)
         assert_close_rel(w.grad.data, want_dw)
 
+    @pytest.mark.parametrize("c_in", [1, NARROW + 1], ids=["narrow", "wide"])
+    def test_non_contiguous_input_matches_its_copy(self, c_in):
+        # an unpadded valid conv reads the caller's array itself
+        rng = np.random.default_rng(8)
+        view = rng.normal(size=(3, c_in, 40))[:, :, ::2]
+        w = Parameter("w", rng.normal(size=(2, c_in, 5)))
+        y = dg.conv1d(Tensor(view), w, padding="valid")
+        assert np.array_equal(y.data, dg.conv1d(Tensor(view.copy()), w, padding="valid").data)
+
     @pytest.mark.parametrize("stride, c_out, c_in", [
         pytest.param(stride, c_out, c_in, id=tag + str(stride))
         for tag, c_out, c_in in (("", 4, 3), ("c_in1-", 4, 1), ("c_out1-", 1, 3),
@@ -518,6 +528,94 @@ class TestConvAgainstDirectSum:
         assert y._op == "conv"
         assert len(y._parents) == 3
         assert all(p is q for p, q in zip(y._parents, (x, w, b)))
+
+
+def add_at_scatter(g, idx, length):
+    """Reference scatter-add: out[b, c, idx[b, t]] += g[b, c, t] by np.add.at."""
+    b, c, _ = g.shape
+    out = np.zeros((b, c, length), g.dtype)
+    np.add.at(out, (np.arange(b)[:, None, None], np.arange(c)[None, :, None], idx[:, None, :]), g)
+    return out
+
+
+def put_time(g, idx, length):
+    """take_time's VJP (``_put_time``) applied to g: the gradient of
+    sum(take_time(x, idx) * g) with respect to x."""
+    x = Tensor(np.zeros(g.shape[:2] + (length,), g.dtype), requires_grad=True)
+    return dg.input_gradient(dg.sum_all(dg.mul(dg.take_time(x, idx), Tensor(g))), x).data
+
+
+def shuffle_maps(monkeypatch, b, length, n=2):
+    """The reflected index maps models.phase_shuffle gathers with."""
+    seen = []
+    take = dg.take_time
+    monkeypatch.setattr(dg, "take_time", lambda x, idx: seen.append(idx) or take(x, idx))
+    models.phase_shuffle(Tensor(np.zeros((b, 1, length))), n, np.random.default_rng(0))
+    (idx,) = seen
+    return idx
+
+
+class TestPhaseShuffleScatter:
+    """_put_time scatters with np.bincount, which adds each index's
+    contributions in the order np.add.at does, starting from 0.0, but
+    accumulates in float64: float64 sums are bit-equal, and float32 sums
+    are rounded once instead of once per addition."""
+
+    B, C, L = 32, 3, 40
+
+    def triple_maps(self, rng):
+        # every index is hit exactly three times, in a random order
+        return np.stack([rng.permutation(np.tile(np.arange(self.L), 3)) for _ in range(self.B)])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_reflected_maps_bit_equal(self, monkeypatch, dtype):
+        idx = shuffle_maps(monkeypatch, self.B, self.L)
+        assert len({tuple(r) for r in idx}) == 5  # every shift in [-2, 2] was drawn
+        assert max(np.bincount(r).max() for r in idx) == 2  # reflection sums two taps
+        g = np.random.default_rng(1).normal(size=(self.B, self.C, self.L)).astype(dtype)
+        g[0, 0, :4] = -0.0  # signed zeros sum like add.at's
+        got = put_time(g, idx, self.L)
+        assert got.dtype == dtype
+        assert got.tobytes() == add_at_scatter(g, idx, self.L).tobytes()
+
+    def test_random_triple_maps_bit_equal_in_float64(self):
+        rng = np.random.default_rng(2)
+        idx = self.triple_maps(rng)
+        g = rng.normal(size=(self.B, self.C, 3 * self.L))
+        got = put_time(g, idx, self.L)
+        assert got.tobytes() == add_at_scatter(g, idx, self.L).tobytes()
+
+    def test_random_triple_maps_within_one_ulp_in_float32(self):
+        # add.at rounds after each of the three additions and bincount once,
+        # so under cancellation they differ by more than one ulp of the sum;
+        # they stay within one ulp of the summed magnitudes
+        rng = np.random.default_rng(3)
+        idx = self.triple_maps(rng)
+        g = rng.normal(size=(self.B, self.C, 3 * self.L)).astype(np.float32)
+        got = put_time(g, idx, self.L)
+        want = add_at_scatter(g, idx, self.L)
+        magnitude = add_at_scatter(np.abs(g).astype(np.float64), idx, self.L).astype(np.float32)
+        assert got.dtype == np.float32
+        assert np.all(np.abs(got.astype(np.float64) - want) <= np.spacing(magnitude))
+
+    def test_double_vjp_through_phase_shuffle_matches_fd(self):
+        # the penalty differentiates take_time's VJP (put_time), whose own
+        # VJP is a take_time on the same index map
+        rng = np.random.default_rng(5)
+        w1 = rand_param(rng, "w1", (3, 1, 3), 0.6)
+        w2 = rand_param(rng, "w2", (2, 3, 3), 0.6)
+        xdata = rng.normal(size=(3, 1, 10))
+
+        def penalty():
+            x = Tensor(xdata, requires_grad=True)
+            h = dg.leaky_relu(dg.conv1d(x, w1), 0.2)
+            h = models.phase_shuffle(h, 2, np.random.default_rng(6))  # same shifts every call
+            h = dg.leaky_relu(dg.conv1d(h, w2), 0.2)
+            g = dg.input_gradient(dg.sum_all(dg.mul(h, h)), x)
+            return dg.sum_all(dg.mul(g, g))
+
+        assert "put_time" in {node._op for node in dg._toposort(penalty())}
+        fd_check(penalty, [w1, w2], rtol=1e-5)
 
 
 class TestInputGradientAndDoubleBackward:

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from audiosr import diffgraph as dg, dsp, models
 from audiosr.diffgraph import Tensor
@@ -40,6 +42,42 @@ def edsr_count_closed_form(cfg: EdsrConfig) -> int:
 def zero_params(m):
     for p in m.parameters():
         p.data = np.zeros_like(p.data)
+
+
+def tiny_critic_checkpoint(path):
+    """Save a one-filter critic with Adam moments, which has every checkpoint
+    field in a few hundred bytes, to ``path``; return the model and the bytes."""
+    m = models.build_critic(CriticConfig(layers=1, base_filters=1, kernel=1), seed=9)
+    m.adam_state = dg.AdamState(t=1)
+    for p in m.parameters():
+        m.adam_state.m[p.name] = np.full(p.shape, 0.5)
+        m.adam_state.v[p.name] = np.full(p.shape, 0.25)
+    models.save_checkpoint(m, path)
+    return m, path.read_bytes()
+
+
+# one edit of a checkpoint: (position, bytes removed, bytes inserted); the
+# position is taken modulo the current length plus one, and the inserted bytes
+# are random or a run of the original file, such as a whole field or record
+_POSITION = st.integers(0, 1 << 12)
+_INSERTED = st.one_of(st.binary(min_size=2, max_size=24), st.tuples(_POSITION, st.integers(2, 24)))
+CHECKPOINT_EDIT = st.one_of(
+    st.tuples(_POSITION, st.integers(2, 24), _INSERTED),  # splice
+    st.tuples(_POSITION, st.just(0), _INSERTED),  # insertion
+    st.tuples(_POSITION, st.integers(2, 24), st.just(b"")),  # deletion
+)
+
+
+def apply_edits(blob: bytes, edits) -> bytes:
+    out = bytearray(blob)
+    for pos, removed, inserted in edits:
+        if isinstance(inserted, tuple):
+            start, n = inserted
+            start %= len(blob)
+            inserted = blob[start : start + n]
+        pos %= len(out) + 1
+        out[pos : pos + removed] = inserted
+    return bytes(out)
 
 
 class TestEdsr:
@@ -349,14 +387,8 @@ class TestCheckpoint:
                 models.load_checkpoint(path)
 
     def test_every_truncation_and_byte_flip_raises_a_checkpoint_error(self, tmp_path):
-        m = models.build_critic(CriticConfig(layers=1, base_filters=1, kernel=1), seed=9)
-        m.adam_state = dg.AdamState(t=1)
-        for p in m.parameters():
-            m.adam_state.m[p.name] = np.full(p.shape, 0.5)
-            m.adam_state.v[p.name] = np.full(p.shape, 0.25)
         path = tmp_path / "c.ckpt"
-        models.save_checkpoint(m, path)
-        blob = path.read_bytes()
+        blob = tiny_critic_checkpoint(path)[1]
         truncations = [blob[:i] for i in range(len(blob))]
         flips = [blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1 :] for i in range(len(blob))]
         for bad in truncations + flips:
@@ -366,7 +398,36 @@ class TestCheckpoint:
             except CheckpointError:
                 pass  # any other exception fails the test
 
-    @pytest.mark.parametrize("dims", [(1,) * 65, (65536,) * 4], ids=["rank-65", "size-past-int64"])
+    @settings(max_examples=300, deadline=None)
+    @given(edits=st.lists(CHECKPOINT_EDIT, min_size=1, max_size=3))
+    def test_spliced_checkpoint_loads_intact_or_raises_a_checkpoint_error(self, tmp_path_factory, edits):
+        path = tmp_path_factory.getbasetemp() / "fuzz.ckpt"
+        m, blob = tiny_critic_checkpoint(path)
+        path.write_bytes(apply_edits(blob, edits))
+        try:
+            loaded = models.load_checkpoint(path)
+        except CheckpointError:
+            return
+        shapes = {name: p.shape for name, p in m.params.items()}
+        assert {name: p.shape for name, p in loaded.params.items()} == shapes
+        if loaded.adam_state is not None:
+            for name, shape in shapes.items():
+                assert loaded.adam_state.m[name].shape == loaded.adam_state.v[name].shape == shape
+
+    def test_moments_of_another_shape_are_corrupt(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        blob = tiny_critic_checkpoint(path)[1]
+        # the last array is score.b's second moment: code, rank 1, dim 1, one float64
+        last = struct.pack("<BBI", 0, 1, 1) + struct.pack("<d", 0.25) + b"AEND"
+        assert blob.endswith(last)
+        path.write_bytes(blob[: -len(last)] + struct.pack("<BBII", 0, 2, 1, 1) + last[6:])
+        with pytest.raises(CheckpointCorruptError, match="score.b"):
+            models.load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "dims", [(1,) * 65, (65536,) * 4, (0,) + (2**32 - 1,) * 3],
+        ids=["rank-65", "size-past-int64", "empty-past-int64"],
+    )
     def test_impossible_array_shape_is_corrupt(self, tmp_path, dims):
         path = tmp_path / "edsr.ckpt"
         models.save_checkpoint(models.build_edsr(TINY_EDSR, seed=9), path)
