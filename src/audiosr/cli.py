@@ -201,8 +201,8 @@ def _cmd_train_gan(args) -> int:
         raise UsageError("train-gan needs run.model = unet (pre-upsampling generator)")
     out = Path(args.out)  # made by the trainer when it first saves a checkpoint
     corpus, _, corpus_hash = _load_corpus(data_cfg)
-    generator = models.build_unet(model_cfg, seed=train_cfg.seed)
-    critic = models.build_critic(critic_cfg, seed=train_cfg.seed + 1)
+    generator = _build_model(kind, model_cfg, train_cfg.seed)
+    critic = _build_model("critic", critic_cfg, train_cfg.seed + 1)
     _, _, log = train.train_wgan_gp(
         generator, critic, corpus, gan_cfg, out_dir=str(out), progress_every=args.progress_every
     )

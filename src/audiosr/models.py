@@ -101,12 +101,20 @@ class Model:
     ``mode`` names the input an upsampling model takes: "post" models read the
     low-rate signal, "pre" models its spline interpolation at the target rate.
     Models that do not upsample (the critic) have none.
+
+    Each layer is declared once, in ``forward``, whose ``_conv`` and ``_dense``
+    make its parameters on first use, sized by their input. The constructor
+    runs one eval-mode forward on an empty batch, which does no arithmetic:
+    each parameter is drawn from ``default_rng(init_seed)`` in forward order,
+    or adopted from ``params`` after a name and shape check. So every layer
+    must be reached by that eval-mode forward.
     """
 
     kind = "model"
     mode: str | None = None
 
-    def __init__(self, config, dtype: str = "float64", init_seed: int = 0):
+    def __init__(self, config, dtype: str = "float64", init_seed: int = 0,
+                 params: dict[str, np.ndarray] | None = None):
         self.config = config
         self.dtype = np.dtype(dtype)
         if self.dtype not in (np.dtype("float32"), np.dtype("float64")):
@@ -115,28 +123,45 @@ class Model:
         self.params: dict[str, Parameter] = {}
         self.train_step = 0
         self.adam_state: AdamState | None = None
+        self._source = np.random.default_rng(self.init_seed) if params is None else params
+        with dg.no_grad():
+            self.forward(Tensor(np.zeros((0, 1, self.length_divisor), self.dtype)))
+        self._source = None
+        if params is not None and len(params) != len(self.params):
+            raise CheckpointCorruptError("parameter names do not match the model architecture")
 
     # --- parameter plumbing ---
 
-    def _register(self, name: str, data: np.ndarray) -> Parameter:
+    def _param(self, name: str, shape: tuple[int, ...], bound: float) -> Parameter:
+        """Parameter ``name``; the construction forward makes it, drawn
+        uniformly from [-bound, bound) or adopted from the given arrays."""
+        if self._source is None:  # a KeyError here: a layer only a training forward reaches
+            return self.params[name]
         if name in self.params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        p = Parameter(name, data.astype(self.dtype))
-        self.params[name] = p
+        if isinstance(self._source, np.random.Generator):
+            data = self._source.uniform(-bound, bound, shape).astype(self.dtype)
+        else:
+            data = self._source.get(name)
+            if data is None or data.shape != shape:
+                raise CheckpointCorruptError(f"parameter {name!r} is missing or not of shape {shape}")
+            data = data.astype(self.dtype)
+            if not np.isfinite(data).all():
+                raise CheckpointCorruptError(f"parameter {name!r} contains non-finite values")
+        p = self.params[name] = Parameter(name, data)
         return p
 
-    def _conv_init(self, rng: np.random.Generator, name: str, c_out: int, c_in: int, k: int):
-        fan_in = c_in * k
-        wb = math.sqrt(6.0 / fan_in)
-        self._register(f"{name}.w", rng.uniform(-wb, wb, (c_out, c_in, k)))
-        bb = 1.0 / math.sqrt(fan_in)
-        self._register(f"{name}.b", rng.uniform(-bb, bb, (c_out,)))
+    def _conv(self, x: Tensor, name: str, c_out: int, k: int, stride: int = 1) -> Tensor:
+        fan_in = x.shape[1] * k
+        w = self._param(f"{name}.w", (c_out, x.shape[1], k), math.sqrt(6.0 / fan_in))
+        b = self._param(f"{name}.b", (c_out,), 1.0 / math.sqrt(fan_in))
+        return dg.conv1d(x, w, b, stride=stride)
 
-    def _dense_init(self, rng: np.random.Generator, name: str, f_in: int, f_out: int):
-        wb = math.sqrt(6.0 / f_in)
-        self._register(f"{name}.w", rng.uniform(-wb, wb, (f_in, f_out)))
-        bb = 1.0 / math.sqrt(f_in)
-        self._register(f"{name}.b", rng.uniform(-bb, bb, (f_out,)))
+    def _dense(self, x: Tensor, name: str, f_out: int) -> Tensor:
+        f_in = x.shape[1]
+        w = self._param(f"{name}.w", (f_in, f_out), math.sqrt(6.0 / f_in))
+        b = self._param(f"{name}.b", (f_out,), 1.0 / math.sqrt(f_in))
+        return dg.dense(x, w, b)
 
     def parameters(self) -> list[Parameter]:
         return list(self.params.values())
@@ -144,9 +169,6 @@ class Model:
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
-
-    def _conv(self, x, name: str, stride: int = 1):
-        return dg.conv1d(x, self.params[f"{name}.w"], self.params[f"{name}.b"], stride=stride)
 
     def _check_input(self, x: Tensor) -> Tensor:
         if not isinstance(x, Tensor):
@@ -180,56 +202,27 @@ class EdsrModel(Model):
     kind = "edsr"
     mode = "post"
 
-    def __init__(self, config: EdsrConfig, dtype: str = "float64", init_seed: int = 0):
-        super().__init__(config, dtype, init_seed)
-        rng = np.random.default_rng(init_seed)
-        f, kb, ks = config.filters, config.block_kernel, config.stem_kernel
-        self._conv_init(rng, "stem", f, 1, ks)
-        for i in range(config.n_blocks):
-            self._conv_init(rng, f"block{i:02d}.conv1", f, f, kb)
-            self._conv_init(rng, f"block{i:02d}.conv2", f, f, kb)
-        self._conv_init(rng, "post", f, f, ks)
-        for q in range(config.upsample_stages):
-            self._conv_init(rng, f"up{q}", 2 * f, f, ks)
-        self._conv_init(rng, "head", 1, f, ks)
-
     def forward(self, x, training: bool = False, rng=None):
         x = self._check_input(x)
-        h = self._conv(x, "stem")
+        cfg = self.config
+        h = self._conv(x, "stem", cfg.filters, cfg.stem_kernel)
         skip = h
-        for i in range(self.config.n_blocks):
-            branch = self._conv(h, f"block{i:02d}.conv1")
+        for i in range(cfg.n_blocks):
+            branch = self._conv(h, f"block{i:02d}.conv1", cfg.filters, cfg.block_kernel)
             branch = dg.relu(branch)
-            branch = self._conv(branch, f"block{i:02d}.conv2")
-            h = dg.add(h, dg.mul(branch, self.config.residual_scaling))
-        h = self._conv(h, "post")
+            branch = self._conv(branch, f"block{i:02d}.conv2", cfg.filters, cfg.block_kernel)
+            h = dg.add(h, dg.mul(branch, cfg.residual_scaling))
+        h = self._conv(h, "post", cfg.filters, cfg.stem_kernel)
         h = dg.add(h, skip)
-        for q in range(self.config.upsample_stages):
-            h = self._conv(h, f"up{q}")
+        for q in range(cfg.upsample_stages):
+            h = self._conv(h, f"up{q}", 2 * cfg.filters, cfg.stem_kernel)
             h = dg.subpixel_shuffle1d(h, 2)
-        return self._conv(h, "head")
+        return self._conv(h, "head", 1, cfg.stem_kernel)
 
 
 class UnetModel(Model):
     kind = "unet"
     mode = "pre"
-
-    def __init__(self, config: UnetConfig, dtype: str = "float64", init_seed: int = 0):
-        super().__init__(config, dtype, init_seed)
-        rng = np.random.default_rng(init_seed)
-        c_in = 1
-        for i, (f, k) in enumerate(zip(config.down_filters, config.down_kernels)):
-            self._conv_init(rng, f"down{i}", f, c_in, k)
-            c_in = f
-        self._conv_init(
-            rng, "bottleneck", config.bottleneck_filters, c_in, config.down_kernels[-1]
-        )
-        c_in = config.bottleneck_filters
-        for i in reversed(range(config.depth)):
-            f, k = config.down_filters[i], config.down_kernels[i]
-            self._conv_init(rng, f"up{i}", 2 * f, c_in, k)
-            c_in = 2 * f  # f from the shuffle + f from the mirror stack
-        self._conv_init(rng, "head", 2, c_in, config.final_kernel)
 
     @property
     def length_divisor(self) -> int:
@@ -237,32 +230,33 @@ class UnetModel(Model):
 
     def forward(self, x, training: bool = False, rng: np.random.Generator | None = None):
         x = self._check_input(x)
+        cfg = self.config
         divisor = self.length_divisor
         if x.shape[2] % divisor != 0:
             raise ValueError(
                 f"input length {x.shape[2]} must be divisible by {divisor} "
-                f"(2**depth for depth={self.config.depth})"
+                f"(2**depth for depth={cfg.depth})"
             )
-        if training and self.config.dropout_rate > 0 and rng is None:
+        if training and cfg.dropout_rate > 0 and rng is None:
             raise ValueError("training-mode forward needs an rng for dropout")
         h = x
         skips = []
-        for i in range(self.config.depth):
-            h = self._conv(h, f"down{i}", stride=2)
+        for i, (f, k) in enumerate(zip(cfg.down_filters, cfg.down_kernels)):
+            h = self._conv(h, f"down{i}", f, k, stride=2)
             h = dg.leaky_relu(h, 0.2)
             skips.append(h)
-        h = self._conv(h, "bottleneck", stride=2)
+        h = self._conv(h, "bottleneck", cfg.bottleneck_filters, cfg.down_kernels[-1], stride=2)
         h = dg.leaky_relu(h, 0.2)
-        for i in reversed(range(self.config.depth)):
-            h = self._conv(h, f"up{i}")
-            h = dg.dropout(h, self.config.dropout_rate, rng=rng, training=training)
+        for i in reversed(range(cfg.depth)):
+            h = self._conv(h, f"up{i}", 2 * cfg.down_filters[i], cfg.down_kernels[i])
+            h = dg.dropout(h, cfg.dropout_rate, rng=rng, training=training)
             h = dg.relu(h)
             h = dg.subpixel_shuffle1d(h, 2)
             skip = skips[i]
             if h.shape[2] > skip.shape[2]:  # stride-2 rounding on odd interior lengths
                 h = dg.slice_time(h, 0, skip.shape[2])
             h = dg.concat_channels(h, skip)
-        h = self._conv(h, "head")
+        h = self._conv(h, "head", 2, cfg.final_kernel)
         h = dg.subpixel_shuffle1d(h, 2)
         return dg.add(h, x)
 
@@ -292,16 +286,6 @@ def phase_shuffle(x, n: int, rng: np.random.Generator):
 class CriticModel(Model):
     kind = "critic"
 
-    def __init__(self, config: CriticConfig, dtype: str = "float64", init_seed: int = 0):
-        super().__init__(config, dtype, init_seed)
-        rng = np.random.default_rng(init_seed)
-        c_in = 1
-        for i in range(config.layers):
-            c_out = config.base_filters * 2**i
-            self._conv_init(rng, f"layer{i}", c_out, c_in, config.kernel)
-            c_in = c_out
-        self._dense_init(rng, "score", c_in, 1)
-
     def forward(self, x, training: bool = False, rng: np.random.Generator | None = None):
         x = self._check_input(x)
         cfg = self.config
@@ -310,12 +294,11 @@ class CriticModel(Model):
             raise ValueError("training-mode forward needs an rng for phase shuffling")
         h = x
         for i in range(cfg.layers):
-            h = self._conv(h, f"layer{i}", stride=2)
+            h = self._conv(h, f"layer{i}", cfg.base_filters * 2**i, cfg.kernel, stride=2)
             h = dg.leaky_relu(h, cfg.leaky_slope)
             if shuffle and i < cfg.layers - 1:
                 h = phase_shuffle(h, cfg.phase_shuffle_n, rng)
-        pooled = dg.mean_time(h)
-        score = dg.dense(pooled, self.params["score.w"], self.params["score.b"])
+        score = self._dense(dg.mean_time(h), "score", 1)
         return dg.reshape(score, (x.shape[0],))
 
 
@@ -499,9 +482,8 @@ class Checkpoint:
         return cls(m.kind, m.config, params, str(m.dtype), seed, m.train_step, adam)
 
     def build_model(self) -> Model:
-        model_cls = KINDS[self.kind][1]
-        m = model_cls(self.config, dtype=self.dtype, init_seed=self.seed)
-        load_params(m, self.params)
+        """The model these arrays describe; draws no random weights."""
+        m = KINDS[self.kind][1](self.config, self.dtype, self.seed, params=self.params)
         m.train_step = self.step
         m.adam_state = copy.deepcopy(self.adam)
         return m
@@ -650,15 +632,10 @@ def _read_blob(buf: BytesIO):
 
 
 def load_params(m: Model, params: dict[str, np.ndarray]) -> None:
-    """Copy ``params`` into ``m``, cast to its dtype; names and shapes must match."""
-    if set(m.params) != set(params):
-        raise CheckpointCorruptError("parameter names do not match the model architecture")
-    for name, arr in params.items():
-        if m.params[name].shape != arr.shape:
-            raise CheckpointCorruptError(
-                f"parameter {name!r} has shape {arr.shape}, expected {m.params[name].shape}"
-            )
-        m.params[name].data = arr.astype(m.dtype)
+    """Copy ``params`` into ``m``, cast to its dtype, after the constructor's name and shape check."""
+    checked = type(m)(m.config, m.dtype, m.init_seed, params=params).params
+    for name, p in m.params.items():
+        p.data = checked[name].data
 
 
 def save_checkpoint(m: Model, path) -> None:

@@ -14,7 +14,7 @@ from . import dsp
 from .data import write_atomic
 from .diffgraph import AdamState, Tensor
 from .dsp import Signal
-from .models import (Checkpoint, ConfigConflictError, Model, load_checkpoint, load_params,
+from .models import (Checkpoint, CheckpointKindError, ConfigConflictError, Model, load_params,
                      model_input, upsampling_mode)
 
 
@@ -286,8 +286,10 @@ def train_wgan_gp(
         raise ValueError(f"second model must be a critic, got {critic.kind!r}")
     _validate_run(generator, corpus, base)
     if cfg.warm_start is not None:
-        loaded = load_checkpoint(cfg.warm_start, expect_kind=generator.kind)
-        load_params(generator, {name: p.data for name, p in loaded.params.items()})
+        warm = Checkpoint.load(cfg.warm_start)
+        if warm.kind != generator.kind:
+            raise CheckpointKindError(f"warm start holds a {warm.kind!r} model, not a {generator.kind!r}")
+        load_params(generator, warm.params)
 
     sampler = _PatchSampler(corpus, base.patch_length, base.scale, base.seed)
     gen_rng = np.random.default_rng([base.seed, 1])

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from audiosr import data
+from audiosr import data, models
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -102,3 +102,21 @@ def test_gan_step_avoids_generic_numpy_gathers(monkeypatch):
     log = workloads._gan_run(corpus, 0, 0, 1)
     assert len(log.trajectory()) == 1
     assert counts == {"np.add.at": 0, "np.take_along_axis": 0, "as_strided": 0}
+
+
+@pytest.mark.parametrize("name", ["upsample", "eval"])
+def test_inference_workload_passes_its_output_checks(tmp_path, monkeypatch, name):
+    # one pass over the workload's seeded inputs runs its setup, which saves
+    # and loads the checkpoints, its timed operations, which rebuild them
+    # through the CLI, and its checks against in-process oracles
+    monkeypatch.setattr(workloads, "MIN_SAMPLES", 1)
+    workload = workloads.WORKLOADS[name]
+    out = workload.timed(workload.setup(0, tmp_path), 0.0)
+    assert out.timing.ms
+    assert out.checks and all(v == "ok" for v in out.checks.values()), out.checks
+    # the oracles run the loaded models too, so only this shows a load that
+    # returns other weights than were saved
+    for kind in ("edsr", "unet"):
+        saved = workloads.toy_model(kind, workloads.derive_seeds(0)[1]).params
+        loaded = models.load_checkpoint(tmp_path / f"{kind}.ckpt").params
+        assert all(np.array_equal(loaded[n].data, p.data) for n, p in saved.items())

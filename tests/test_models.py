@@ -80,6 +80,26 @@ def apply_edits(blob: bytes, edits) -> bytes:
     return bytes(out)
 
 
+def edit_header(blob: bytes, old: str, new: str) -> bytes:
+    """A checkpoint ``blob`` with ``old`` replaced by ``new`` in its header,
+    whose length field is fixed up to match."""
+    (hlen,) = struct.unpack("<I", blob[12:16])
+    header = blob[16 : 16 + hlen].decode()
+    assert old in header
+    text = header.replace(old, new).encode()
+    return blob[:12] + struct.pack("<I", len(text)) + text + blob[16 + hlen :]
+
+
+def forbid_weight_draws(monkeypatch):
+    """From here on, a uniform draw from a new ``np.random.default_rng`` fails
+    the test at once, before it can allocate anything."""
+    class NoDraws:
+        def uniform(self, *args, **kwargs):
+            raise AssertionError("random weights were drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", lambda *args, **kwargs: NoDraws())
+
+
 class TestEdsr:
     def test_table_parameter_counts(self):
         assert models.count_parameters(models.build_edsr(EdsrConfig())) == 9_594_113
@@ -225,6 +245,41 @@ class TestCritic:
         s0 = m.forward(Tensor(x)).data[0]
         s1 = m.forward(Tensor(np.roll(x, 1, axis=2))).data[0]
         assert np.isfinite(s0) and np.isfinite(s1)
+
+
+class TestConstruction:
+    """Each layer is declared in ``forward``; the constructor's eval-mode
+    forward makes every parameter."""
+
+    @pytest.mark.parametrize("kind", ["edsr", "unet", "critic"])
+    def test_training_forward_adds_no_parameter(self, kind):
+        # the UNet has dropout on and the critic phase shuffle
+        m = {"edsr": lambda: models.build_edsr(TINY_EDSR, seed=1),
+             "unet": lambda: models.build_unet(TINY_UNET, seed=1),
+             "critic": lambda: models.build_critic(TINY_CRITIC, seed=1)}[kind]()
+        before = dict(m.params)
+        x = Tensor(np.random.default_rng(0).normal(size=(2, 1, 64)), requires_grad=True)
+        dg.backward(dg.sum_all(m.forward(x, training=True, rng=np.random.default_rng(1))), m.parameters())
+        assert m.params == before
+        assert all(p.grad is not None for p in m.parameters())
+
+    def test_layer_missed_by_the_construction_forward_raises(self):
+        class TrainingOnlyLayer(models.CriticModel):
+            def forward(self, x, training=False, rng=None):
+                score = super().forward(x, training, rng)
+                return self._dense(dg.reshape(score, (-1, 1)), "extra", 1) if training else score
+
+        m = TrainingOnlyLayer(TINY_CRITIC)
+        with pytest.raises(KeyError, match="extra.w"):
+            m.forward(np.zeros((1, 1, 64)), training=True, rng=np.random.default_rng(0))
+
+    def test_layer_name_declared_twice_raises(self):
+        class SharedName(models.EdsrModel):
+            def forward(self, x, training=False, rng=None):
+                return self._conv(self._conv(x, "stem", 1, 3), "stem", 1, 3)
+
+        with pytest.raises(ValueError, match="duplicate parameter name 'stem.w'"):
+            SharedName(TINY_EDSR)
 
 
 class TestReconstruct:
@@ -547,11 +602,51 @@ class TestCheckpoint:
     def test_malformed_header_value_is_corrupt(self, tmp_path, line, bad):
         path = tmp_path / "edsr.ckpt"
         models.save_checkpoint(models.build_edsr(TINY_EDSR, seed=9), path)
-        blob = path.read_bytes()
-        (hlen,) = struct.unpack("<I", blob[12:16])
-        header = blob[16 : 16 + hlen].decode()
-        assert line + "\n" in header
-        new = header.replace(line + "\n", bad + "\n").encode()
-        path.write_bytes(blob[:12] + struct.pack("<I", len(new)) + new + blob[16 + hlen :])
+        path.write_bytes(edit_header(path.read_bytes(), line + "\n", bad + "\n"))
         with pytest.raises(CheckpointCorruptError):
             models.load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "build, old, new",
+        [
+            (lambda: models.build_critic(CriticConfig(layers=1, base_filters=1, kernel=1), seed=9),
+             "cfg.layers = 1\n", "cfg.layers = 40\n"),
+            (lambda: models.build_unet(TINY_UNET, seed=9),
+             "cfg.depth = 2\ncfg.down_filters = 8,16\ncfg.down_kernels = 9,9\n",
+             "cfg.depth = 40\ncfg.down_filters = 8,16" + ",1" * 38
+             + "\ncfg.down_kernels = 9,9" + ",1" * 38 + "\n"),
+            (lambda: models.build_edsr(TINY_EDSR, seed=9), "cfg.filters = 8\n", "cfg.filters = 16\n"),
+        ],
+        ids=["critic-40-layers", "unet-depth-40", "edsr-16-filters"],
+    )
+    def test_header_that_disagrees_with_the_arrays_is_corrupt(self, tmp_path, monkeypatch, build, old, new):
+        # the header alone must not size what the loader allocates: layer 39
+        # of that critic has 2**77 weights, and that UNet reads 2**40 samples
+        path = tmp_path / "m.ckpt"
+        models.save_checkpoint(build(), path)
+        path.write_bytes(edit_header(path.read_bytes(), old, new))
+        forbid_weight_draws(monkeypatch)
+        with pytest.raises(CheckpointCorruptError, match="is missing or not of shape"):
+            models.load_checkpoint(path)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, 1e300], ids=["nan", "past-float32"])
+    def test_non_finite_weights_are_corrupt(self, value):
+        ckpt = Checkpoint.from_model(models.build_critic(TINY_CRITIC, dtype="float32", seed=9))
+        ckpt.params["score.b"] = np.full(1, value)
+        with pytest.raises(CheckpointCorruptError, match="'score.b' contains non-finite"):
+            ckpt.build_model()
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_load_draws_no_random_weights(self, tmp_path, monkeypatch, dtype):
+        saved = [models.build_edsr(TINY_EDSR, dtype=dtype, seed=9),
+                 models.build_unet(TINY_UNET, dtype=dtype, seed=9),
+                 models.build_critic(TINY_CRITIC, dtype=dtype, seed=9)]
+        for i, m in enumerate(saved):
+            models.save_checkpoint(m, tmp_path / f"{i}.ckpt")
+        forbid_weight_draws(monkeypatch)
+        for i, m in enumerate(saved):
+            loaded = models.load_checkpoint(tmp_path / f"{i}.ckpt")
+            assert list(loaded.params) == list(m.params)
+            assert all(np.array_equal(loaded.params[name].data, p.data) for name, p in m.params.items())
+            assert {p.dtype for p in loaded.parameters()} == {np.dtype(dtype)}

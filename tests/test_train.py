@@ -319,6 +319,21 @@ class TestWganGp:
         _, _, ref = train.train_wgan_gp(loaded, critic, corpus, cfg)
         assert warm.trajectory() == ref.trajectory()
 
+    @pytest.mark.parametrize(
+        "saved, error",
+        [(lambda: models.build_unet(dataclasses.replace(TINY_UNET, bottleneck_filters=2)),
+          models.CheckpointCorruptError),
+         (lambda: models.build_critic(TINY_CRITIC), models.CheckpointKindError)],
+        ids=["other-unet", "critic"],
+    )
+    def test_warm_start_of_another_model_is_rejected(self, tmp_path, saved, error):
+        path = tmp_path / "warm.ckpt"
+        models.save_checkpoint(saved(), path)
+        gen, critic, corpus, cfg = self.gan_setup(steps=1)
+        with pytest.raises(error):
+            train.train_wgan_gp(gen, critic, corpus, GanConfig(base=cfg.base, warm_start=str(path)))
+        assert gen.adam_state is None
+
     def test_warm_start_keeps_the_generator_dtype(self, tmp_path):
         # a float64 checkpoint into a float32 generator; the content loss gives
         # the generator float64 gradients, and Adam must not promote it
