@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import sys
 from dataclasses import dataclass, fields
@@ -361,7 +362,10 @@ def _cmd_probe(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built on the first main() call, not at import, and kept for the process:
+    # parse_args returns a fresh Namespace and keeps no state between calls
     parser = _Parser(prog="audiosr", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -146,6 +146,7 @@ def neg(x) -> Tensor:
 
 
 def sub(x, y) -> Tensor:
+    x, y = _pair(x, y)
     return add(x, neg(y))
 
 

@@ -185,9 +185,11 @@ def _save(out_dir, seed: int, files: dict[str, Model]) -> list[Checkpoint]:
 
 
 def _batch_arrays(patches: np.ndarray, model: Model, scale: int):
-    """(model input, target) arrays of shape (b, 1, length) for (b, n) patches."""
+    """(model input, target) arrays of shape (b, 1, length) for (b, n) patches,
+    in the model's dtype, so that the loss and its gradients stay in it."""
     inputs = model_input(model, dsp.decimate(patches, scale), scale)
-    return inputs[:, None, :], patches[:, None, :]
+    return (inputs[:, None, :].astype(model.dtype, copy=False),
+            patches[:, None, :].astype(model.dtype, copy=False))
 
 
 def train_supervised(
@@ -247,9 +249,10 @@ def gradient_penalty(
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Mean over the batch of (||grad_xhat D(xhat)||_2 - 1)^2 with
-    xhat = eps*x + (1-eps)*x_tilde, eps drawn per batch item."""
-    xd = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    td = x_tilde.data if isinstance(x_tilde, Tensor) else np.asarray(x_tilde, dtype=np.float64)
+    xhat = eps*x + (1-eps)*x_tilde, eps drawn per batch item. xhat and the
+    penalty take the wider dtype of x and x_tilde, at least float32."""
+    xd = np.asarray(x.data if isinstance(x, Tensor) else x)
+    td = np.asarray(x_tilde.data if isinstance(x_tilde, Tensor) else x_tilde)
     if xd.shape != td.shape:
         raise ValueError(f"shape mismatch: {xd.shape} vs {td.shape}")
     eps = np.asarray(eps, dtype=np.float64)
@@ -257,13 +260,13 @@ def gradient_penalty(
         raise ValueError(f"eps must have shape ({xd.shape[0]},), got {eps.shape}")
     if eps.min() < 0.0 or eps.max() > 1.0:
         raise ValueError("eps values must lie in [0, 1]")
-    e = eps[:, None, None]
+    e = eps.astype(np.result_type(xd, td, np.float32))[:, None, None]
     xhat = Tensor(e * xd + (1.0 - e) * td, requires_grad=True)
     scores = critic.forward(xhat, training=training, rng=rng)
     grad = dg.input_gradient(dg.sum_all(scores), xhat)
     per_item = dg.sum_axes(dg.mul(grad, grad), (1, 2))
     norm = dg.sqrt(per_item)
-    d = dg.sub(norm, Tensor(1.0))
+    d = dg.sub(norm, 1.0)
     return dg.mean_all(dg.mul(d, d))
 
 
@@ -315,17 +318,22 @@ def train_wgan_gp(
     critic_params = critic.parameters()
     t0 = time.perf_counter()
     for step in range(1, base.steps + 1):
+        # one draw and one degradation per outer step: n_critic critic
+        # batches, then the generator's, each a block of batch_size rows
+        patches = sampler.batch((cfg.n_critic + 1) * base.batch_size)
+        inps, tgts = (np.split(a, cfg.n_critic + 1)
+                      for a in _batch_arrays(patches, generator, base.scale))
         critic_losses, penalties = [], []
-        for _ in range(cfg.n_critic):
-            patches = sampler.batch(base.batch_size)
-            inp, tgt = _batch_arrays(patches, generator, base.scale)
+        for inp, tgt in zip(inps[:-1], tgts[:-1]):
             with dg.no_grad():
                 fake = generator.forward(Tensor(inp), training=True, rng=gen_rng)
             eps = eps_rng.random(base.batch_size)
             critic.zero_grad()
             s_fake = critic.forward(Tensor(fake.data), training=True, rng=critic_rng)
             s_real = critic.forward(Tensor(tgt), training=True, rng=critic_rng)
-            pen = gradient_penalty(critic, tgt, fake.data, eps, training=True, rng=critic_rng)
+            pen = gradient_penalty(critic, tgt.astype(critic.dtype, copy=False),
+                                   fake.data.astype(critic.dtype, copy=False), eps,
+                                   training=True, rng=critic_rng)
             loss_c = dg.add(
                 dg.sub(dg.mean_all(s_fake), dg.mean_all(s_real)),
                 dg.mul(pen, cfg.gp_weight),
@@ -336,8 +344,7 @@ def train_wgan_gp(
             critic_losses.append(c_val)
             penalties.append(p_val)
 
-        patches = sampler.batch(base.batch_size)
-        inp, tgt = _batch_arrays(patches, generator, base.scale)
+        inp, tgt = inps[-1], tgts[-1]
         generator.zero_grad()
         fake = generator.forward(Tensor(inp), training=True, rng=gen_rng)
         s_fake = critic.forward(fake, training=True, rng=critic_rng)

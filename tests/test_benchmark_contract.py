@@ -5,6 +5,7 @@ against perfbench/reference.json. These tests import its tracer and workloads
 read-only, so a deleted function or a numerics drift fails here, not only when
 the benchmark runs.
 """
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from audiosr import data, models
+from audiosr import data, models, train
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -120,3 +121,44 @@ def test_inference_workload_passes_its_output_checks(tmp_path, monkeypatch, name
         saved = workloads.toy_model(kind, workloads.derive_seeds(0)[1]).params
         loaded = models.load_checkpoint(tmp_path / f"{kind}.ckpt").params
         assert all(np.array_equal(loaded[n].data, p.data) for n, p in saved.items())
+
+
+def _training_digest(log, *trained) -> str:
+    """SHA-256 over each model's parameters and Adam moments, then the losses."""
+    h = hashlib.sha256()
+    for model in trained:
+        state = model.adam_state
+        h.update(f"{model.kind}:{model.train_step}:{state.t}".encode())
+        for name, p in model.params.items():
+            for arr in (p.data, state.m[name], state.v[name]):
+                h.update(name.encode())
+                h.update(np.ascontiguousarray(arr).tobytes())
+    h.update(repr(log.trajectory()).encode())
+    return h.hexdigest()
+
+
+# float64 training at perfbench's shapes on its seed-0 inputs. A change that
+# only makes training faster leaves these unchanged. Like the UNet output
+# pins, they hold for one BLAS build: another BLAS may change a GEMM's last bits.
+TRAINING_DIGESTS = {
+    "train_edsr": "b7fbca6b3888cc5b7266d8d53cdb23de132fbac701dbe9f7c2570e6ea4063867",
+    "train_gan": "8484f07c1381096d1786a92c8080c26642f6fd1bdb80ab490bd7a2f760c6e589",
+}
+
+
+@pytest.mark.parametrize("name, steps", [("train_edsr", 8), ("train_gan", 4)])
+def test_float64_training_is_bit_identical(name, steps):
+    inputs = workloads.generate_inputs(name, 0)
+    corpus, model_seed, train_seed = inputs["corpus"], inputs["model_seed"], inputs["train_seed"]
+    if name == "train_edsr":
+        model = models.build_edsr(models.EdsrConfig(**workloads.EDSR), seed=model_seed)
+        cfg = train.TrainConfig(steps=steps, seed=train_seed, **workloads.EDSR_TRAIN)
+        _, log = train.train_supervised(model, corpus, cfg)
+        trained = (model,)
+    else:
+        gen = models.build_unet(models.UnetConfig(**workloads.GAN_GENERATOR), seed=model_seed)
+        critic = models.build_critic(models.CriticConfig(**workloads.GAN_CRITIC), seed=model_seed + 1)
+        base = train.TrainConfig(steps=steps, seed=train_seed, **workloads.GAN_TRAIN)
+        *_, log = train.train_wgan_gp(gen, critic, corpus, train.GanConfig(base=base, **workloads.GAN))
+        trained = (gen, critic)
+    assert _training_digest(log, *trained) == TRAINING_DIGESTS[name]

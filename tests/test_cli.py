@@ -1,3 +1,6 @@
+import argparse
+import wave
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -460,3 +463,56 @@ class TestExitCodes:
             ) == 0
             metas.append((out / "run.meta").read_bytes())
         assert metas[0] == metas[1]
+
+
+class TestRepeatedCalls:
+    """main() builds its parser once per process; no call leaves state behind."""
+
+    def test_parser_is_built_once(self, tmp_path, tiny_ckpt, monkeypatch):
+        src = tmp_path / "in.wav"
+        write_tone(src, n=512)
+        (tmp_path / "empty").mkdir()
+        assert run("upsample", "--scale", "2", str(src), str(tmp_path / "a.wav")) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        codes = [
+            run("upsample", "--scale", "2", str(src), str(tmp_path / "b.wav")),
+            run("eval", "--spline", "--scale", "2", "--synth", "2", "--out", str(tmp_path / "e")),
+            run("probe", "--checkpoint", str(tiny_ckpt), "--length", "2048", "--out", str(tmp_path / "p")),
+            run("prepare", "--root", str(tmp_path / "empty"), "--out", str(tmp_path / "c")),
+            run("train", "--config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path / "t")),
+        ]
+        assert codes == [0, 0, 0, 2, 1]
+        assert built == []
+
+    def test_downmix_does_not_carry_over(self, tmp_path):
+        src = tmp_path / "stereo.wav"
+        with wave.open(str(src), "wb") as w:
+            w.setnchannels(2)
+            w.setsampwidth(2)
+            w.setframerate(12000)
+            w.writeframes((np.arange(1024, dtype="<i2") * 16).tobytes())
+        dst = str(tmp_path / "out.wav")
+        assert run("upsample", "--scale", "2", "--downmix", str(src), dst) == 0
+        assert run("upsample", "--scale", "2", str(src), dst) == 2
+
+    def test_checkpoint_does_not_carry_over(self, tmp_path, tiny_ckpt):
+        src = tmp_path / "in.wav"
+        write_tone(src, n=512)
+        dst = str(tmp_path / "out.wav")
+        model = ("upsample", "--scale", "2", "--method", "model")
+        assert run(*model, "--checkpoint", str(tiny_ckpt), str(src), dst) == 0
+        assert run(*model, str(src), dst) == 1
+
+    def test_usage_error_does_not_carry_over(self, tmp_path):
+        src = tmp_path / "in.wav"
+        write_tone(src, n=512)
+        dst = str(tmp_path / "out.wav")
+        assert run("upsample", "--scale", "2", "--method", "cubic", str(src), dst) == 1
+        assert run("upsample", "--scale", "2", str(src), dst) == 0

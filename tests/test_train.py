@@ -15,6 +15,7 @@ TINY_UNET = models.UnetConfig(
     dropout_rate=0.5, scale=2,
 )
 TINY_CRITIC = models.CriticConfig(layers=2, base_filters=4, kernel=9, phase_shuffle_n=1)
+F32 = np.dtype(np.float32)
 
 
 def toy_corpus(count=6, length=2048, seed=3):
@@ -403,6 +404,42 @@ class TestWganGp:
             _, _, log = train.train_wgan_gp(gen, critic, corpus, cfg)
             logs.append(log.trajectory())
         assert logs[0] == logs[1]
+
+
+class TestFloat32Training:
+    """A float32 model trains in float32: its batch, its loss and every
+    gradient below the loss, not float64 arrays promoted on the tape."""
+
+    @pytest.fixture
+    def conv_grad_dtypes(self, monkeypatch):
+        seen = set()
+
+        def spy(fn):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                seen.add((fn.__name__, out.dtype))
+                return out
+            return wrapper
+
+        monkeypatch.setattr(dg, "_conv_t", spy(dg._conv_t))
+        monkeypatch.setattr(dg, "_corr", spy(dg._corr))
+        return seen
+
+    def test_edsr_step(self, conv_grad_dtypes):
+        model = models.build_edsr(TINY_EDSR, dtype="float32", seed=1)
+        cfg = TrainConfig(steps=1, mode="post", scale=2, batch_size=2, patch_length=256)
+        train.train_supervised(model, toy_corpus(2, 1024), cfg)
+        assert conv_grad_dtypes == {("_conv_t", F32), ("_corr", F32)}
+        assert {p.grad.dtype for p in model.parameters()} == {F32}
+
+    def test_critic_step(self, conv_grad_dtypes):
+        gen = models.build_unet(TINY_UNET, dtype="float32", seed=5)
+        critic = models.build_critic(TINY_CRITIC, dtype="float32", seed=6)
+        base = TrainConfig(steps=1, mode="pre", scale=2, batch_size=2, patch_length=256, seed=5)
+        train.train_wgan_gp(gen, critic, toy_corpus(4, 1024, seed=7), GanConfig(base=base, n_critic=1))
+        assert conv_grad_dtypes == {("_conv_t", F32), ("_corr", F32)}
+        for model in (gen, critic):
+            assert {p.grad.dtype for p in model.parameters()} == {F32}
 
 
 class TestTrainLog:
