@@ -10,7 +10,7 @@ import configparser
 import functools
 import hashlib
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +140,11 @@ def _out_dir(path_str: str) -> Path:
 # ---------------------------------------------------------------------------
 
 def _cmd_prepare(args) -> int:
+    try:
+        ratios = tuple(float(v) for v in args.ratios.split(","))
+        data.check_split_ratios(ratios)
+    except ValueError as exc:
+        raise UsageError(f"bad --ratios {args.ratios!r}: {exc}") from exc
     target = args.target_rate
     src_index = data.scan_corpus(args.root, seed=args.seed)
     out = _out_dir(args.out)
@@ -156,7 +161,6 @@ def _cmd_prepare(args) -> int:
         dest.mkdir(parents=True, exist_ok=True)
         clipped = Signal(np.clip(sig.samples, -1.0, 1.0), sig.sample_rate)
         data.wav_write(clipped, dest / f"{entry.utterance}.wav")
-    ratios = tuple(float(v) for v in args.ratios.split(","))
     index = data.scan_corpus(audio_dir, split_ratios=ratios, seed=args.seed)
     index.write_manifest(out / "manifest.txt")
     manifest_text = (out / "manifest.txt").read_text(encoding="utf-8")
@@ -218,17 +222,9 @@ def _cmd_train_gan(args) -> int:
 
 
 def _flatten_cfg(*cfgs) -> str:
-    parts = []
-    for cfg in cfgs:
-        if cfg is None:
-            continue
-        name = type(cfg).__name__
-        for f in fields(cfg):
-            val = getattr(cfg, f.name)
-            if f.name == "base":
-                continue
-            parts.append(f"{name}.{f.name}={val}")
-    return ";".join(parts)
+    """``Class.key=value`` pairs in ``models.encode_config``'s format, ``;``-joined."""
+    return ";".join(f"{type(cfg).__name__}.{key}={val}"
+                    for cfg in cfgs for key, val in models.encode_config(cfg).items())
 
 
 def _cmd_eval(args) -> int:

@@ -164,11 +164,6 @@ class CorpusEntry:
     utterance: str
     path: str
     samples: int
-    sample_rate: int = 0  # 0 when rebuilt from a manifest, which stores samples only
-
-    @property
-    def duration(self) -> float:
-        return self.samples / self.sample_rate if self.sample_rate else float("nan")
 
 
 @dataclass
@@ -184,9 +179,6 @@ class CorpusIndex:
         if split not in ("train", "val", "test"):
             raise ValueError(f"split must be train/val/test, got {split!r}")
         return [e for e in self.entries if self.split[e.speaker] == split]
-
-    def speakers(self, split: str) -> list[str]:
-        return sorted(s for s, v in self.split.items() if v == split)
 
     def write_manifest(self, path) -> None:
         lines = [
@@ -239,6 +231,14 @@ class CorpusIndex:
         return cls(entries=entries, split=split, seed=seed, ratios=ratios)
 
 
+def check_split_ratios(ratios) -> None:
+    """Raise ``ValueError`` unless ``ratios`` are three non-negative numbers summing to 1."""
+    if len(ratios) != 3 or any(r < 0 for r in ratios):
+        raise ValueError("split_ratios must be three non-negative numbers")
+    if not abs(sum(ratios) - 1.0) <= 1e-9:
+        raise ValueError(f"split_ratios must sum to 1, got {sum(ratios)}")
+
+
 def scan_corpus(root, split_ratios=(0.8, 0.1, 0.1), seed: int = 0) -> CorpusIndex:
     """Index every WAV under ``root``; each directory of WAVs is one speaker.
 
@@ -248,18 +248,14 @@ def scan_corpus(root, split_ratios=(0.8, 0.1, 0.1), seed: int = 0) -> CorpusInde
     root = Path(root)
     if not root.exists():
         raise CorpusError(f"corpus root {root} does not exist")
-    if len(split_ratios) != 3 or any(r < 0 for r in split_ratios):
-        raise ValueError("split_ratios must be three non-negative numbers")
-    if abs(sum(split_ratios) - 1.0) > 1e-9:
-        raise ValueError(f"split_ratios must sum to 1, got {sum(split_ratios)}")
+    check_split_ratios(split_ratios)
     wavs = sorted(root.rglob("*.wav"))
     if not wavs:
         raise CorpusError(f"no .wav files found under {root}")
     entries = []
     for w in wavs:
-        samples, rate, _ = wav_info(w)
         speaker = w.parent.name if w.parent != root else root.name
-        entries.append(CorpusEntry(speaker, w.stem, str(w), samples, rate))
+        entries.append(CorpusEntry(speaker, w.stem, str(w), wav_info(w)[0]))
     speakers = sorted({e.speaker for e in entries})
     rng = np.random.default_rng(seed)
     order = [speakers[i] for i in rng.permutation(len(speakers))]

@@ -193,12 +193,12 @@ def broadcast_to(x, shape) -> Tensor:
                     (x, lambda g: _unbroadcast(g, x.shape)))
 
 
-def sum_axes(x, axes, keepdims: bool = False) -> Tensor:
+def sum_axes(x, axes) -> Tensor:
     x = _as_tensor(x)
     axes = tuple(axes) if not isinstance(axes, int) else (axes,)
     kept = tuple(1 if i in axes else d for i, d in enumerate(x.shape))
-    return _from_op(x.data.sum(axis=axes, keepdims=keepdims), "sum_axes",
-                    (x, lambda g: broadcast_to(g if keepdims else reshape(g, kept), x.shape)))
+    return _from_op(x.data.sum(axis=axes), "sum_axes",
+                    (x, lambda g: broadcast_to(reshape(g, kept), x.shape)))
 
 
 def sum_all(x) -> Tensor:
@@ -523,11 +523,11 @@ def _matmul(a, b) -> Tensor:
                     (b, lambda g: _matmul(transpose(a, (1, 0)), g)))
 
 
-def conv1d(x, weight, bias=None, stride: int = 1, padding: str = "same") -> Tensor:
-    """Cross-correlation of (b, c_in, L) with (c_out, c_in, k) filters.
+def conv1d(x, weight, bias=None, stride: int = 1) -> Tensor:
+    """Cross-correlation of (b, c_in, L) with (c_out, c_in, k) filters, k odd.
 
-    Same-padding zero-pads symmetrically (extra sample on the right) so the
-    output length is ceil(L/stride); valid-padding requires L >= k.
+    Zero-pads "same": symmetrically (extra sample on the right) so the output
+    length is ceil(L/stride).
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
     if x.ndim != 3:
@@ -539,18 +539,11 @@ def conv1d(x, weight, bias=None, stride: int = 1, padding: str = "same") -> Tens
         raise ValueError(f"channel mismatch: input has {x.shape[1]} channels, weight expects {c_in}")
     if not isinstance(stride, int) or stride < 1:
         raise ValueError(f"stride must be an integer >= 1, got {stride}")
+    if k % 2 == 0:
+        raise ValueError(f"same-padding requires an odd kernel, got {k}")
     length = x.shape[2]
-    if padding == "same":
-        if k % 2 == 0:
-            raise ValueError(f"same-padding requires an odd kernel, got {k}")
-        out_len = -(-length // stride)
-        left = max((out_len - 1) * stride + k - length, 0) // 2
-    elif padding == "valid":
-        if length < k:
-            raise ValueError(f"input length {length} shorter than kernel {k}")
-        out_len, left = (length - k) // stride + 1, 0
-    else:
-        raise ValueError(f"padding must be 'same' or 'valid', got {padding!r}")
+    out_len = -(-length // stride)
+    left = max((out_len - 1) * stride + k - length, 0) // 2
     if bias is not None:
         bias = _as_tensor(bias)
         if bias.shape != (c_out,):

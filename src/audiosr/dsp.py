@@ -57,13 +57,6 @@ class BiquadCascade:
             self, "sections", tuple(tuple(float(v) for v in s) for s in self.sections)
         )
 
-    def pole_magnitudes(self) -> np.ndarray:
-        """|pole| for every section, flattened."""
-        mags = []
-        for _, _, _, a1, a2 in self.sections:
-            mags.extend(abs(r) for r in np.roots([1.0, a1, a2]))
-        return np.asarray(mags)
-
     def response(self, freq_ratio) -> np.ndarray:
         """Complex frequency response at frequencies given as a ratio of Nyquist."""
         w = np.pi * np.asarray(freq_ratio, dtype=np.float64)

@@ -10,7 +10,7 @@ import numpy as np
 from . import dsp
 from .data import write_atomic
 from .dsp import DEFAULT_STFT, Signal, SpectrogramParams
-from .models import reconstruct, upsampling_mode
+from .models import encode_config, reconstruct, upsampling_mode
 
 
 def snr(generated: Signal, actual: Signal) -> float:
@@ -65,11 +65,8 @@ class MetricReport:
     notes: dict = field(default_factory=dict)
 
     def to_csv(self, path) -> None:
-        lines = [
-            f"# stft.frame_length = {self.stft_params.frame_length}",
-            f"# stft.hop = {self.stft_params.hop}",
-            f"# stft.window = {self.stft_params.window}",
-            f"# stft.power_floor = {self.stft_params.power_floor!r}",
+        lines = [f"# stft.{key} = {val}" for key, val in encode_config(self.stft_params).items()]
+        lines += [
             f"# scale = {self.scale}",
             f"# mode = {self.mode}",
             f"# checkpoint = {self.checkpoint_id or 'none'}",

@@ -383,11 +383,16 @@ def reconstruct(m: Model | None, low: Signal, scale: int) -> Signal:
 # ---------------------------------------------------------------------------
 
 def encode_config(cfg) -> dict[str, str]:
-    """Field name -> string; tuples are comma-joined."""
+    """Field name -> string for every field ``decode_config`` can parse;
+    tuples are comma-joined and ``None`` is written as ``none``."""
     out = {}
     for f in fields(cfg):
+        if f.type not in _PARSERS:
+            continue
         val = getattr(cfg, f.name)
-        out[f.name] = ",".join(str(v) for v in val) if isinstance(val, tuple) else str(val)
+        if isinstance(val, tuple):
+            val = ",".join(str(v) for v in val)
+        out[f.name] = "none" if val is None else str(val)
     return out
 
 
@@ -642,10 +647,5 @@ def save_checkpoint(m: Model, path) -> None:
     Checkpoint.from_model(m).save(path)
 
 
-def load_checkpoint(path, expect_kind: str | None = None) -> Model:
-    ckpt = Checkpoint.load(path)
-    if expect_kind is not None and ckpt.kind != expect_kind:
-        raise CheckpointKindError(
-            f"checkpoint holds a {ckpt.kind!r} model, but {expect_kind!r} is required"
-        )
-    return ckpt.build_model()
+def load_checkpoint(path) -> Model:
+    return Checkpoint.load(path).build_model()

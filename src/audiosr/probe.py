@@ -12,6 +12,9 @@ from .data import write_atomic
 from .dsp import DEFAULT_STFT, PowerSpectrogram, Signal, SpectrogramParams
 from .models import phase_shuffle  # noqa: F401  re-exported: probe.phase_shuffle
 
+MAX_PERIOD = 256  # longest exact period, in samples, that the probe looks for
+PGM_DB_RANGE = (-100.0, 0.0)  # dB mapped to black and white in a PGM export
+
 
 @dataclass
 class ArtifactReport:
@@ -32,7 +35,6 @@ def zero_input_probe(
     stft: SpectrogramParams = DEFAULT_STFT,
     sample_rate: int = 12000,
     peak_threshold_db: float = 20.0,
-    max_period: int = 256,
 ) -> ArtifactReport:
     """Forward an all-zero signal in eval mode and characterize the output.
 
@@ -80,7 +82,7 @@ def zero_input_probe(
             for b in hot
         ]
         peaks.sort(key=lambda t: t[2], reverse=True)
-        period = _exact_period(samples, max_period)
+        period = _exact_period(samples)
 
     n_params = None
     if hasattr(m, "parameters"):
@@ -98,22 +100,16 @@ def zero_input_probe(
     )
 
 
-def _exact_period(x: np.ndarray, max_period: int) -> int | None:
-    """Smallest p with x[t + p] == x[t] for all t, bit-exact; None if none."""
-    for p in range(1, min(max_period, len(x) - 1) + 1):
+def _exact_period(x: np.ndarray) -> int | None:
+    """Smallest p <= MAX_PERIOD with x[t + p] == x[t] for all t, bit-exact; None if none."""
+    for p in range(1, min(MAX_PERIOD, len(x) - 1) + 1):
         if np.array_equal(x[p:], x[:-p]):
             return p
     return None
 
 
-def export_spectrogram(
-    sp: PowerSpectrogram,
-    path,
-    fmt: str = "csv",
-    db_floor: float = -100.0,
-    db_ceiling: float = 0.0,
-) -> None:
-    """Write the spectrogram as dB values: CSV (frames x bins) or 8-bit PGM."""
+def export_spectrogram(sp: PowerSpectrogram, path, fmt: str = "csv") -> None:
+    """Write the spectrogram as dB values: CSV (frames x bins) or 8-bit PGM over PGM_DB_RANGE."""
     db = 10.0 * np.log10(sp.grid)
     if fmt == "csv":
         header = "frame_time_s," + ",".join(f"hz_{f:g}" for f in sp.bin_freqs)
@@ -122,11 +118,8 @@ def export_spectrogram(
             lines.append(f"{t:.6f}," + ",".join(f"{v:.4f}" for v in row))
         write_atomic(path, "\n".join(lines) + "\n")
     elif fmt == "pgm":
-        if not db_floor < db_ceiling:
-            raise ValueError(
-                f"degenerate dB scaling: floor {db_floor} must be below ceiling {db_ceiling}"
-            )
-        unit = np.clip((db - db_floor) / (db_ceiling - db_floor), 0.0, 1.0)
+        floor, ceiling = PGM_DB_RANGE
+        unit = np.clip((db - floor) / (ceiling - floor), 0.0, 1.0)
         gray = np.round(unit * 255.0).astype(np.uint8)
         image = gray.T[::-1]  # rows = bins (low freq at the bottom), cols = frames
         height, width = image.shape

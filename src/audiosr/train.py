@@ -122,24 +122,25 @@ class _PatchSampler:
     def __init__(self, corpus: list[Signal], patch_length: int, align: int, seed: int):
         self.corpus = corpus
         self.patch_length = patch_length
+        self.align = align
         self.rng = np.random.default_rng([seed, 0])
-        self.slots: list[tuple[int, int]] = []
-        for item, sig in enumerate(corpus):
-            for start in range(0, len(sig) - patch_length + 1, align):
-                self.slots.append((item, start))
-        if not self.slots:
-            raise ValueError(
-                f"no corpus item is long enough for patch_length {patch_length}"
-            )
-        self._queue: list[int] = []
+        # slot i is the i-th aligned patch start, counted item by item
+        counts = np.array([max(len(sig) - patch_length, -1) // align + 1 for sig in corpus])
+        self._ends = np.cumsum(counts)
+        self._firsts = self._ends - counts
+        if not self._ends[-1]:
+            raise ValueError(f"no corpus item is long enough for patch_length {patch_length}")
+        self._queue = np.empty(0, np.int64)  # this epoch's slot order, consumed from the end
 
     def batch(self, size: int) -> np.ndarray:
         """The next ``size`` patches as rows of a (size, patch_length) array."""
         out = np.empty((size, self.patch_length))
         for row in out:
-            if not self._queue:
-                self._queue = list(self.rng.permutation(len(self.slots)))
-            item, start = self.slots[self._queue.pop()]
+            if not len(self._queue):
+                self._queue = self.rng.permutation(self._ends[-1])
+            slot, self._queue = self._queue[-1], self._queue[:-1]
+            item = np.searchsorted(self._ends, slot, side="right")
+            start = (slot - self._firsts[item]) * self.align
             row[:] = self.corpus[item].samples[start : start + self.patch_length]
         return out
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from audiosr import cli, data, models
+from audiosr import cli, data, models, train
 from audiosr.dsp import Signal
 
 
@@ -217,6 +217,15 @@ class TestPrepareAndTrain:
         assert first.sample_rate == 12000
         assert len(first) == 6000
 
+    @pytest.mark.parametrize("ratios", ["abc", "0.5,0.5,0.5", "0.5,0.5", "nan,0,1"])
+    def test_prepare_bad_ratios_is_usage_error_before_any_write(self, tmp_path, ratios):
+        root = tmp_path / "raw"
+        self.build_corpus(root, speakers=1)
+        out = tmp_path / "prepared"
+        code = run("prepare", "--root", str(root), "--out", str(out), "--ratios", ratios)
+        assert code == 1
+        assert not out.exists()
+
     def test_prepare_empty_root_is_data_error(self, tmp_path):
         (tmp_path / "raw").mkdir()
         assert run("prepare", "--root", str(tmp_path / "raw"), "--out", str(tmp_path / "o")) == 2
@@ -338,6 +347,17 @@ class TestPrepareAndTrain:
         assert run("train-gan", "--config", str(cfgfile), "--out", str(out)) == 0
         assert (out / "generator.ckpt").exists()
         assert (out / "critic.ckpt").exists()
+        # run.meta's config decodes back into the run's configs
+        meta = dict(line.split(" = ", 1) for line in (out / "run.meta").read_text().splitlines())
+        sections = {}
+        for pair in meta["config"].split(";"):
+            key, _, val = pair.partition("=")
+            name, _, field = key.partition(".")
+            sections.setdefault(name, {})[field] = val
+        unet = models.decode_config(models.UnetConfig, sections["UnetConfig"])
+        base = models.decode_config(train.TrainConfig, sections["TrainConfig"])
+        gan = models.decode_config(train.GanConfig, sections["GanConfig"], base=base)
+        assert (unet.down_filters, base.loss, gan.n_critic, gan.warm_start) == ((4, 8), None, 2, None)
 
     # a valid tiny GAN run, apart from what each case below changes in it
     TINY_GAN_RUN = (

@@ -261,9 +261,7 @@ class TestCorpusScan:
     def test_ratio_allocation(self, tmp_path):
         self.build_tree(tmp_path, speakers=10, utts=1)
         index = data.scan_corpus(tmp_path, split_ratios=(0.8, 0.1, 0.1), seed=0)
-        assert len(index.speakers("train")) == 8
-        assert len(index.speakers("val")) == 1
-        assert len(index.speakers("test")) == 1
+        assert sorted(index.split.values()) == ["test"] + ["train"] * 8 + ["val"]
 
     def test_speaker_never_straddles_splits(self, tmp_path):
         self.build_tree(tmp_path, speakers=5, utts=4)
@@ -289,16 +287,12 @@ class TestCorpusScan:
         manifest = tmp_path / "manifest.txt"
         index.write_manifest(manifest)
         back = data.CorpusIndex.read_manifest(manifest)
+        assert {e.samples for e in index.entries} == {200}  # read from each WAV header
         assert back.seed == 5
         assert back.split == index.split
         assert [(e.speaker, e.path, e.samples) for e in back.entries] == [
             (e.speaker, e.path, e.samples) for e in index.entries
         ]
-
-    def test_entry_duration(self, tmp_path):
-        self.build_tree(tmp_path, speakers=1, utts=1)
-        index = data.scan_corpus(tmp_path)
-        assert index.entries[0].duration == pytest.approx(200 / 48000)
 
 
 _MANIFEST_LINES = [

@@ -226,14 +226,14 @@ class TestFiniteDifferences:
     def test_conv1d_all_modes(self):
         rng = self.rng
         x = Tensor(rng.normal(size=(2, 2, 10)))
-        for stride, padding in ((1, "same"), (2, "same"), (1, "valid"), (2, "valid")):
+        for stride in (1, 2):
             w = rand_param(rng, "w", (3, 2, 3), 0.7)
             b = rand_param(rng, "b", (3,), 0.5)
             proj = None
 
             def loss():
                 nonlocal proj
-                y = dg.conv1d(x, w, b, stride=stride, padding=padding)
+                y = dg.conv1d(x, w, b, stride=stride)
                 if proj is None:
                     proj = self._proj(y.shape)
                 return dg.sum_all(dg.mul(y, proj))
@@ -351,19 +351,16 @@ class TestFiniteDifferences:
         fd_check(loss, [w1, b1, w2, b2])
 
 
-def direct_conv(x, w, stride, padding):
-    """float64 direct-sum conv1d with its input and weight gradients for ``proj``.
+def direct_conv(x, w, stride):
+    """float64 direct-sum same-padded conv1d with its input and weight gradients for ``proj``.
 
     Returns ``(y, grads)`` where ``grads(proj)`` gives (dx, dw) of sum(y * proj).
     """
     b, c_in, length = x.shape
     c_out, _, k = w.shape
-    if padding == "same":
-        width = -(-length // stride)
-        total = max((width - 1) * stride + k - length, 0)
-        left = total // 2
-    else:
-        width, total, left = (length - k) // stride + 1, 0, 0
+    width = -(-length // stride)
+    total = max((width - 1) * stride + k - length, 0)
+    left = total // 2
     xp = np.zeros((b, c_in, length + total))
     xp[:, :, left : left + length] = x
     y = np.zeros((b, c_out, width))
@@ -394,14 +391,13 @@ NARROW = dg._NARROW
 
 @st.composite
 def conv_cases(draw):
-    padding = draw(st.sampled_from(["same", "valid"]))
-    k = draw(st.integers(1, 9).filter(lambda k: k % 2 == 1 or padding == "valid"))
+    k = draw(st.integers(0, 4)) * 2 + 1
     stride = draw(st.integers(1, 3))
-    length = draw(st.integers(k if padding == "valid" else 1, k + 10))
+    length = draw(st.integers(1, k + 10))
     b = draw(st.integers(1, 3))
     # channels on both sides of the narrow-conv limit, so both strategies run
     c_in, c_out = (draw(st.integers(1, 3) | st.integers(NARROW, NARROW + 2)) for _ in range(2))
-    return b, c_in, c_out, k, stride, padding, length
+    return b, c_in, c_out, k, stride, length
 
 
 class TestConvAgainstDirectSum:
@@ -409,13 +405,12 @@ class TestConvAgainstDirectSum:
 
     @settings(max_examples=80, deadline=None)
     @given(case=conv_cases(), seed=st.integers(0, 2**32 - 1))
-    @example(case=(2, 3, 2, 9, 2, "valid", 9), seed=0)  # L == k
-    @example(case=(1, 2, 3, 4, 3, "valid", 4), seed=1)  # even k, L == k
-    @example(case=(2, 1, 2, 5, 2, "same", 5), seed=2)  # L == k, stride does not divide L
-    @example(case=(3, 2, 1, 7, 3, "same", 11), seed=3)  # stride does not divide L
-    @example(case=(2, NARROW + 1, NARROW + 2, 5, 2, "same", 11), seed=4)  # wide both ways
-    @example(case=(2, 1, NARROW + 1, 9, 1, "same", 12), seed=5)  # narrow conv, wide transposed conv
-    @example(case=(2, NARROW + 1, 1, 9, 3, "valid", 14), seed=6)  # wide conv, narrow transposed conv
+    @example(case=(2, 1, 2, 5, 2, 5), seed=2)  # L == k, stride does not divide L
+    @example(case=(3, 2, 1, 7, 3, 11), seed=3)  # stride does not divide L
+    @example(case=(2, NARROW + 1, NARROW + 2, 5, 2, 11), seed=4)  # wide both ways
+    @example(case=(2, 1, NARROW + 1, 9, 1, 12), seed=5)  # narrow conv, wide transposed conv
+    @example(case=(2, NARROW + 1, 1, 9, 3, 14), seed=6)  # wide conv, narrow transposed conv
+    @example(case=(1, 2, 3, 1, 1, 4), seed=7)  # k == 1: no padding at all
     def test_forward_and_gradients(self, case, seed):
         self.check(case, seed)
 
@@ -427,7 +422,7 @@ class TestConvAgainstDirectSum:
     def test_one_batch_item_per_chunk(self, monkeypatch, stride, channels):
         # long or wide inputs run _tap_sum one batch item at a time
         monkeypatch.setattr(dg, "_CHUNK_BYTES", 1)
-        self.check((3, *channels, 5, stride, "same", 13), seed=5)
+        self.check((3, *channels, 5, stride, 13), seed=5)
 
     @pytest.mark.parametrize("op", ["conv", "conv_t", "corr"])
     def test_narrow_conv_is_one_gemm_per_batch_chunk(self, monkeypatch, op):
@@ -450,14 +445,14 @@ class TestConvAgainstDirectSum:
 
     @staticmethod
     def check(case, seed):
-        b, c_in, c_out, k, stride, padding, length = case
+        b, c_in, c_out, k, stride, length = case
         rng = np.random.default_rng(seed)
         xdata = rng.normal(size=(b, c_in, length))
         wdata = rng.normal(size=(c_out, c_in, k))
-        want, grads = direct_conv(xdata, wdata, stride, padding)
+        want, grads = direct_conv(xdata, wdata, stride)
         x = Tensor(xdata.copy(), requires_grad=True)
         w = Parameter("w", wdata.copy())
-        y = dg.conv1d(x, w, stride=stride, padding=padding)
+        y = dg.conv1d(x, w, stride=stride)
         assert_close_rel(y.data, want)
         proj = rng.normal(size=want.shape)
         dg.backward(dg.sum_all(dg.mul(y, Tensor(proj))), [x, w])
@@ -467,12 +462,12 @@ class TestConvAgainstDirectSum:
 
     @pytest.mark.parametrize("c_in", [1, NARROW + 1], ids=["narrow", "wide"])
     def test_non_contiguous_input_matches_its_copy(self, c_in):
-        # an unpadded valid conv reads the caller's array itself
+        # a one-tap conv needs no padding, so it reads the caller's array itself
         rng = np.random.default_rng(8)
         view = rng.normal(size=(3, c_in, 40))[:, :, ::2]
-        w = Parameter("w", rng.normal(size=(2, c_in, 5)))
-        y = dg.conv1d(Tensor(view), w, padding="valid")
-        assert np.array_equal(y.data, dg.conv1d(Tensor(view.copy()), w, padding="valid").data)
+        w = Parameter("w", rng.normal(size=(2, c_in, 1)))
+        y = dg.conv1d(Tensor(view), w)
+        assert np.array_equal(y.data, dg.conv1d(Tensor(view.copy()), w).data)
 
     @pytest.mark.parametrize("stride, c_out, c_in", [
         pytest.param(stride, c_out, c_in, id=tag + str(stride))
@@ -524,7 +519,7 @@ class TestConvAgainstDirectSum:
         x = Tensor(rng.normal(size=(2, 3, 10)), requires_grad=True)
         w = Parameter("w", rng.normal(size=(4, 3, 5)))
         b = Parameter("b", rng.normal(size=4))
-        y = dg.conv1d(x, w, b, stride=stride, padding="same")
+        y = dg.conv1d(x, w, b, stride=stride)
         assert y._op == "conv"
         assert len(y._parents) == 3
         assert all(p is q for p, q in zip(y._parents, (x, w, b)))
@@ -662,11 +657,9 @@ class TestInputGradientAndDoubleBackward:
             dg.input_gradient(dg.sum_all(dg.add(x, y)), x)
 
     @pytest.mark.parametrize(
-        "stride, padding, dropout",
-        [(1, "same", False), (1, "valid", False), (2, "same", False), (2, "valid", False),
-         (1, "same", True)],
+        "stride, dropout", [(1, False), (2, False), (1, True)],
     )
-    def test_double_backward_through_conv_matches_fd(self, stride, padding, dropout):
+    def test_double_backward_through_conv_matches_fd(self, stride, dropout):
         rng = np.random.default_rng(3)
         w = rand_param(rng, "w", (2, 1, 3), 0.6)
         b = rand_param(rng, "b", (2,), 0.3)
@@ -674,7 +667,7 @@ class TestInputGradientAndDoubleBackward:
 
         def penalty():
             x = Tensor(xdata, requires_grad=True)
-            h = dg.leaky_relu(dg.conv1d(x, w, b, stride=stride, padding=padding), 0.2)
+            h = dg.leaky_relu(dg.conv1d(x, w, b, stride=stride), 0.2)
             if dropout:  # the same mask on every evaluation
                 h = dg.dropout(h, 0.3, np.random.default_rng(4), training=True)
             score = dg.sum_all(dg.mean_time(h))

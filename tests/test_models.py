@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from audiosr import diffgraph as dg, dsp, models
+from audiosr import cli, diffgraph as dg, dsp, models, train
 from audiosr.diffgraph import Tensor
 from audiosr.dsp import Signal
 from audiosr.models import (
     Checkpoint,
     CheckpointCorruptError,
     CheckpointError,
-    CheckpointKindError,
     CheckpointVersionError,
     CriticConfig,
     EdsrConfig,
@@ -371,13 +370,31 @@ class TestReconstruct:
 
 
 class TestConfigCodec:
-    @pytest.mark.parametrize("cfg", [TINY_EDSR, TINY_UNET, TINY_CRITIC, EdsrConfig(), UnetConfig()])
+    BASE = train.TrainConfig(steps=3, mode="pre")
+
+    @pytest.mark.parametrize("cfg", [
+        TINY_EDSR, TINY_UNET, TINY_CRITIC, EdsrConfig(), UnetConfig(),
+        CriticConfig(),
+        train.TrainConfig(steps=5, mode="post"),
+        train.TrainConfig(steps=5, mode="pre", scale=3, loss="l1", lr=3e-4, checkpoint_every=2),
+        train.GanConfig(base=BASE),
+        train.GanConfig(base=BASE, gp_weight=0.5, warm_start="runs/None"),
+        cli.DataConfig(),
+        cli.DataConfig(manifest="None", split="val", synth_freq_hi=1e3, synth_kinds=("noise-mix",)),
+        dsp.SpectrogramParams(),
+        dsp.SpectrogramParams(frame_length=256, hop=64, window="rectangular", power_floor=1e-12),
+    ])
     def test_roundtrip(self, cfg):
-        assert models.decode_config(type(cfg), models.encode_config(cfg)) == cfg
+        # every config dataclass, None-valued str | None fields included
+        defaults = {"base": cfg.base} if isinstance(cfg, train.GanConfig) else {}
+        assert models.decode_config(type(cfg), models.encode_config(cfg), **defaults) == cfg
+
+    def test_none_is_written_as_none(self):
+        encoded = models.encode_config(train.GanConfig(base=self.BASE))
+        assert encoded["warm_start"] == "none"
+        assert "base" not in encoded
 
     def test_field_types_drive_parsing(self):
-        from audiosr import train
-
         cfg = models.decode_config(
             train.TrainConfig, {"steps": " 3 ", "lr": "1e-3", "loss": "none"}, mode="post"
         )
@@ -394,8 +411,6 @@ class TestConfigCodec:
             models.decode_config(EdsrConfig, values)
 
     def test_non_string_field_rejected(self):
-        from audiosr import train
-
         base = train.TrainConfig(steps=1, mode="pre")
         with pytest.raises(ValueError, match="base"):
             models.decode_config(train.GanConfig, {"base": "x"}, base=base)
@@ -495,13 +510,6 @@ class TestCheckpoint:
         with pytest.raises(CheckpointCorruptError):
             models.load_checkpoint(path)
 
-    def test_kind_mismatch_distinct_error(self, tmp_path):
-        m = models.build_edsr(TINY_EDSR, seed=9)
-        path = tmp_path / "edsr.ckpt"
-        models.save_checkpoint(m, path)
-        with pytest.raises(CheckpointKindError):
-            models.load_checkpoint(path, expect_kind="unet")
-
     def test_version_mismatch_distinct_error(self, tmp_path):
         m = models.build_edsr(TINY_EDSR, seed=9)
         path = tmp_path / "edsr.ckpt"
@@ -522,7 +530,7 @@ class TestCheckpoint:
         m = models.build_unet(TINY_UNET, seed=9)
         path = tmp_path / "unet.ckpt"
         models.save_checkpoint(m, path)
-        m2 = models.load_checkpoint(path, expect_kind="unet")
+        m2 = models.load_checkpoint(path)
         assert m2.config == TINY_UNET
 
     def test_checkpoint_dataclass_api(self):

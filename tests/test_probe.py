@@ -154,17 +154,11 @@ class TestExport:
 
     def test_constant_grid_constant_pgm(self, tmp_path):
         path = tmp_path / "s.pgm"
-        probe.export_spectrogram(self.grid(), path, fmt="pgm", db_floor=-100, db_ceiling=0)
+        probe.export_spectrogram(self.grid(), path, fmt="pgm")
         blob = path.read_bytes()
         header, rest = blob.split(b"255\n", 1)
         assert header.startswith(b"P5\n5 1025\n")
         assert len(set(rest)) == 1  # single gray level
-
-    def test_degenerate_scaling_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="degenerate"):
-            probe.export_spectrogram(
-                self.grid(), tmp_path / "x.pgm", fmt="pgm", db_floor=-10, db_ceiling=-10
-            )
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from audiosr import data, diffgraph as dg, dsp, models, train
 from audiosr.diffgraph import AdamState, Parameter, Tensor
@@ -54,6 +56,45 @@ class TestMakePair:
         cfg = TrainConfig(steps=1, mode="post", scale=3, batch_size=1, patch_length=96)
         with pytest.raises(ValueError, match="upsamples by 2"):
             train.train_supervised(m, toy_corpus(), cfg)
+
+
+class _SlotListSampler:
+    """Reference sampler: a list of every (item, start) slot, reshuffled each epoch."""
+
+    def __init__(self, corpus, patch_length, align, seed):
+        self.corpus, self.patch_length = corpus, patch_length
+        self.rng = np.random.default_rng([seed, 0])
+        self.slots = [(item, start) for item, sig in enumerate(corpus)
+                      for start in range(0, len(sig) - patch_length + 1, align)]
+        self.queue = []
+
+    def batch(self, size):
+        out = np.empty((size, self.patch_length))
+        for row in out:
+            if not self.queue:
+                self.queue = list(self.rng.permutation(len(self.slots)))
+            item, start = self.slots[self.queue.pop()]
+            row[:] = self.corpus[item].samples[start : start + self.patch_length]
+        return out
+
+
+class TestPatchSampler:
+    @settings(max_examples=100, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 120), min_size=1, max_size=6),
+           patch=st.integers(1, 48), align=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           sizes=st.lists(st.integers(1, 25), min_size=1, max_size=6))
+    def test_draws_match_the_slot_list_reference(self, lengths, patch, align, seed, sizes):
+        assume(max(lengths) >= patch)
+        # every sample value is distinct, so equal rows mean equal (item, start)
+        corpus = [Signal((np.arange(n) + 1000 * i) / 1e4, 12000) for i, n in enumerate(lengths)]
+        sampler = train._PatchSampler(corpus, patch, align, seed)
+        reference = _SlotListSampler(corpus, patch, align, seed)
+        for size in sizes:
+            assert np.array_equal(sampler.batch(size), reference.batch(size))
+
+    def test_no_long_enough_item_rejected(self):
+        with pytest.raises(ValueError, match="no corpus item is long enough"):
+            train._PatchSampler([Signal(np.zeros(10), 12000)], 11, 1, 0)
 
 
 class TestSupervised:
