@@ -179,15 +179,24 @@ def _build_model(kind: str, model_cfg, seed: int):
     return models.KINDS[kind][1](model_cfg, init_seed=seed)
 
 
+def _run_training(out: Path, progress_every: int, trainer, *inputs) -> train.TrainLog:
+    """Run ``trainer`` into ``out`` and write its ``trainlog.csv``. A run that aborts
+    on a non-finite value still writes the log of the steps that finished."""
+    try:
+        log = trainer(*inputs, out_dir=str(out), progress_every=progress_every)[-1]
+    except train.NumericError as exc:
+        exc.log.to_csv(_out_dir(str(out)) / "trainlog.csv")
+        raise
+    log.to_csv(out / "trainlog.csv")
+    return log
+
+
 def _cmd_train(args) -> int:
     kind, model_cfg, train_cfg, _, _, data_cfg = _load_run_config(args.config, want_gan=False)
     out = Path(args.out)  # made by the trainer when it first saves a checkpoint
     corpus, _, corpus_hash = _load_corpus(data_cfg)
     model = _build_model(kind, model_cfg, train_cfg.seed)
-    ckpt, log = train.train_supervised(
-        model, corpus, train_cfg, out_dir=str(out), progress_every=args.progress_every
-    )
-    log.to_csv(out / "trainlog.csv")
+    log = _run_training(out, args.progress_every, train.train_supervised, model, corpus, train_cfg)
     _write_run_meta(out, "train", {
         "model": kind,
         "config": _flatten_cfg(model_cfg, train_cfg),
@@ -208,10 +217,7 @@ def _cmd_train_gan(args) -> int:
     corpus, _, corpus_hash = _load_corpus(data_cfg)
     generator = _build_model(kind, model_cfg, train_cfg.seed)
     critic = _build_model("critic", critic_cfg, train_cfg.seed + 1)
-    _, _, log = train.train_wgan_gp(
-        generator, critic, corpus, gan_cfg, out_dir=str(out), progress_every=args.progress_every
-    )
-    log.to_csv(out / "trainlog.csv")
+    _run_training(out, args.progress_every, train.train_wgan_gp, generator, critic, corpus, gan_cfg)
     _write_run_meta(out, "train-gan", {
         "config": _flatten_cfg(model_cfg, train_cfg, critic_cfg, gan_cfg),
         "seed": train_cfg.seed,

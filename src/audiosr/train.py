@@ -2,6 +2,7 @@
 training on patches degraded into (model input, target) pairs."""
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import time
@@ -19,7 +20,10 @@ from .models import (Checkpoint, CheckpointKindError, ConfigConflictError, Model
 
 
 class NumericError(RuntimeError):
-    """Training aborted on a non-finite quantity; carries the offending step."""
+    """Training aborted on a non-finite quantity; carries the offending step
+    and, raised out of a training run, the ``TrainLog`` of the steps that finished."""
+
+    log: TrainLog | None = None
 
     def __init__(self, message: str, step: int, record: dict):
         super().__init__(message)
@@ -165,11 +169,13 @@ def _validate_run(model: Model, corpus: list[Signal], cfg: TrainConfig) -> None:
         )
 
 
-def _update(model: Model, params, objective: Tensor, step: int, what: str, **values) -> None:
-    """One optimizer step: abort if any logged value is non-finite, else
-    backpropagate ``objective`` and apply ``model``'s Adam state to ``params``."""
+def _update(model: Model, objective: Tensor, step: int, what: str, **values) -> None:
+    """One optimizer step: abort if any logged value is non-finite, else backpropagate
+    ``objective`` into ``model``'s cleared gradients and apply its Adam state."""
     if not all(math.isfinite(v) for v in values.values()):
         raise NumericError(f"non-finite {what} {step}", step, values)
+    model.zero_grad()
+    params = model.parameters()
     dg.backward(objective, params)
     dg.adam_step(params, model.adam_state)
     model.train_step += 1
@@ -193,6 +199,51 @@ def _batch_arrays(patches: np.ndarray, model: Model, scale: int):
             patches[:, None, :].astype(model.dtype, copy=False))
 
 
+def _keep_freed_heap() -> None:
+    """Make glibc keep freed heap for reuse instead of handing it back to the OS,
+    so a step does not fault in again what the previous step's graph freed.
+    Process-wide; does nothing where glibc's ``mallopt`` is missing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD: 1 GiB
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: 32 MiB, glibc's 64-bit maximum
+
+
+def _run_steps(model: Model, corpus: list[Signal], cfg: TrainConfig, rows: int, body,
+               log: TrainLog, progress: str, out_dir, progress_every: int,
+               every: dict[str, Model], final: dict[str, Model]) -> list[Checkpoint]:
+    """The step loop of both trainers. It adds ``cfg``'s common keys to ``log.meta``
+    and gives each model in ``final`` a fresh Adam state. Per step it draws ``rows``
+    patches, degrades them for ``model`` and calls ``body(step, inputs, targets)``,
+    which returns the step's losses by ``StepRecord`` field; the step's graph dies
+    with that call's frame. It logs them, prints ``progress`` formatted with ``step``,
+    ``steps`` and the losses, saves ``every`` (names formatted with the step) each
+    ``checkpoint_every`` steps and ``final`` at the end. A ``NumericError`` leaves
+    carrying ``log``."""
+    _keep_freed_heap()
+    log.meta.update(scale=cfg.scale, seed=cfg.seed, batch_size=cfg.batch_size,
+                    patch_length=cfg.patch_length, lr=cfg.lr)
+    for m in final.values():
+        m.adam_state = AdamState(alpha=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
+    sampler = _PatchSampler(corpus, cfg.patch_length, cfg.scale, cfg.seed)
+    t0 = time.perf_counter()
+    for step in range(1, cfg.steps + 1):
+        try:
+            losses = body(step, *_batch_arrays(sampler.batch(rows), model, cfg.scale))
+        except NumericError as exc:
+            exc.log = log
+            raise
+        log.append(StepRecord(step=step, wall_time=time.perf_counter() - t0, **losses))
+        if progress_every and step % progress_every == 0:
+            print(progress.format(step=step, steps=cfg.steps, **losses), flush=True)
+        if out_dir is not None and cfg.checkpoint_every and step % cfg.checkpoint_every == 0:
+            _save(out_dir, cfg.seed, {name.format(step): m for name, m in every.items()})
+    return _save(out_dir, cfg.seed, final)
+
+
 def train_supervised(
     model: Model,
     corpus: list[Signal],
@@ -206,38 +257,18 @@ def train_supervised(
     _validate_run(model, corpus, cfg)
     loss_name = _resolve_loss(model, cfg)
     loss_fn = dg.l1 if loss_name == "l1" else dg.l2
-    sampler = _PatchSampler(corpus, cfg.patch_length, cfg.scale, cfg.seed)
     net_rng = np.random.default_rng([cfg.seed, 1])
-    model.adam_state = AdamState(alpha=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
-    log = TrainLog(
-        kind="supervised",
-        meta={
-            "model": model.kind,
-            "loss": loss_name,
-            "scale": cfg.scale,
-            "mode": cfg.mode,
-            "seed": cfg.seed,
-            "batch_size": cfg.batch_size,
-            "patch_length": cfg.patch_length,
-            "lr": cfg.lr,
-        },
-    )
-    params = model.parameters()
-    t0 = time.perf_counter()
-    for step in range(1, cfg.steps + 1):
-        patches = sampler.batch(cfg.batch_size)
-        inp, tgt = _batch_arrays(patches, model, cfg.scale)
-        model.zero_grad()
-        out = model.forward(Tensor(inp), training=True, rng=net_rng)
-        loss = loss_fn(out, Tensor(tgt))
+
+    def step_body(step, inp, tgt):
+        loss = loss_fn(model.forward(Tensor(inp), training=True, rng=net_rng), Tensor(tgt))
         value = loss.item()
-        _update(model, params, loss, step, "loss at step", loss=value)
-        log.append(StepRecord(step=step, loss=value, wall_time=time.perf_counter() - t0))
-        if progress_every and step % progress_every == 0:
-            print(f"step {step}/{cfg.steps}  {loss_name} loss {value:.6f}", flush=True)
-        if out_dir is not None and cfg.checkpoint_every and step % cfg.checkpoint_every == 0:
-            _save(out_dir, cfg.seed, {f"ckpt_{step:06d}.ckpt": model})
-    (ckpt,) = _save(out_dir, cfg.seed, {"final.ckpt": model})
+        _update(model, loss, step, "loss at step", loss=value)
+        return {"loss": value}
+
+    log = TrainLog("supervised", meta={"model": model.kind, "loss": loss_name, "mode": cfg.mode})
+    (ckpt,) = _run_steps(model, corpus, cfg, cfg.batch_size, step_body, log,
+                         "step {step}/{steps}  " + loss_name + " loss {loss:.6f}", out_dir,
+                         progress_every, {"ckpt_{:06d}.ckpt": model}, {"final.ckpt": model})
     return ckpt, log
 
 
@@ -295,87 +326,49 @@ def train_wgan_gp(
             raise CheckpointKindError(f"warm start holds a {warm.kind!r} model, not a {generator.kind!r}")
         load_params(generator, warm.params)
 
-    sampler = _PatchSampler(corpus, base.patch_length, base.scale, base.seed)
     gen_rng = np.random.default_rng([base.seed, 1])
     critic_rng = np.random.default_rng([base.seed, 2])
     eps_rng = np.random.default_rng([base.seed, 3])
-    generator.adam_state = AdamState(alpha=base.lr, beta1=base.beta1, beta2=base.beta2)
-    critic.adam_state = AdamState(alpha=base.lr, beta1=base.beta1, beta2=base.beta2)
-    log = TrainLog(
-        kind="wgan-gp",
-        meta={
-            "gp_weight": cfg.gp_weight,
-            "n_critic": cfg.n_critic,
-            "content_weight": cfg.content_weight,
-            "scale": base.scale,
-            "seed": base.seed,
-            "batch_size": base.batch_size,
-            "patch_length": base.patch_length,
-            "lr": base.lr,
-            "warm_start": cfg.warm_start or "none",
-        },
-    )
-    gen_params = generator.parameters()
-    critic_params = critic.parameters()
-    t0 = time.perf_counter()
-    for step in range(1, base.steps + 1):
+
+    def critic_step(step, inp, tgt):
+        with dg.no_grad():
+            fake = generator.forward(Tensor(inp), training=True, rng=gen_rng)
+        eps = eps_rng.random(base.batch_size)
+        s_fake = critic.forward(Tensor(fake.data), training=True, rng=critic_rng)
+        s_real = critic.forward(Tensor(tgt), training=True, rng=critic_rng)
+        pen = gradient_penalty(critic, tgt.astype(critic.dtype, copy=False),
+                               fake.data.astype(critic.dtype, copy=False), eps,
+                               training=True, rng=critic_rng)
+        loss_c = dg.add(dg.sub(dg.mean_all(s_fake), dg.mean_all(s_real)), dg.mul(pen, cfg.gp_weight))
+        c_val, p_val = loss_c.item(), pen.item()
+        _update(critic, loss_c, step, "critic loss at outer step",
+                critic_loss=c_val, penalty=p_val)
+        return c_val, p_val
+
+    def outer_step(step, inp, tgt):
         # one draw and one degradation per outer step: n_critic critic
         # batches, then the generator's, each a block of batch_size rows
-        patches = sampler.batch((cfg.n_critic + 1) * base.batch_size)
-        inps, tgts = (np.split(a, cfg.n_critic + 1)
-                      for a in _batch_arrays(patches, generator, base.scale))
-        critic_losses, penalties = [], []
-        for inp, tgt in zip(inps[:-1], tgts[:-1]):
-            with dg.no_grad():
-                fake = generator.forward(Tensor(inp), training=True, rng=gen_rng)
-            eps = eps_rng.random(base.batch_size)
-            critic.zero_grad()
-            s_fake = critic.forward(Tensor(fake.data), training=True, rng=critic_rng)
-            s_real = critic.forward(Tensor(tgt), training=True, rng=critic_rng)
-            pen = gradient_penalty(critic, tgt.astype(critic.dtype, copy=False),
-                                   fake.data.astype(critic.dtype, copy=False), eps,
-                                   training=True, rng=critic_rng)
-            loss_c = dg.add(
-                dg.sub(dg.mean_all(s_fake), dg.mean_all(s_real)),
-                dg.mul(pen, cfg.gp_weight),
-            )
-            c_val, p_val = loss_c.item(), pen.item()
-            _update(critic, critic_params, loss_c, step, "critic loss at outer step",
-                    critic_loss=c_val, penalty=p_val)
-            critic_losses.append(c_val)
-            penalties.append(p_val)
-
-        inp, tgt = inps[-1], tgts[-1]
-        generator.zero_grad()
-        fake = generator.forward(Tensor(inp), training=True, rng=gen_rng)
+        inps, tgts = np.split(inp, cfg.n_critic + 1), np.split(tgt, cfg.n_critic + 1)
+        critic_losses, penalties = zip(*[critic_step(step, i, t)
+                                         for i, t in zip(inps[:-1], tgts[:-1])])
+        fake = generator.forward(Tensor(inps[-1]), training=True, rng=gen_rng)
         s_fake = critic.forward(fake, training=True, rng=critic_rng)
         loss_g = dg.neg(dg.mean_all(s_fake))
         if cfg.content_weight > 0:
-            loss_g = dg.add(loss_g, dg.mul(dg.l1(fake, Tensor(tgt)), cfg.content_weight))
+            loss_g = dg.add(loss_g, dg.mul(dg.l1(fake, Tensor(tgts[-1])), cfg.content_weight))
         g_val = loss_g.item()
-        _update(generator, gen_params, loss_g, step, "generator loss at outer step", gen_loss=g_val)
+        _update(generator, loss_g, step, "generator loss at outer step", gen_loss=g_val)
+        return {"loss": g_val, "critic_loss": float(np.mean(critic_losses)),
+                "penalty": float(np.mean(penalties)), "gen_loss": g_val}
 
-        log.append(
-            StepRecord(
-                step=step,
-                loss=g_val,
-                wall_time=time.perf_counter() - t0,
-                critic_loss=float(np.mean(critic_losses)),
-                penalty=float(np.mean(penalties)),
-                gen_loss=g_val,
-            )
-        )
-        if progress_every and step % progress_every == 0:
-            print(
-                f"outer {step}/{base.steps}  critic {np.mean(critic_losses):.4f}  "
-                f"penalty {np.mean(penalties):.4f}  gen {g_val:.4f}",
-                flush=True,
-            )
-        if out_dir is not None and base.checkpoint_every and step % base.checkpoint_every == 0:
-            _save(out_dir, base.seed, {f"generator_{step:06d}.ckpt": generator,
-                                       f"critic_{step:06d}.ckpt": critic})
-
-    gen_ckpt, critic_ckpt = _save(
-        out_dir, base.seed, {"generator.ckpt": generator, "critic.ckpt": critic}
+    log = TrainLog("wgan-gp", meta={"gp_weight": cfg.gp_weight, "n_critic": cfg.n_critic,
+                                    "content_weight": cfg.content_weight,
+                                    "warm_start": cfg.warm_start or "none"})
+    gen_ckpt, critic_ckpt = _run_steps(
+        generator, corpus, base, (cfg.n_critic + 1) * base.batch_size, outer_step, log,
+        "outer {step}/{steps}  critic {critic_loss:.4f}  penalty {penalty:.4f}  gen {gen_loss:.4f}",
+        out_dir, progress_every,
+        {"generator_{:06d}.ckpt": generator, "critic_{:06d}.ckpt": critic},
+        {"generator.ckpt": generator, "critic.ckpt": critic},
     )
     return gen_ckpt, critic_ckpt, log

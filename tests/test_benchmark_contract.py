@@ -8,6 +8,7 @@ the benchmark runs.
 import hashlib
 import importlib.util
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -146,19 +147,38 @@ TRAINING_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name, steps", [("train_edsr", 8), ("train_gan", 4)])
-def test_float64_training_is_bit_identical(name, steps):
+def _perfbench_trainer(name: str, steps: int):
+    """Build workload ``name``'s float64 models on its seed-0 inputs. Return them and a
+    call that trains them for ``steps`` steps and returns the log."""
     inputs = workloads.generate_inputs(name, 0)
     corpus, model_seed, train_seed = inputs["corpus"], inputs["model_seed"], inputs["train_seed"]
     if name == "train_edsr":
         model = models.build_edsr(models.EdsrConfig(**workloads.EDSR), seed=model_seed)
         cfg = train.TrainConfig(steps=steps, seed=train_seed, **workloads.EDSR_TRAIN)
-        _, log = train.train_supervised(model, corpus, cfg)
-        trained = (model,)
-    else:
-        gen = models.build_unet(models.UnetConfig(**workloads.GAN_GENERATOR), seed=model_seed)
-        critic = models.build_critic(models.CriticConfig(**workloads.GAN_CRITIC), seed=model_seed + 1)
-        base = train.TrainConfig(steps=steps, seed=train_seed, **workloads.GAN_TRAIN)
-        *_, log = train.train_wgan_gp(gen, critic, corpus, train.GanConfig(base=base, **workloads.GAN))
-        trained = (gen, critic)
-    assert _training_digest(log, *trained) == TRAINING_DIGESTS[name]
+        return (model,), lambda: train.train_supervised(model, corpus, cfg)[1]
+    gen = models.build_unet(models.UnetConfig(**workloads.GAN_GENERATOR), seed=model_seed)
+    critic = models.build_critic(models.CriticConfig(**workloads.GAN_CRITIC), seed=model_seed + 1)
+    cfg = train.GanConfig(base=train.TrainConfig(steps=steps, seed=train_seed, **workloads.GAN_TRAIN),
+                          **workloads.GAN)
+    return (gen, critic), lambda: train.train_wgan_gp(gen, critic, corpus, cfg)[2]
+
+
+@pytest.mark.parametrize("name, steps", [("train_edsr", 8), ("train_gan", 4)])
+def test_float64_training_is_bit_identical(name, steps):
+    trained, run = _perfbench_trainer(name, steps)
+    assert _training_digest(run(), *trained) == TRAINING_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["train_edsr", "train_gan"])
+def test_one_training_tape_is_alive_at_a_time(name):
+    # each step frees its graph before the next forward, so 3 steps peak like 1
+    peaks = []
+    for steps in (1, 3):
+        _, run = _perfbench_trainer(name, steps)
+        tracemalloc.start()  # numpy reports its array buffers to tracemalloc
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.15 * peaks[0], f"1-step peak {peaks[0]} B, 3-step peak {peaks[1]} B"

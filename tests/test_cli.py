@@ -472,6 +472,28 @@ class TestExitCodes:
         )
         assert run("train", "--config", str(cfgfile), "--out", str(tmp_path / "o")) == 3
         assert "numeric failure" in capsys.readouterr().err
+        # the steps that finished before the abort are logged
+        rows = [line for line in (tmp_path / "o" / "trainlog.csv").read_text().splitlines()
+                if not line.startswith("#")][1:]
+        assert rows
+        assert all(np.isfinite(float(row.split(",")[1])) for row in rows)
+
+    def test_numeric_failure_of_train_gan_keeps_its_log(self, tmp_path, capsys):
+        cfgfile = tmp_path / "blowup.cfg"
+        cfgfile.write_text(
+            "[run]\nmodel = unet\n"
+            "[model]\ndepth = 1\ndown_filters = 4\ndown_kernels = 9\nbottleneck_filters = 4\n"
+            "[critic]\nlayers = 2\nbase_filters = 4\nkernel = 9\n"
+            "[train]\nsteps = 3\nbatch_size = 1\npatch_length = 256\nlr = 1e80\n"
+            "[gan]\nn_critic = 1\n"
+            "[data]\nsynth_count = 2\nsynth_length = 1024\n"
+        )
+        assert run("train-gan", "--config", str(cfgfile), "--out", str(tmp_path / "o")) == 3
+        assert "numeric failure" in capsys.readouterr().err
+        rows = [line for line in (tmp_path / "o" / "trainlog.csv").read_text().splitlines()
+                if not line.startswith("#")][1:]
+        assert rows
+        assert all(np.isfinite([float(v) for v in row.split(",")[1:4]]).all() for row in rows)
 
     def test_run_meta_deterministic(self, tmp_path):
         metas = []

@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import math
 
@@ -119,12 +120,31 @@ class TestSupervised:
             runs.append(log.trajectory())
         assert runs[0] == runs[1]
 
-    def test_default_losses_by_kind(self):
+    @pytest.mark.parametrize("libc", ["missing", "without-mallopt"])
+    def test_runs_the_same_without_glibc_mallopt(self, monkeypatch, libc):
+        def run():
+            m = models.build_edsr(TINY_EDSR, seed=4)
+            cfg = TrainConfig(steps=2, mode="post", scale=2, batch_size=2, patch_length=256, seed=4)
+            return train.train_supervised(m, toy_corpus(), cfg)[1].trajectory()
+
+        def cdll(name):
+            calls.append(name)
+            if libc == "missing":
+                raise OSError("no C library")
+            return object()
+
+        want, calls = run(), []
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert run() == want
+        assert calls == [None]
+
+    def test_default_losses_by_kind(self, capsys):
         corpus = toy_corpus()
         m = models.build_edsr(TINY_EDSR, seed=0)
         cfg = TrainConfig(steps=1, mode="post", scale=2, batch_size=1, patch_length=256)
-        _, log = train.train_supervised(m, corpus, cfg)
+        _, log = train.train_supervised(m, corpus, cfg, progress_every=1)
         assert log.meta["loss"] == "l2"
+        assert capsys.readouterr().out == f"step 1/1  l2 loss {log.records[0].loss:.6f}\n"
         u = models.build_unet(TINY_UNET, seed=0)
         cfg = TrainConfig(steps=1, mode="pre", scale=2, batch_size=1, patch_length=256)
         _, log = train.train_supervised(u, corpus, cfg)
@@ -324,14 +344,17 @@ class TestWganGp:
         assert critic.adam_state.t == 5
         assert gen.adam_state.t == 1
 
-    def test_log_carries_gan_fields(self):
+    def test_log_carries_gan_fields(self, capsys):
         gen, critic, corpus, cfg = self.gan_setup(steps=2)
-        _, _, log = train.train_wgan_gp(gen, critic, corpus, cfg)
+        _, _, log = train.train_wgan_gp(gen, critic, corpus, cfg, progress_every=2)
         assert len(log.records) == 2
         for rec in log.records:
             assert math.isfinite(rec.critic_loss)
             assert math.isfinite(rec.penalty)
             assert math.isfinite(rec.gen_loss)
+        rec = log.records[1]
+        assert capsys.readouterr().out == (f"outer 2/2  critic {rec.critic_loss:.4f}  "
+                                           f"penalty {rec.penalty:.4f}  gen {rec.gen_loss:.4f}\n")
 
     def test_content_weight_zero_is_pure_adversarial(self):
         # with content_weight=0 the generator loss is exactly -mean(D(G(l)))
@@ -437,6 +460,7 @@ class TestWganGp:
             train.train_wgan_gp(gen, critic, corpus, cfg)
         assert err.value.step >= 1
         assert err.value.record
+        assert [r.step for r in err.value.log.records] == list(range(1, err.value.step))
 
     def test_reproducible_given_seed(self):
         logs = []
