@@ -13,8 +13,9 @@ tape unless recording is off.
 
 A convolution, with its padding and bias, is one tape node: a k-tap sum of
 matmuls over shifted views of its input or, when at most ``_NARROW`` (8)
-channels feed each tap, one matmul over a window that stacks those views per
-batch chunk. It is one of three tape ops, the conv, its transposed conv
+channels feed each tap, one matmul over a window that stacks those views.
+Both run per chunk of whole batch items, or per column tile of an item above
+``_ITEM_BYTES``. It is one of three tape ops, the conv, its transposed conv
 (input gradient) and a correlation (weight gradient), whose VJPs are built
 from each other.
 
@@ -24,6 +25,7 @@ differentiate each other; ``bincount`` sums in ``np.add.at``'s order.
 """
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +50,19 @@ class no_grad:
         global _grad_enabled
         _grad_enabled = self._prev
         return False
+
+
+def keep_freed_heap() -> None:
+    """Make glibc keep freed heap for reuse instead of handing it back to the OS,
+    so a forward or step does not fault in again what an earlier graph freed.
+    Process-wide; does nothing where glibc's ``mallopt`` is missing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD: 1 GiB
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: 32 MiB, glibc's 64-bit maximum
 
 
 class Tensor:
@@ -354,6 +369,10 @@ def _put_time(g, flat: np.ndarray, length: int) -> Tensor:
 # wins for the conv and the transposed conv at batch x samples 32 x 256,
 # 4 x 128 and 1 x 8000, and the correlation loses 14-28% at 32 x 256 only;
 # at K = 12 it loses 60-70% there.
+# Both run over chunks of whole batch items; an item above _ITEM_BYTES (a long
+# inference input) runs in equal column tiles instead, so its products stay in
+# cache (Goto and van de Geijn, ACM TOMS 2008). Measured on one core, tiles cut
+# toy conv time 12-30% at 4,500-16,003 samples and lose up to 20% at 2,500.
 # The conv and its two gradients are three bilinear tape ops, all taking
 # ``left``, whose VJPs are built from each other, so gradients of any order
 # (the critic's double backward) stay on the tape. The VJPs, parent by parent:
@@ -362,9 +381,9 @@ def _put_time(g, flat: np.ndarray, length: int) -> Tensor:
 #   _corr(x, g)    -> w-grad x: _conv_t(g, h)  g: _conv(x, h)
 # ---------------------------------------------------------------------------
 
-# bytes of one batch chunk in _tap_sum: small enough for the per-tap product
-# buffer, or a narrow conv's stacked window, to stay in cache
-_CHUNK_BYTES = 1 << 18
+# bytes of one chunk, small enough for the per-tap product buffer or a narrow
+# conv's stacked window to stay in cache, and of the largest item kept whole
+_CHUNK_BYTES, _ITEM_BYTES = 1 << 18, 1 << 19
 
 # largest per-tap inner dimension that stacks its taps into one GEMM
 _NARROW = 8
@@ -393,14 +412,25 @@ def _tap_major(w: np.ndarray, axes) -> np.ndarray:
     return np.ascontiguousarray(w.transpose(axes))
 
 
+def _chunks(b: int, col_bytes: int, width: int) -> tuple[int, list[tuple[slice, slice]]]:
+    """The most item columns in one chunk, and (items, columns) slices that cover
+    b items of ``width`` columns of ``col_bytes`` each: as many whole items as
+    fit in ``_CHUNK_BYTES``, or one, or equal tiles of an item above ``_ITEM_BYTES``."""
+    item = col_bytes * width
+    tiles = -(-item // _CHUNK_BYTES) if item > _ITEM_BYTES else 1
+    n, tile = max(1, _CHUNK_BYTES // max(1, item)), max(1, -(-width // tiles))
+    return min(n, b) * min(tile, width), [(slice(s, s + n), slice(t, t + tile))
+                                          for s in range(0, b, n) for t in range(0, width, tile)]
+
+
 def _windows(x: np.ndarray, stride: int, k: int, width: int, dtype):
-    """Yield ``(items, window)`` per batch chunk of x: the (n, k*c, width)
-    window holds x[items, i, j + stride*t] at [:, j*c + i, t]. A chunk is one
-    strided copy into a reused buffer of at most ``_CHUNK_BYTES``, or one item.
+    """Yield ``(items, cols, window)`` per chunk of x (see ``_chunks``): the
+    (n, k*c, len(cols)) window holds x[items, i, j + stride*(cols.start + t)]
+    at [:, j*c + i, t], one strided copy into a reused buffer.
 
     The copies read one (b, k, c, width) view of x's buffer, built by the
     ndarray constructor, which takes a quarter of as_strided's time per call
-    (1.2 against 4.8 us); a WGAN-GP step builds about 190 windows.
+    (1.2 against 4.8 us); a WGAN-GP outer step builds about 200 windows.
     """
     b, c, length = x.shape
     if length < stride * (width - 1) + k:  # the view must end inside x's buffer
@@ -408,22 +438,23 @@ def _windows(x: np.ndarray, stride: int, k: int, width: int, dtype):
     x = np.ascontiguousarray(x)
     sb, sc, st = x.strides
     taps = np.ndarray((b, k, c, width), x.dtype, buffer=x, strides=(sb, st, sc, stride * st))
-    step = max(1, _CHUNK_BYTES // max(1, k * c * width * dtype.itemsize))
-    buf = np.empty((min(step, b), k, c, width), dtype)
-    for s in range(0, b, step):
-        win = buf[: min(step, b - s)]
-        win[...] = taps[s : s + step]
-        yield slice(s, s + step), win.reshape(len(win), k * c, width)
+    cells, chunks = _chunks(b, k * c * dtype.itemsize, width)
+    buf = np.empty(cells * k * c, dtype)
+    for items, cols in chunks:
+        view = taps[items, :, :, cols]
+        win = buf[: view.size].reshape(view.shape)
+        win[...] = view
+        yield items, cols, win.reshape(len(win), k * c, -1)
 
 
 def _tap_sum(mats, x: np.ndarray, stride: int, width: int) -> np.ndarray:
     """sum_j mats[j] @ x[:, :, j : j + stride*(width-1)+1 : stride] over the
     k (rows, K) mats, for a (b, K, L) x long enough for ``width`` outputs.
 
-    A narrow sum (K <= _NARROW) is one GEMM per batch chunk of the stacked
-    mats against the stacked window. A wide one accumulates the per-tap
-    products in place, over batch chunks so that each product lands in a
-    small, cache-resident temporary instead of a fresh output-sized array.
+    A narrow sum (K <= _NARROW) is one GEMM per chunk of the stacked mats
+    against the stacked window. A wide one accumulates the per-tap products in
+    place, per chunk, so each lands in a small, cache-resident temporary; a
+    column tile accumulates in a contiguous array that is copied into ``out``.
     """
     k, rows, inner = mats.shape
     b = len(x)
@@ -431,18 +462,25 @@ def _tap_sum(mats, x: np.ndarray, stride: int, width: int) -> np.ndarray:
     out = np.empty((b, rows, width), dtype)
     if inner <= _NARROW:
         flat = mats.transpose(1, 0, 2).reshape(rows, k * inner)
-        for s, win in _windows(x, stride, k, width, dtype):
-            np.matmul(flat, win, out=out[s])
+        for items, cols, win in _windows(x, stride, k, width, dtype):
+            o = out[items, :, cols]
+            acc = o if o.flags.c_contiguous else np.empty(o.shape, dtype)
+            np.matmul(flat, win, out=acc)
+            if acc is not o:
+                o[...] = acc
         return out
     views = _taps(x, stride, k, width)
-    step = max(1, _CHUNK_BYTES // max(1, rows * width * dtype.itemsize))
-    tmp = np.empty((min(step, b), rows, width), dtype)
-    for s in range(0, b, step):
-        o = out[s : s + step]
-        np.matmul(mats[0], views[0][s : s + step], out=o)
-        t = tmp[: len(o)]
+    cells, chunks = _chunks(b, rows * dtype.itemsize, width)
+    tmp = np.empty(cells * rows, dtype)
+    for items, cols in chunks:
+        o = out[items, :, cols]
+        acc = o if o.flags.c_contiguous else np.empty(o.shape, dtype)
+        np.matmul(mats[0], views[0][items, :, cols], out=acc)
+        t = tmp[: o.size].reshape(o.shape)
         for m, v in zip(mats[1:], views[1:]):
-            o += np.matmul(m, v[s : s + step], out=t)
+            acc += np.matmul(m, v[items, :, cols], out=t)
+        if acc is not o:
+            o[...] = acc
     return out
 
 
@@ -504,8 +542,8 @@ def _corr(x, g, stride: int, k: int, left: int) -> Tensor:
     xp = _padded(x.data, stride, k, width, left)
     if c_in <= _NARROW:
         flat = np.zeros((c_out, k * c_in), dtype)
-        for s, win in _windows(xp, stride, k, width, dtype):
-            flat += np.matmul(g.data[s], win.transpose(0, 2, 1)).sum(axis=0)
+        for items, cols, win in _windows(xp, stride, k, width, dtype):
+            flat += np.matmul(g.data[items, :, cols], win.transpose(0, 2, 1)).sum(axis=0)
         out = np.ascontiguousarray(flat.reshape(c_out, k, c_in).transpose(0, 2, 1))
     else:
         out = np.empty((c_out, c_in, k), dtype)

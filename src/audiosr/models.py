@@ -370,6 +370,7 @@ def model_input(m: Model, low: np.ndarray, scale: int) -> np.ndarray:
 
 def reconstruct(m: Model | None, low: Signal, scale: int) -> Signal:
     """Upsample ``low`` by ``scale`` with the spline (``m=None``) or a model."""
+    dg.keep_freed_heap()
     if m is None:
         return dsp.spline_upsample(low, scale)
     feed = model_input(m, low.samples, scale)

@@ -2,7 +2,6 @@
 training on patches degraded into (model input, target) pairs."""
 from __future__ import annotations
 
-import ctypes
 import math
 import os
 import time
@@ -199,19 +198,6 @@ def _batch_arrays(patches: np.ndarray, model: Model, scale: int):
             patches[:, None, :].astype(model.dtype, copy=False))
 
 
-def _keep_freed_heap() -> None:
-    """Make glibc keep freed heap for reuse instead of handing it back to the OS,
-    so a step does not fault in again what the previous step's graph freed.
-    Process-wide; does nothing where glibc's ``mallopt`` is missing."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD: 1 GiB
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: 32 MiB, glibc's 64-bit maximum
-
-
 def _run_steps(model: Model, corpus: list[Signal], cfg: TrainConfig, rows: int, body,
                log: TrainLog, progress: str, out_dir, progress_every: int,
                every: dict[str, Model], final: dict[str, Model]) -> list[Checkpoint]:
@@ -223,7 +209,7 @@ def _run_steps(model: Model, corpus: list[Signal], cfg: TrainConfig, rows: int, 
     ``steps`` and the losses, saves ``every`` (names formatted with the step) each
     ``checkpoint_every`` steps and ``final`` at the end. A ``NumericError`` leaves
     carrying ``log``."""
-    _keep_freed_heap()
+    dg.keep_freed_heap()
     log.meta.update(scale=cfg.scale, seed=cfg.seed, batch_size=cfg.batch_size,
                     patch_length=cfg.patch_length, lr=cfg.lr)
     for m in final.values():

@@ -424,6 +424,22 @@ class TestConvAgainstDirectSum:
         monkeypatch.setattr(dg, "_CHUNK_BYTES", 1)
         self.check((3, *channels, 5, stride, 13), seed=5)
 
+    @pytest.mark.parametrize("b", [1, 3], ids=["b1", "b3"])
+    @pytest.mark.parametrize("stride, channels", [
+        pytest.param(stride, channels, id=tag + str(stride))
+        for tag, channels in (("", (2, 3)), ("wide-", (NARROW + 1, NARROW + 2)))
+        for stride in (1, 2)
+    ])
+    def test_items_over_the_limit_run_in_column_tiles(self, monkeypatch, b, stride, channels):
+        # every item crosses the whole-item limit, so each is cut into tiles
+        # of a few columns, the last one shorter; _corr slices g per tile
+        monkeypatch.setattr(dg, "_ITEM_BYTES", 0)
+        monkeypatch.setattr(dg, "_CHUNK_BYTES", 256)
+        chunks, tiles = dg._chunks, []
+        monkeypatch.setattr(dg, "_chunks", lambda *a: tiles.append(chunks(*a)) or tiles[-1])
+        self.check((b, *channels, 5, stride, 29), seed=9)
+        assert any(cols.start > 0 for _, found in tiles for _, cols in found)
+
     @pytest.mark.parametrize("op", ["conv", "conv_t", "corr"])
     def test_narrow_conv_is_one_gemm_per_batch_chunk(self, monkeypatch, op):
         # one channel per tap: the 17 taps stack into one matmul per batch item

@@ -138,6 +138,25 @@ class TestSupervised:
         assert run() == want
         assert calls == [None]
 
+    @pytest.mark.parametrize("libc", ["missing", "without-mallopt"])
+    def test_reconstructs_the_same_without_glibc_mallopt(self, monkeypatch, libc):
+        low = Signal(np.random.default_rng(5).normal(0, 0.1, 301), 12000)
+        nets = [None, models.build_edsr(TINY_EDSR, seed=4), models.build_unet(TINY_UNET, seed=4)]
+
+        def run():
+            return [models.reconstruct(m, low, 2).samples.tobytes() for m in nets]
+
+        def cdll(name):
+            calls.append(name)
+            if libc == "missing":
+                raise OSError("no C library")
+            return object()
+
+        want, calls = run(), []
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert run() == want
+        assert calls == [None] * len(nets)
+
     def test_default_losses_by_kind(self, capsys):
         corpus = toy_corpus()
         m = models.build_edsr(TINY_EDSR, seed=0)
