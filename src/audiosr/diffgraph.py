@@ -430,7 +430,7 @@ def _windows(x: np.ndarray, stride: int, k: int, width: int, dtype):
 
     The copies read one (b, k, c, width) view of x's buffer, built by the
     ndarray constructor, which takes a quarter of as_strided's time per call
-    (1.2 against 4.8 us); a WGAN-GP outer step builds about 200 windows.
+    (1.2 against 4.8 us); a criterion-8 WGAN-GP outer step builds about 140 windows.
     """
     b, c, length = x.shape
     if length < stride * (width - 1) + k:  # the view must end inside x's buffer
@@ -554,9 +554,9 @@ def _corr(x, g, stride: int, k: int, left: int) -> Tensor:
 
 
 def _matmul(a, b) -> Tensor:
-    """2-D matrix product a @ b."""
+    """2-D matrix product a @ b, row by row: no output row depends on the rows beside it."""
     a, b = _as_tensor(a), _as_tensor(b)
-    return _from_op(np.matmul(a.data, b.data), "matmul",
+    return _from_op(np.matmul(a.data[:, None, :], b.data)[:, 0], "matmul",
                     (a, lambda g: _matmul(g, transpose(b, (1, 0)))),
                     (b, lambda g: _matmul(transpose(a, (1, 0)), g)))
 

@@ -228,7 +228,7 @@ class UnetModel(Model):
     def length_divisor(self) -> int:
         return 2**self.config.depth
 
-    def forward(self, x, training: bool = False, rng: np.random.Generator | None = None):
+    def forward(self, x, training: bool = False, rng: np.random.Generator | None = None, parts: int = 1):
         x = self._check_input(x)
         cfg = self.config
         divisor = self.length_divisor
@@ -239,6 +239,10 @@ class UnetModel(Model):
             )
         if training and cfg.dropout_rate > 0 and rng is None:
             raise ValueError("training-mode forward needs an rng for dropout")
+        if training:  # up{i}'s mask has the length after i + 2 stride-2 halvings
+            rng = _Replay(rng, parts, x.shape[0], lambda r, n: [
+                r.random((n, 2 * cfg.down_filters[i], -(-x.shape[2] // 2 ** (i + 2))))
+                for i in reversed(range(cfg.depth))] if cfg.dropout_rate > 0 else [])
         h = x
         skips = []
         for i, (f, k) in enumerate(zip(cfg.down_filters, cfg.down_kernels)):
@@ -283,21 +287,41 @@ def phase_shuffle(x, n: int, rng: np.random.Generator):
     return dg.take_time(x, idx)
 
 
+class _Replay:
+    """The rng of a training forward over ``parts`` equal slices of its batch.
+    It makes every draw up front, in the order of separate forwards on the
+    slices: part by part, and in each part the layers in forward order, as
+    ``draw(rng, rows)`` lists them. Each layer's ``random`` or ``integers``
+    call then gets its parts' draws joined along the batch."""
+
+    def __init__(self, rng, parts: int, batch: int, draw):
+        if not isinstance(parts, int) or parts < 1 or batch % parts:
+            raise ValueError(f"parts must be a positive divisor of the batch ({batch}), got {parts}")
+        layers = zip(*[draw(rng, batch // parts) for _ in range(parts)])
+        self._queue = [np.concatenate(arrays) for arrays in layers][::-1]
+
+    random = integers = lambda self, *args, **kwargs: self._queue.pop()
+
+
 class CriticModel(Model):
     kind = "critic"
 
-    def forward(self, x, training: bool = False, rng: np.random.Generator | None = None):
+    def forward(self, x, training: bool = False, rng: np.random.Generator | None = None, parts: int = 1):
         x = self._check_input(x)
         cfg = self.config
         shuffle = training and cfg.phase_shuffle_n > 0
         if shuffle and rng is None:
             raise ValueError("training-mode forward needs an rng for phase shuffling")
+        n = cfg.phase_shuffle_n
+        if training:
+            rng = _Replay(rng, parts, x.shape[0], lambda r, rows: [
+                r.integers(-n, n + 1, size=rows) for _ in range(cfg.layers - 1)] if shuffle else [])
         h = x
         for i in range(cfg.layers):
             h = self._conv(h, f"layer{i}", cfg.base_filters * 2**i, cfg.kernel, stride=2)
             h = dg.leaky_relu(h, cfg.leaky_slope)
             if shuffle and i < cfg.layers - 1:
-                h = phase_shuffle(h, cfg.phase_shuffle_n, rng)
+                h = phase_shuffle(h, n, rng)
         score = self._dense(dg.mean_time(h), "score", 1)
         return dg.reshape(score, (x.shape[0],))
 

@@ -296,8 +296,10 @@ def train_wgan_gp(
     out_dir=None,
     progress_every: int = 0,
 ) -> tuple[Checkpoint, Checkpoint, TrainLog]:
-    """Adversarial loop: n_critic critic updates (Wasserstein loss plus the
-    gradient penalty), then one generator update, per outer iteration."""
+    """Adversarial loop: n_critic critic updates (Wasserstein loss plus the gradient
+    penalty), then one generator update, per outer iteration. One generator forward
+    makes the critic updates' fakes, and each update scores fake and real in one
+    critic forward; both draw at random as separate forwards would, in their order."""
     base = cfg.base
     if generator.mode != "pre":
         raise ValueError(
@@ -315,33 +317,32 @@ def train_wgan_gp(
     gen_rng = np.random.default_rng([base.seed, 1])
     critic_rng = np.random.default_rng([base.seed, 2])
     eps_rng = np.random.default_rng([base.seed, 3])
+    b = base.batch_size
 
-    def critic_step(step, inp, tgt):
-        with dg.no_grad():
-            fake = generator.forward(Tensor(inp), training=True, rng=gen_rng)
-        eps = eps_rng.random(base.batch_size)
-        s_fake = critic.forward(Tensor(fake.data), training=True, rng=critic_rng)
-        s_real = critic.forward(Tensor(tgt), training=True, rng=critic_rng)
-        pen = gradient_penalty(critic, tgt.astype(critic.dtype, copy=False),
-                               fake.data.astype(critic.dtype, copy=False), eps,
-                               training=True, rng=critic_rng)
-        loss_c = dg.add(dg.sub(dg.mean_all(s_fake), dg.mean_all(s_real)), dg.mul(pen, cfg.gp_weight))
+    def critic_step(step, fake, tgt):
+        eps = eps_rng.random(b)
+        fake, tgt = fake.astype(critic.dtype, copy=False), tgt.astype(critic.dtype, copy=False)
+        scores = critic.forward(Tensor(np.concatenate([fake, tgt])), training=True, rng=critic_rng, parts=2)
+        pen = gradient_penalty(critic, tgt, fake, eps, training=True, rng=critic_rng)
+        loss_c = dg.add(dg.sub(dg.mean_all(dg.slice_axis(scores, 0, 0, b)),
+                               dg.mean_all(dg.slice_axis(scores, 0, b, b))), dg.mul(pen, cfg.gp_weight))
         c_val, p_val = loss_c.item(), pen.item()
         _update(critic, loss_c, step, "critic loss at outer step",
                 critic_loss=c_val, penalty=p_val)
         return c_val, p_val
 
     def outer_step(step, inp, tgt):
-        # one draw and one degradation per outer step: n_critic critic
-        # batches, then the generator's, each a block of batch_size rows
-        inps, tgts = np.split(inp, cfg.n_critic + 1), np.split(tgt, cfg.n_critic + 1)
-        critic_losses, penalties = zip(*[critic_step(step, i, t)
-                                         for i, t in zip(inps[:-1], tgts[:-1])])
-        fake = generator.forward(Tensor(inps[-1]), training=True, rng=gen_rng)
+        # one draw and one degradation per outer step: n_critic critic batches, whose
+        # fakes come from one generator forward, then the generator's; b rows each
+        with dg.no_grad():
+            fakes = generator.forward(Tensor(inp[:-b]), training=True, rng=gen_rng, parts=cfg.n_critic)
+        critic_losses, penalties = zip(*[critic_step(step, f, t) for f, t in zip(
+            np.split(fakes.data, cfg.n_critic), np.split(tgt[:-b], cfg.n_critic))])
+        fake = generator.forward(Tensor(inp[-b:]), training=True, rng=gen_rng)
         s_fake = critic.forward(fake, training=True, rng=critic_rng)
         loss_g = dg.neg(dg.mean_all(s_fake))
         if cfg.content_weight > 0:
-            loss_g = dg.add(loss_g, dg.mul(dg.l1(fake, Tensor(tgts[-1])), cfg.content_weight))
+            loss_g = dg.add(loss_g, dg.mul(dg.l1(fake, Tensor(tgt[-b:])), cfg.content_weight))
         g_val = loss_g.item()
         _update(generator, loss_g, step, "generator loss at outer step", gen_loss=g_val)
         return {"loss": g_val, "critic_loss": float(np.mean(critic_losses)),

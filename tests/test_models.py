@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import multiprocessing
 import resource
@@ -246,6 +247,49 @@ class TestCritic:
         s0 = m.forward(Tensor(x)).data[0]
         s1 = m.forward(Tensor(np.roll(x, 1, axis=2))).data[0]
         assert np.isfinite(s0) and np.isfinite(s1)
+
+
+class TestStackedForward:
+    """A training forward with ``parts`` draws what ``parts`` separate forwards
+    on equal slices of its batch would, in their order, before its first layer."""
+
+    @staticmethod
+    def build(name, dtype):
+        if name == "unet":
+            return models.build_unet(TINY_UNET, dtype=dtype, seed=1)
+        shuffle = int(name[-1])  # "critic-n<phase_shuffle_n>"
+        return models.build_critic(dataclasses.replace(TINY_CRITIC, phase_shuffle_n=shuffle),
+                                   dtype=dtype, seed=2)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("parts", [1, 2, 3, 5])
+    @pytest.mark.parametrize("name, length", [
+        ("unet", 100),  # depth 2: the bottleneck length, 13, is odd
+        ("unet", 256), ("critic-n0", 256), ("critic-n1", 200), ("critic-n2", 256),
+    ])
+    def test_equals_separate_forwards(self, name, length, parts, dtype):
+        m = self.build(name, dtype)
+        x = np.random.default_rng(0).normal(size=(2 * parts, 1, length))
+        stacked_rng, separate_rng = np.random.default_rng(9), np.random.default_rng(9)
+        stacked = m.forward(Tensor(x), training=True, rng=stacked_rng, parts=parts)
+        separate = [m.forward(Tensor(xs), training=True, rng=separate_rng).data
+                    for xs in np.split(x, parts)]
+        assert np.array_equal(stacked.data, np.concatenate(separate))
+        assert stacked_rng.bit_generator.state == separate_rng.bit_generator.state
+
+    @pytest.mark.parametrize("name", ["unet", "critic-n2"])
+    @pytest.mark.parametrize("parts", [0, 3, 8])
+    def test_parts_must_divide_the_batch(self, name, parts):
+        m = self.build(name, "float64")
+        with pytest.raises(ValueError, match="parts"):
+            m.forward(Tensor(np.zeros((4, 1, 64))), training=True,
+                      rng=np.random.default_rng(0), parts=parts)
+
+    @pytest.mark.parametrize("name", ["unet", "critic-n2"])
+    def test_eval_mode_ignores_parts(self, name):
+        m = self.build(name, "float64")
+        x = Tensor(np.random.default_rng(1).normal(size=(4, 1, 64)))
+        assert np.array_equal(m.forward(x, parts=3).data, m.forward(x).data)
 
 
 class TestConstruction:

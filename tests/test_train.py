@@ -355,6 +355,55 @@ class TestWganGp:
                            patch_length=256, seed=seed)
         return gen, critic, corpus, GanConfig(base=base)
 
+    @staticmethod
+    def reference_critic_updates(gen, critic, corpus, cfg):
+        """The critic updates of outer step 1 with one generator forward per
+        update and separate fake and real critic forwards; their losses and
+        penalties."""
+        base, b = cfg.base, cfg.base.batch_size
+        critic.adam_state = AdamState(alpha=base.lr, beta1=base.beta1, beta2=base.beta2)
+        sampler = train._PatchSampler(corpus, base.patch_length, base.scale, base.seed)
+        inp, tgt = train._batch_arrays(sampler.batch((cfg.n_critic + 1) * b), gen, base.scale)
+        gen_rng, critic_rng, eps_rng = (np.random.default_rng([base.seed, i]) for i in (1, 2, 3))
+        losses, penalties = [], []
+        for rows in (slice(i * b, (i + 1) * b) for i in range(cfg.n_critic)):
+            with dg.no_grad():
+                fake = gen.forward(Tensor(inp[rows]), training=True, rng=gen_rng).data
+            eps = eps_rng.random(b)
+            s_fake = critic.forward(Tensor(fake), training=True, rng=critic_rng)
+            s_real = critic.forward(Tensor(tgt[rows]), training=True, rng=critic_rng)
+            pen = train.gradient_penalty(critic, tgt[rows], fake, eps, training=True, rng=critic_rng)
+            loss = dg.add(dg.sub(dg.mean_all(s_fake), dg.mean_all(s_real)), dg.mul(pen, cfg.gp_weight))
+            losses.append(loss.item())
+            penalties.append(pen.item())
+            train._update(critic, loss, 1, "critic loss", critic_loss=losses[-1], penalty=penalties[-1])
+        return losses, penalties
+
+    def test_one_outer_step_stacks_its_forwards(self, monkeypatch):
+        # one generator forward makes every critic update's fakes, and each
+        # update scores fake and real in one critic forward; the penalty's mix
+        # and the generator update keep their own forwards
+        ref_gen, ref_critic, corpus, cfg = self.gan_setup(steps=1)
+        want_losses, want_penalties = self.reference_critic_updates(ref_gen, ref_critic, corpus, cfg)
+        gen, critic, corpus, cfg = self.gan_setup(steps=1)
+        calls, updates = {"unet": 0, "critic": 0}, []
+        for cls, kind in ((models.UnetModel, "unet"), (models.CriticModel, "critic")):
+            def counting(self, *args, _forward=cls.forward, _kind=kind, **kwargs):
+                calls[_kind] += 1
+                return _forward(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "forward", counting)
+        def recording(*args, _update=train._update, **values):
+            updates.append(values)
+            _update(*args, **values)
+        monkeypatch.setattr(train, "_update", recording)
+        _, _, log = train.train_wgan_gp(gen, critic, corpus, cfg)
+        assert calls == {"unet": 2, "critic": 2 * cfg.n_critic + 1}
+        assert updates[0]["critic_loss"] == want_losses[0]
+        assert updates[0]["penalty"] == want_penalties[0]
+        (rec,) = log.records
+        assert rec.critic_loss == pytest.approx(np.mean(want_losses), rel=1e-12, abs=0)
+        assert rec.penalty == pytest.approx(np.mean(want_penalties), rel=1e-12, abs=0)
+
     def test_step_bookkeeping(self):
         gen, critic, corpus, cfg = self.gan_setup(steps=1)
         train.train_wgan_gp(gen, critic, corpus, cfg)
