@@ -100,7 +100,9 @@ class Model:
 
     ``mode`` names the input an upsampling model takes: "post" models read the
     low-rate signal, "pre" models its spline interpolation at the target rate.
-    Models that do not upsample (the critic) have none.
+    Models that do not upsample (the critic) have none. Every model reads any
+    input length; ``length_divisor`` stays 1 for perfbench's oracle, which
+    crops its feed to a multiple of it.
 
     Each layer is declared once, in ``forward``, whose ``_conv`` and ``_dense``
     make its parameters on first use, sized by their input. The constructor
@@ -112,6 +114,7 @@ class Model:
 
     kind = "model"
     mode: str | None = None
+    length_divisor = 1
 
     def __init__(self, config, dtype: str = "float64", init_seed: int = 0,
                  params: dict[str, np.ndarray] | None = None):
@@ -125,7 +128,7 @@ class Model:
         self.adam_state: AdamState | None = None
         self._source = np.random.default_rng(self.init_seed) if params is None else params
         with dg.no_grad():
-            self.forward(Tensor(np.zeros((0, 1, self.length_divisor), self.dtype)))
+            self.forward(Tensor(np.zeros((0, 1, 1), self.dtype)))
         self._source = None
         if params is not None and len(params) != len(self.params):
             raise CheckpointCorruptError("parameter names do not match the model architecture")
@@ -190,10 +193,6 @@ class Model:
         """Output samples per input sample: the scale for post models, else 1."""
         return self.scale if self.mode == "post" else 1
 
-    @property
-    def length_divisor(self) -> int:
-        return 1
-
     def forward(self, x, training: bool = False, rng: np.random.Generator | None = None):
         raise NotImplementedError
 
@@ -224,19 +223,9 @@ class UnetModel(Model):
     kind = "unet"
     mode = "pre"
 
-    @property
-    def length_divisor(self) -> int:
-        return 2**self.config.depth
-
     def forward(self, x, training: bool = False, rng: np.random.Generator | None = None, parts: int = 1):
         x = self._check_input(x)
         cfg = self.config
-        divisor = self.length_divisor
-        if x.shape[2] % divisor != 0:
-            raise ValueError(
-                f"input length {x.shape[2]} must be divisible by {divisor} "
-                f"(2**depth for depth={cfg.depth})"
-            )
         if training and cfg.dropout_rate > 0 and rng is None:
             raise ValueError("training-mode forward needs an rng for dropout")
         if training:  # up{i}'s mask has the length after i + 2 stride-2 halvings
@@ -262,6 +251,8 @@ class UnetModel(Model):
             h = dg.concat_channels(h, skip)
         h = self._conv(h, "head", 2, cfg.final_kernel)
         h = dg.subpixel_shuffle1d(h, 2)
+        if h.shape[2] > x.shape[2]:  # an odd input length rounded up by down0
+            h = dg.slice_time(h, 0, x.shape[2])
         return dg.add(h, x)
 
 
@@ -378,18 +369,8 @@ def upsampling_mode(m: Model, scale: int, mode: str | None = None) -> str:
 def model_input(m: Model, low: np.ndarray, scale: int) -> np.ndarray:
     """The samples ``m`` reads to upsample ``low`` (samples along its last
     axis) by ``scale``: ``low`` itself for a post model, and for a pre model
-    its spline cropped to the length divisor, whose tail is then missing."""
-    if upsampling_mode(m, scale) == "post":
-        return low
-    base = dsp.spline(low, scale)
-    divisor = m.length_divisor
-    usable = base.shape[-1] // divisor * divisor
-    if usable == 0:
-        raise ValueError(
-            f"{base.shape[-1]} samples at the target rate are fewer than the model's "
-            f"length divisor {divisor}"
-        )
-    return base[..., :usable]
+    its whole spline, ``scale`` times as long."""
+    return low if upsampling_mode(m, scale) == "post" else dsp.spline(low, scale)
 
 
 def reconstruct(m: Model | None, low: Signal, scale: int) -> Signal:

@@ -160,11 +160,9 @@ def _validate_run(model: Model, corpus: list[Signal], cfg: TrainConfig) -> None:
     upsampling_mode(model, cfg.scale, cfg.mode)
     for sig in corpus:
         dsp.check_rate(sig.sample_rate, cfg.scale)
-    need = model.length_divisor * cfg.scale
-    if cfg.patch_length % need != 0:
+    if cfg.patch_length % cfg.scale != 0:
         raise ConfigConflictError(
-            f"patch_length must be divisible by {need} (the model's length divisor "
-            f"times the scale), got {cfg.patch_length}"
+            f"patch_length must be divisible by the scale {cfg.scale}, got {cfg.patch_length}"
         )
 
 
@@ -180,14 +178,11 @@ def _update(model: Model, objective: Tensor, step: int, what: str, **values) -> 
     model.train_step += 1
 
 
-def _save(out_dir, seed: int, files: dict[str, Model]) -> list[Checkpoint]:
-    """Checkpoint each model; given ``out_dir``, make it and write each file there."""
-    ckpts = [Checkpoint.from_model(m, seed=seed) for m in files.values()]
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        for name, ckpt in zip(files, ckpts):
-            ckpt.save(f"{out_dir}/{name}")
-    return ckpts
+def _save(out_dir, seed: int, files: dict[str, Model]) -> None:
+    """Make ``out_dir`` and write a checkpoint of each model there, under its name."""
+    os.makedirs(out_dir, exist_ok=True)
+    for name, m in files.items():
+        Checkpoint.from_model(m, seed=seed).save(f"{out_dir}/{name}")
 
 
 def _batch_arrays(patches: np.ndarray, model: Model, scale: int):
@@ -200,15 +195,15 @@ def _batch_arrays(patches: np.ndarray, model: Model, scale: int):
 
 def _run_steps(model: Model, corpus: list[Signal], cfg: TrainConfig, rows: int, body,
                log: TrainLog, progress: str, out_dir, progress_every: int,
-               every: dict[str, Model], final: dict[str, Model]) -> list[Checkpoint]:
+               every: dict[str, Model], final: dict[str, Model]) -> None:
     """The step loop of both trainers. It adds ``cfg``'s common keys to ``log.meta``
     and gives each model in ``final`` a fresh Adam state. Per step it draws ``rows``
     patches, degrades them for ``model`` and calls ``body(step, inputs, targets)``,
     which returns the step's losses by ``StepRecord`` field; the step's graph dies
     with that call's frame. It logs them, prints ``progress`` formatted with ``step``,
-    ``steps`` and the losses, saves ``every`` (names formatted with the step) each
-    ``checkpoint_every`` steps and ``final`` at the end. A ``NumericError`` leaves
-    carrying ``log``."""
+    ``steps`` and the losses and, given ``out_dir``, saves ``every`` (names formatted
+    with the step) each ``checkpoint_every`` steps and ``final`` at the end. A
+    ``NumericError`` leaves carrying ``log``."""
     dg.keep_freed_heap()
     log.meta.update(scale=cfg.scale, seed=cfg.seed, batch_size=cfg.batch_size,
                     patch_length=cfg.patch_length, lr=cfg.lr)
@@ -227,7 +222,8 @@ def _run_steps(model: Model, corpus: list[Signal], cfg: TrainConfig, rows: int, 
             print(progress.format(step=step, steps=cfg.steps, **losses), flush=True)
         if out_dir is not None and cfg.checkpoint_every and step % cfg.checkpoint_every == 0:
             _save(out_dir, cfg.seed, {name.format(step): m for name, m in every.items()})
-    return _save(out_dir, cfg.seed, final)
+    if out_dir is not None:
+        _save(out_dir, cfg.seed, final)
 
 
 def train_supervised(
@@ -236,10 +232,11 @@ def train_supervised(
     cfg: TrainConfig,
     out_dir=None,
     progress_every: int = 0,
-) -> tuple[Checkpoint, TrainLog]:
+) -> tuple[Model, TrainLog]:
     """Algorithm: per step sample a batch of aligned patches, degrade them,
     regress the reconstruction under the configured loss, and take one Adam
-    step. Deterministic given (seed, config, corpus)."""
+    step. Deterministic given (seed, config, corpus). Returns the trained
+    model and the log; checkpoints are written only into ``out_dir``."""
     _validate_run(model, corpus, cfg)
     loss_name = _resolve_loss(model, cfg)
     loss_fn = dg.l1 if loss_name == "l1" else dg.l2
@@ -252,10 +249,10 @@ def train_supervised(
         return {"loss": value}
 
     log = TrainLog("supervised", meta={"model": model.kind, "loss": loss_name, "mode": cfg.mode})
-    (ckpt,) = _run_steps(model, corpus, cfg, cfg.batch_size, step_body, log,
-                         "step {step}/{steps}  " + loss_name + " loss {loss:.6f}", out_dir,
-                         progress_every, {"ckpt_{:06d}.ckpt": model}, {"final.ckpt": model})
-    return ckpt, log
+    _run_steps(model, corpus, cfg, cfg.batch_size, step_body, log,
+               "step {step}/{steps}  " + loss_name + " loss {loss:.6f}", out_dir,
+               progress_every, {"ckpt_{:06d}.ckpt": model}, {"final.ckpt": model})
+    return model, log
 
 
 def gradient_penalty(
@@ -295,11 +292,12 @@ def train_wgan_gp(
     cfg: GanConfig,
     out_dir=None,
     progress_every: int = 0,
-) -> tuple[Checkpoint, Checkpoint, TrainLog]:
+) -> tuple[Model, Model, TrainLog]:
     """Adversarial loop: n_critic critic updates (Wasserstein loss plus the gradient
     penalty), then one generator update, per outer iteration. One generator forward
     makes the critic updates' fakes, and each update scores fake and real in one
-    critic forward; both draw at random as separate forwards would, in their order."""
+    critic forward; both draw at random as separate forwards would, in their order.
+    Returns both trained models and the log, like ``train_supervised``."""
     base = cfg.base
     if generator.mode != "pre":
         raise ValueError(
@@ -351,11 +349,11 @@ def train_wgan_gp(
     log = TrainLog("wgan-gp", meta={"gp_weight": cfg.gp_weight, "n_critic": cfg.n_critic,
                                     "content_weight": cfg.content_weight,
                                     "warm_start": cfg.warm_start or "none"})
-    gen_ckpt, critic_ckpt = _run_steps(
+    _run_steps(
         generator, corpus, base, (cfg.n_critic + 1) * base.batch_size, outer_step, log,
         "outer {step}/{steps}  critic {critic_loss:.4f}  penalty {penalty:.4f}  gen {gen_loss:.4f}",
         out_dir, progress_every,
         {"generator_{:06d}.ckpt": generator, "critic_{:06d}.ckpt": critic},
         {"generator.ckpt": generator, "critic.ckpt": critic},
     )
-    return gen_ckpt, critic_ckpt, log
+    return generator, critic, log

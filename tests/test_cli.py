@@ -81,8 +81,8 @@ class TestUpsample:
         assert "upsamples by 2" in capsys.readouterr().err
         assert not (tmp_path / "o.wav").exists()
 
-    def test_unet_drops_the_tail_of_odd_inputs(self, tmp_path):
-        # known defect kept on purpose: the spline is cropped to the divisor
+    def test_unet_output_is_input_times_scale(self, tmp_path):
+        # 2,002 target-rate samples, which 2**depth = 4 does not divide
         cfg = models.UnetConfig(depth=2, down_filters=(4, 8), down_kernels=(9, 9), bottleneck_filters=8)
         ckpt = tmp_path / "unet.ckpt"
         models.save_checkpoint(models.build_unet(cfg, seed=0), ckpt)
@@ -90,19 +90,19 @@ class TestUpsample:
         write_tone(src, n=1001)
         code = run("upsample", "--scale", "2", "--method", "model", "--checkpoint", str(ckpt), str(src), str(dst))
         assert code == 0
-        assert len(data.wav_read(dst)) == 2000
+        assert len(data.wav_read(dst)) == 2002
 
-    def test_input_shorter_than_divisor_names_it(self, tmp_path, capsys):
+    def test_input_shorter_than_the_spline_minimum_names_it(self, tmp_path, capsys):
         cfg = models.UnetConfig(
             depth=4, down_filters=(4, 4, 4, 4), down_kernels=(9, 9, 9, 9), bottleneck_filters=4
         )
         ckpt = tmp_path / "unet.ckpt"
         models.save_checkpoint(models.build_unet(cfg, seed=0), ckpt)
         src = tmp_path / "in.wav"
-        write_tone(src, n=5)
+        write_tone(src, n=3)
         code = run("upsample", "--scale", "2", "--method", "model", "--checkpoint", str(ckpt), str(src), str(tmp_path / "o.wav"))
         assert code == 2
-        assert "length divisor 16" in capsys.readouterr().err
+        assert "at least 4 samples, got 3" in capsys.readouterr().err
 
     def test_missing_input_is_data_error(self, tmp_path):
         code = run("upsample", "--scale", "2", str(tmp_path / "nope.wav"), str(tmp_path / "o.wav"))

@@ -152,7 +152,8 @@ class TestEvaluateModel:
         assert len(rep.per_item) == 3
         assert all(math.isfinite(l) for _, _, l in rep.per_item)
 
-    def test_pre_mode_unet_pipeline_crops_to_divisor(self):
+    def test_pre_mode_unet_pipeline_reads_any_length(self):
+        # 8,190 samples, which 2**depth = 4 does not divide
         cfg = models.UnetConfig(
             depth=2, down_filters=(4, 8), down_kernels=(9, 9), bottleneck_filters=8, scale=2
         )
@@ -160,6 +161,7 @@ class TestEvaluateModel:
         corpus = [Signal(s.samples[: 8190], s.sample_rate) for s in self.corpus()]
         rep = metrics.evaluate_model(m, corpus, 2, "pre")
         assert len(rep.per_item) == 3
+        assert all(math.isfinite(v) for _, s, l in rep.per_item for v in (s, l))
 
     def test_scale_mismatch_rejected(self):
         m = models.build_edsr(models.EdsrConfig(filters=4, n_blocks=1, upsample_stages=1), seed=0)

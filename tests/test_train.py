@@ -183,7 +183,7 @@ class TestSupervised:
 
     def test_pre_mode_patch_divisibility_enforced(self):
         u = models.build_unet(TINY_UNET, seed=0)
-        cfg = TrainConfig(steps=1, mode="pre", scale=2, batch_size=1, patch_length=250)
+        cfg = TrainConfig(steps=1, mode="pre", scale=2, batch_size=1, patch_length=251)
         with pytest.raises(ValueError, match="divisible"):
             train.train_supervised(u, toy_corpus(), cfg)
 
@@ -192,7 +192,7 @@ class TestSupervised:
         m = models.build_edsr(TINY_EDSR, seed=1)
         cfg = TrainConfig(steps=4, mode="post", scale=2, batch_size=2,
                           patch_length=256, checkpoint_every=2, seed=1)
-        ckpt, _ = train.train_supervised(m, corpus, cfg, out_dir=str(tmp_path))
+        train.train_supervised(m, corpus, cfg, out_dir=str(tmp_path))
         assert (tmp_path / "final.ckpt").exists()
         assert (tmp_path / "ckpt_000002.ckpt").exists()
         loaded = models.load_checkpoint(tmp_path / "final.ckpt")
