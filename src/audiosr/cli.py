@@ -122,6 +122,15 @@ def _sha256(blob: bytes) -> str:
     return "sha256:" + hashlib.sha256(blob).hexdigest()
 
 
+def _file_sha256(path) -> str:
+    """``_sha256`` of a file's bytes, read in 1 MiB blocks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            digest.update(block)
+    return "sha256:" + digest.hexdigest()
+
+
 def _write_run_meta(out_dir: Path, command: str, items: dict) -> None:
     lines = [f"command = {command}", f"version = {__version__}"]
     for key in sorted(items):
@@ -282,7 +291,7 @@ def _cmd_upsample(args) -> int:
         "method": args.method,
         "checkpoint": args.checkpoint or "none",
         "seed": 0,
-        "corpus_hash": _sha256(Path(args.input).read_bytes()),
+        "corpus_hash": _file_sha256(args.input),
     })
     print(f"wrote {args.output}: {len(result)} samples @ {result.sample_rate} Hz")
     return 0
@@ -341,6 +350,8 @@ def _cmd_compare_losses(args) -> int:
 
 def _cmd_probe(args) -> int:
     model = models.load_checkpoint(args.checkpoint)
+    if model.mode is None:  # its score is not audio
+        raise ValueError(f"a {model.kind!r} model does not upsample audio")
     report = probe.zero_input_probe(
         model,
         length=args.length,
@@ -355,7 +366,7 @@ def _cmd_probe(args) -> int:
         "checkpoint": Path(args.checkpoint).name,
         "length": args.length,
         "seed": 0,
-        "corpus_hash": _sha256(Path(args.checkpoint).read_bytes()),
+        "corpus_hash": _file_sha256(args.checkpoint),
     })
     period = report.periodicity if report.periodicity is not None else "none"
     print(f"{len(report.peaks)} tonal peaks; periodicity: {period}")
@@ -450,8 +461,7 @@ def main(argv=None) -> int:
         data.WavError,
         data.CorpusError,
         models.CheckpointError,
-        FileNotFoundError,
-        IsADirectoryError,
+        OSError,
         ValueError,
     ) as exc:
         print(f"data error: {exc}", file=sys.stderr)

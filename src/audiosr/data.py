@@ -32,13 +32,17 @@ class CorpusError(Exception):
     pass
 
 
-def write_atomic(path, payload: bytes | str) -> None:
-    """Write ``payload`` (a str as UTF-8) to a temporary file beside ``path``,
-    then move it onto ``path``: readers see the old file or the new one."""
+def write_atomic(path, payload: bytes | str | list) -> None:
+    """Write ``payload`` (a str as UTF-8, a list of buffers one after another,
+    uncopied) to a temporary file beside ``path``, then move it onto ``path``:
+    readers see the old file or the new one."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    if isinstance(payload, str):
+        payload = payload.encode("utf-8")
     try:
-        tmp.write_bytes(payload.encode("utf-8") if isinstance(payload, str) else payload)
+        with open(tmp, "wb") as fh:
+            fh.writelines(payload if isinstance(payload, list) else [payload])
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -2,11 +2,10 @@
 and the scoring critic, plus inference, parameter accounting and checkpoint I/O."""
 from __future__ import annotations
 
-import copy
 import math
+import os
 import struct
 from dataclasses import dataclass, fields
-from io import BytesIO
 
 import numpy as np
 
@@ -148,7 +147,7 @@ class Model:
             data = self._source.get(name)
             if data is None or data.shape != shape:
                 raise CheckpointCorruptError(f"parameter {name!r} is missing or not of shape {shape}")
-            data = data.astype(self.dtype)
+            data = data.astype(self.dtype, copy=False)
             if not np.isfinite(data).all():
                 raise CheckpointCorruptError(f"parameter {name!r} contains non-finite values")
         p = self.params[name] = Parameter(name, data)
@@ -475,7 +474,7 @@ class CheckpointKindError(CheckpointError):
 
 @dataclass
 class Checkpoint:
-    """Serializable snapshot of a model (and optionally its optimizer)."""
+    """What a checkpoint file holds, as ``Checkpoint.load`` reads it."""
 
     kind: str
     config: EdsrConfig | UnetConfig | CriticConfig
@@ -485,116 +484,113 @@ class Checkpoint:
     step: int = 0
     adam: AdamState | None = None
 
-    @classmethod
-    def from_model(cls, m: Model, seed: int | None = None) -> "Checkpoint":
-        params = {name: p.data.copy() for name, p in m.params.items()}
-        seed = m.init_seed if seed is None else seed
-        adam = copy.deepcopy(m.adam_state)
-        return cls(m.kind, m.config, params, str(m.dtype), seed, m.train_step, adam)
-
     def build_model(self) -> Model:
-        """The model these arrays describe; draws no random weights."""
+        """The model these arrays describe; draws no random weights. It adopts
+        the arrays of its dtype and takes over the Adam state: one model per load."""
         m = KINDS[self.kind][1](self.config, self.dtype, self.seed, params=self.params)
         m.train_step = self.step
-        m.adam_state = copy.deepcopy(self.adam)
+        m.adam_state = self.adam
         return m
-
-    def save(self, path) -> None:
-        buf = BytesIO()
-        buf.write(CHECKPOINT_MAGIC)
-        buf.write(struct.pack("<I", FORMAT_VERSION))
-        header = self._header_text().encode("utf-8")
-        buf.write(struct.pack("<I", len(header)))
-        buf.write(header)
-        buf.write(struct.pack("<I", len(self.params)))
-        for name, arr in self.params.items():
-            _write_blob(buf, name, arr)
-        if self.adam is not None:
-            a = self.adam
-            buf.write(struct.pack("<Qdddd", a.t, a.alpha, a.beta1, a.beta2, a.eps))
-            for name in self.params:
-                _write_array(buf, a.m[name])
-                _write_array(buf, a.v[name])
-        buf.write(CHECKPOINT_TRAILER)
-        write_atomic(path, buf.getvalue())
-
-    def _header_text(self) -> str:
-        lines = [
-            f"kind = {self.kind}",
-            f"dtype = {self.dtype}",
-            f"seed = {self.seed}",
-            f"step = {self.step}",
-            f"adam = {1 if self.adam is not None else 0}",
-        ]
-        lines += [f"cfg.{key} = {val}" for key, val in encode_config(self.config).items()]
-        return "\n".join(lines) + "\n"
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
         with open(path, "rb") as fh:
-            raw = fh.read()
-        buf = BytesIO(raw)
-        magic = _read_exact(buf, len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointCorruptError("not a checkpoint file (bad magic)")
-        (version,) = struct.unpack("<I", _read_exact(buf, 4))
-        if version != FORMAT_VERSION:
-            raise CheckpointVersionError(
-                f"checkpoint format version {version} unsupported (expected {FORMAT_VERSION})"
-            )
-        (hlen,) = struct.unpack("<I", _read_exact(buf, 4))
-        header = _utf8(_read_exact(buf, hlen))
-        meta = {}
-        for line in header.splitlines():
-            if not line.strip():
-                continue
-            key, _, val = line.partition(" = ")
-            meta[key.strip()] = val
-        kind, dtype = meta.get("kind"), meta.get("dtype")
-        if kind not in KINDS:
-            raise CheckpointCorruptError(f"unknown model kind {kind!r}")
-        if dtype not in _DTYPE_CODES:
-            raise CheckpointCorruptError(f"unsupported dtype {dtype!r}")
-        config_cls = KINDS[kind][0]
-        try:
-            seed = int(meta["seed"])
-            step = int(meta["step"])
-            has_adam = meta["adam"] == "1"
-            config = decode_config(
-                config_cls, {f.name: meta[f"cfg.{f.name}"] for f in fields(config_cls)}
-            )
-        except KeyError as exc:
-            raise CheckpointCorruptError(f"header missing field {exc}") from exc
-        except ValueError as exc:
-            raise CheckpointCorruptError(f"bad header value: {exc}") from exc
-        (n_params,) = struct.unpack("<I", _read_exact(buf, 4))
-        params: dict[str, np.ndarray] = {}
-        for _ in range(n_params):
-            name, arr = _read_blob(buf)
-            params[name] = arr
-        adam = None
-        if has_adam:
-            t, alpha, beta1, beta2, eps = struct.unpack("<Qdddd", _read_exact(buf, 40))
+            buf = _Reader(fh)
+            if buf.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+                raise CheckpointCorruptError("not a checkpoint file (bad magic)")
+            (version,) = buf.unpack("<I")
+            if version != FORMAT_VERSION:
+                raise CheckpointVersionError(
+                    f"checkpoint format version {version} unsupported (expected {FORMAT_VERSION})"
+                )
+            (hlen,) = buf.unpack("<I")
+            header = _utf8(buf.read(hlen))
+            meta = {}
+            for line in header.splitlines():
+                if not line.strip():
+                    continue
+                key, _, val = line.partition(" = ")
+                meta[key.strip()] = val
+            kind, dtype = meta.get("kind"), meta.get("dtype")
+            if kind not in KINDS:
+                raise CheckpointCorruptError(f"unknown model kind {kind!r}")
+            if dtype not in _DTYPE_CODES:
+                raise CheckpointCorruptError(f"unsupported dtype {dtype!r}")
+            config_cls = KINDS[kind][0]
             try:
-                adam = AdamState(alpha=alpha, beta1=beta1, beta2=beta2, eps=eps, t=t)
+                seed = int(meta["seed"])
+                step = int(meta["step"])
+                has_adam = meta["adam"] == "1"
+                config = decode_config(
+                    config_cls, {f.name: meta[f"cfg.{f.name}"] for f in fields(config_cls)}
+                )
+            except KeyError as exc:
+                raise CheckpointCorruptError(f"header missing field {exc}") from exc
             except ValueError as exc:
-                raise CheckpointCorruptError(f"bad optimizer state: {exc}") from exc
-            for name, arr in params.items():
-                adam.m[name] = _read_array(buf)
-                adam.v[name] = _read_array(buf)
-                if adam.m[name].shape != arr.shape or adam.v[name].shape != arr.shape:
-                    raise CheckpointCorruptError(f"optimizer moments of {name!r} do not have its shape")
-        trailer = _read_exact(buf, len(CHECKPOINT_TRAILER))
-        if trailer != CHECKPOINT_TRAILER:
-            raise CheckpointCorruptError("missing trailer; file is corrupt")
+                raise CheckpointCorruptError(f"bad header value: {exc}") from exc
+            (n_params,) = buf.unpack("<I")
+            params: dict[str, np.ndarray] = {}
+            for _ in range(n_params):
+                (nlen,) = buf.unpack("<H")
+                name = _utf8(buf.read(nlen))
+                params[name] = buf.array()
+            adam = None
+            if has_adam:
+                t, alpha, beta1, beta2, eps = buf.unpack("<Qdddd")
+                try:
+                    adam = AdamState(alpha=alpha, beta1=beta1, beta2=beta2, eps=eps, t=t)
+                except ValueError as exc:
+                    raise CheckpointCorruptError(f"bad optimizer state: {exc}") from exc
+                for name, arr in params.items():
+                    adam.m[name] = buf.array()
+                    adam.v[name] = buf.array()
+                    if adam.m[name].shape != arr.shape or adam.v[name].shape != arr.shape:
+                        raise CheckpointCorruptError(f"optimizer moments of {name!r} do not have its shape")
+            if buf.read(len(CHECKPOINT_TRAILER)) != CHECKPOINT_TRAILER:
+                raise CheckpointCorruptError("missing trailer; file is corrupt")
         return cls(kind, config, params, dtype, seed, step, adam)
 
 
-def _read_exact(buf: BytesIO, n: int) -> bytes:
-    data = buf.read(min(n, 1 << 62))  # read() rejects sizes past 2**63; no file is that long
-    if len(data) != n:
-        raise CheckpointCorruptError("unexpected end of file; checkpoint is truncated")
-    return data
+class _Reader:
+    """An open checkpoint file, read front to back. Each length is checked
+    against the bytes left in the file before it is read or sizes a buffer."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._left = os.fstat(fh.fileno()).st_size
+
+    def _take(self, n: int) -> None:
+        if n > self._left:
+            raise CheckpointCorruptError("unexpected end of file; checkpoint is truncated")
+        self._left -= n
+
+    def read(self, n: int) -> bytes:
+        self._take(n)
+        data = self._fh.read(n)
+        if len(data) != n:
+            raise CheckpointCorruptError("checkpoint file shrank while it was read")
+        return data
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
+
+    def array(self) -> np.ndarray:
+        """The next array, read into its own buffer."""
+        code, ndim = self.unpack("<BB")
+        if code not in _CODE_DTYPES:
+            raise CheckpointCorruptError(f"unknown dtype code {code}")
+        if ndim > 64:  # numpy's limit
+            raise CheckpointCorruptError(f"array rank {ndim} exceeds 64")
+        dims = self.unpack(f"<{ndim}I")
+        dtype = _CODE_DTYPES[code]
+        self._take(math.prod(dims) * dtype.itemsize)  # exact: np.prod would wrap around past 2**63
+        try:
+            arr = np.empty(dims, dtype.newbyteorder("<"))
+        except ValueError as exc:  # a zero dim beside others past numpy's size limit
+            raise CheckpointCorruptError(f"impossible array shape {dims}") from exc
+        if self._fh.readinto(arr) != arr.nbytes:
+            raise CheckpointCorruptError("checkpoint file shrank while it was read")
+        return arr.astype(dtype, copy=False)
 
 
 def _utf8(raw: bytes) -> str:
@@ -604,53 +600,40 @@ def _utf8(raw: bytes) -> str:
         raise CheckpointCorruptError(f"text field is not valid UTF-8: {exc}") from exc
 
 
-def _write_array(buf: BytesIO, arr: np.ndarray) -> None:
-    code = _DTYPE_CODES[str(arr.dtype)]
-    buf.write(struct.pack("<BB", code, arr.ndim))
-    for d in arr.shape:
-        buf.write(struct.pack("<I", d))
-    buf.write(np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes())
-
-
-def _read_array(buf: BytesIO) -> np.ndarray:
-    code, ndim = struct.unpack("<BB", _read_exact(buf, 2))
-    if code not in _CODE_DTYPES:
-        raise CheckpointCorruptError(f"unknown dtype code {code}")
-    if ndim > 64:  # numpy's limit
-        raise CheckpointCorruptError(f"array rank {ndim} exceeds 64")
-    dims = tuple(struct.unpack("<I", _read_exact(buf, 4))[0] for _ in range(ndim))
-    dtype = _CODE_DTYPES[code]
-    count = math.prod(dims)  # exact: np.prod would wrap around past 2**63
-    payload = _read_exact(buf, count * dtype.itemsize)
-    arr = np.frombuffer(payload, dtype=dtype.newbyteorder("<")).astype(dtype)
-    try:
-        return arr.reshape(dims)
-    except ValueError as exc:  # a zero dim beside others past numpy's size limit
-        raise CheckpointCorruptError(f"impossible array shape {dims}") from exc
-
-
-def _write_blob(buf: BytesIO, name: str, arr: np.ndarray) -> None:
-    encoded = name.encode("utf-8")
-    buf.write(struct.pack("<H", len(encoded)))
-    buf.write(encoded)
-    _write_array(buf, arr)
-
-
-def _read_blob(buf: BytesIO):
-    (nlen,) = struct.unpack("<H", _read_exact(buf, 2))
-    name = _utf8(_read_exact(buf, nlen))
-    return name, _read_array(buf)
+def _array_record(arr: np.ndarray) -> list:
+    """An array's dtype code, rank and dims, then its payload as a little-endian
+    contiguous view, which copies nothing unless ``arr`` is neither."""
+    head = struct.pack(f"<BB{arr.ndim}I", _DTYPE_CODES[str(arr.dtype)], arr.ndim, *arr.shape)
+    return [head, np.ascontiguousarray(arr, arr.dtype.newbyteorder("<"))]
 
 
 def load_params(m: Model, params: dict[str, np.ndarray]) -> None:
-    """Copy ``params`` into ``m``, cast to its dtype, after the constructor's name and shape check."""
+    """Adopt ``params`` into ``m`` after the constructor's name and shape
+    check; an array of another dtype is cast to the model's."""
     checked = type(m)(m.config, m.dtype, m.init_seed, params=params).params
     for name, p in m.params.items():
         p.data = checked[name].data
 
 
-def save_checkpoint(m: Model, path) -> None:
-    Checkpoint.from_model(m).save(path)
+def save_checkpoint(m: Model, path, seed: int | None = None) -> None:
+    """Write ``m``, its step and its Adam state to ``path``, recording ``seed``
+    (the model's own by default). Each array is written from its own buffer."""
+    a = m.adam_state
+    lines = [f"kind = {m.kind}", f"dtype = {m.dtype}", f"seed = {m.init_seed if seed is None else seed}",
+             f"step = {m.train_step}", f"adam = {0 if a is None else 1}"]
+    lines += [f"cfg.{key} = {val}" for key, val in encode_config(m.config).items()]
+    header = ("\n".join(lines) + "\n").encode("utf-8")
+    chunks = [CHECKPOINT_MAGIC, struct.pack("<II", FORMAT_VERSION, len(header)), header,
+              struct.pack("<I", len(m.params))]
+    for name, p in m.params.items():
+        encoded = name.encode("utf-8")
+        chunks += [struct.pack("<H", len(encoded)), encoded, *_array_record(p.data)]
+    if a is not None:
+        chunks.append(struct.pack("<Qdddd", a.t, a.alpha, a.beta1, a.beta2, a.eps))
+        for name in m.params:
+            chunks += _array_record(a.m[name]) + _array_record(a.v[name])
+    chunks.append(CHECKPOINT_TRAILER)
+    write_atomic(path, chunks)
 
 
 def load_checkpoint(path) -> Model:

@@ -15,7 +15,7 @@ from .data import write_atomic
 from .diffgraph import AdamState, Tensor
 from .dsp import Signal
 from .models import (Checkpoint, CheckpointKindError, ConfigConflictError, Model, load_params,
-                     model_input, upsampling_mode)
+                     model_input, save_checkpoint, upsampling_mode)
 
 
 class NumericError(RuntimeError):
@@ -182,7 +182,7 @@ def _save(out_dir, seed: int, files: dict[str, Model]) -> None:
     """Make ``out_dir`` and write a checkpoint of each model there, under its name."""
     os.makedirs(out_dir, exist_ok=True)
     for name, m in files.items():
-        Checkpoint.from_model(m, seed=seed).save(f"{out_dir}/{name}")
+        save_checkpoint(m, f"{out_dir}/{name}", seed=seed)
 
 
 def _batch_arrays(patches: np.ndarray, model: Model, scale: int):

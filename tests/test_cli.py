@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import wave
 
 import numpy as np
@@ -108,6 +109,20 @@ class TestUpsample:
         code = run("upsample", "--scale", "2", str(tmp_path / "nope.wav"), str(tmp_path / "o.wav"))
         assert code == 2
 
+    def test_output_under_a_file_is_data_error(self, tmp_path, capsys):
+        src = tmp_path / "in.wav"
+        write_tone(src, n=512)
+        (tmp_path / "afile").write_bytes(b"")
+        assert run("upsample", "--scale", "2", str(src), str(tmp_path / "afile" / "o.wav")) == 2
+        assert "data error" in capsys.readouterr().err
+
+    def test_run_meta_hashes_the_whole_input(self, tmp_path):
+        src = tmp_path / "in.wav"
+        write_tone(src, n=600_000)  # 1.2 MB: more than one 1 MiB block
+        assert run("upsample", "--scale", "2", str(src), str(tmp_path / "o.wav")) == 0
+        digest = hashlib.sha256(src.read_bytes()).hexdigest()
+        assert f"corpus_hash = sha256:{digest}\n" in (tmp_path / "run.meta").read_text()
+
 
 class TestProbeCommand:
     def test_writes_three_artifacts(self, tmp_path, tiny_ckpt):
@@ -125,6 +140,22 @@ class TestProbeCommand:
         bad.write_bytes(b"garbage")
         assert run("probe", "--checkpoint", str(bad), "--out", str(tmp_path / "p")) == 2
         assert not (tmp_path / "p").exists()
+
+    def test_critic_is_data_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "critic.ckpt"
+        models.save_checkpoint(models.build_critic(models.CriticConfig(layers=2, base_filters=2)), ckpt)
+        assert run("probe", "--checkpoint", str(ckpt), "--out", str(tmp_path / "p")) == 2
+        assert "a 'critic' model does not upsample audio" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
+
+    def test_run_meta_hashes_the_checkpoint_file(self, tmp_path):
+        ckpt = tmp_path / "edsr.ckpt"
+        models.save_checkpoint(models.build_edsr(models.EdsrConfig(filters=48, n_blocks=4)), ckpt)
+        assert ckpt.stat().st_size > 1 << 20
+        out = tmp_path / "p"
+        assert run("probe", "--checkpoint", str(ckpt), "--out", str(out), "--length", "4096") == 0
+        digest = hashlib.sha256(ckpt.read_bytes()).hexdigest()
+        assert f"corpus_hash = sha256:{digest}\n" in (out / "run.meta").read_text()
 
 
 class TestEvalCommand:

@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
 import multiprocessing
+import os
 import resource
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -614,14 +616,15 @@ class TestCheckpoint:
         m2 = models.load_checkpoint(path)
         assert m2.config == TINY_UNET
 
-    def test_checkpoint_dataclass_api(self):
+    def test_checkpoint_dataclass_api(self, tmp_path):
         m = models.build_critic(TINY_CRITIC, seed=9)
-        ckpt = Checkpoint.from_model(m)
-        m2 = ckpt.build_model()
+        models.save_checkpoint(m, tmp_path / "c.ckpt")
+        m2 = Checkpoint.load(tmp_path / "c.ckpt").build_model()
         x = Tensor(np.random.default_rng(5).normal(size=(2, 1, 100)))
         assert np.array_equal(m.forward(x).data, m2.forward(x).data)
 
-    def test_snapshot_owns_its_adam_state(self):
+    def test_snapshot_owns_its_adam_state(self, tmp_path):
+        # the file is the snapshot: later steps do not reach it, and each load owns its moments
         m = models.build_critic(TINY_CRITIC, seed=9)
         m.adam_state = dg.AdamState()
         params = m.parameters()
@@ -632,14 +635,16 @@ class TestCheckpoint:
             dg.adam_step(params, m.adam_state)
 
         step()
-        ckpt = Checkpoint.from_model(m)
-        first = {name: a.copy() for name, a in ckpt.adam.m.items()}
+        path = tmp_path / "c.ckpt"
+        models.save_checkpoint(m, path)
+        first = {key: dict((name, a.copy()) for name, a in getattr(m.adam_state, key).items()) for key in "mv"}
         step()
-        assert ckpt.adam.t == 1
-        assert all(np.array_equal(ckpt.adam.m[name], a) for name, a in first.items())
-        a, b = ckpt.build_model(), ckpt.build_model()
+        a, b = models.load_checkpoint(path), models.load_checkpoint(path)
+        assert a.adam_state.t == 1
+        for key, saved in first.items():
+            assert all(np.array_equal(getattr(a.adam_state, key)[name], arr) for name, arr in saved.items())
         name = params[0].name
-        assert len({id(s.m[name]) for s in (ckpt.adam, a.adam_state, b.adam_state)}) == 3
+        assert len({id(s.m[name]) for s in (m.adam_state, a.adam_state, b.adam_state)}) == 3
 
     def test_single_precision_recorded_and_roundtripped(self, tmp_path):
         m = models.build_edsr(TINY_EDSR, dtype="float32", seed=9)
@@ -720,11 +725,12 @@ class TestCheckpoint:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
     @pytest.mark.parametrize("value", [np.nan, 1e300], ids=["nan", "past-float32"])
-    def test_non_finite_weights_are_corrupt(self, value):
-        ckpt = Checkpoint.from_model(models.build_critic(TINY_CRITIC, dtype="float32", seed=9))
-        ckpt.params["score.b"] = np.full(1, value)
+    def test_non_finite_weights_are_corrupt(self, tmp_path, value):
+        m = models.build_critic(TINY_CRITIC, dtype="float32", seed=9)
+        m.params["score.b"].data = np.full(1, value)  # float64: 1e300 overflows the cast to float32
+        models.save_checkpoint(m, tmp_path / "c.ckpt")
         with pytest.raises(CheckpointCorruptError, match="'score.b' contains non-finite"):
-            ckpt.build_model()
+            models.load_checkpoint(tmp_path / "c.ckpt")
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_load_draws_no_random_weights(self, tmp_path, monkeypatch, dtype):
@@ -739,3 +745,63 @@ class TestCheckpoint:
             assert list(loaded.params) == list(m.params)
             assert all(np.array_equal(loaded.params[name].data, p.data) for name, p in m.params.items())
             assert {p.dtype for p in loaded.parameters()} == {np.dtype(dtype)}
+
+
+def edsr_with_adam():
+    """An EDSR of 32 filters and 4 blocks (about 83,000 weights) with Adam moments."""
+    m = models.build_edsr(EdsrConfig(filters=32, n_blocks=4), seed=3)
+    m.adam_state = dg.AdamState(t=2)
+    for p in m.parameters():
+        m.adam_state.m[p.name] = p.data * 0.5
+        m.adam_state.v[p.name] = p.data * p.data
+    return m
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak bytes that Python and numpy allocated while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCheckpointMemory:
+    def test_save_copies_no_array(self, tmp_path):
+        m = edsr_with_adam()
+        _, peak = traced_peak(lambda: models.save_checkpoint(m, tmp_path / "e.ckpt"))
+        assert peak <= 64 * 1024
+        assert models.load_checkpoint(tmp_path / "e.ckpt").adam_state.t == 2
+
+    def test_load_allocates_each_array_once(self, tmp_path):
+        path = tmp_path / "e.ckpt"
+        models.save_checkpoint(edsr_with_adam(), path)
+        loaded, peak = traced_peak(lambda: models.load_checkpoint(path))
+        assert loaded.adam_state is not None
+        assert peak <= 1.1 * path.stat().st_size
+
+    def test_an_array_longer_than_the_file_allocates_nothing(self, tmp_path):
+        path = tmp_path / "edsr.ckpt"
+        models.save_checkpoint(models.build_edsr(TINY_EDSR, seed=9), path)
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack("<I", blob[12:16])
+        first = 16 + hlen + 4  # the first parameter's name length, then its name
+        (nlen,) = struct.unpack("<H", blob[first : first + 2])
+        array = struct.pack("<BBI", 0, 1, 1 << 28) + bytes(8)  # claims 2 GiB, holds one float64
+        path.write_bytes(blob[: first + 2 + nlen] + array + b"AEND")
+
+        def load():
+            with pytest.raises(CheckpointCorruptError, match="truncated"):
+                models.load_checkpoint(path)
+
+        assert traced_peak(load)[1] < 1 << 20
+
+    def test_a_file_that_shrinks_while_read_is_corrupt(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.ckpt"
+        blob = tiny_critic_checkpoint(path)[1]
+        listed = os.stat_result((0,) * 6 + (len(blob),) + (0,) * 3)  # the size before it shrank
+        monkeypatch.setattr(models.os, "fstat", lambda fd: listed)
+        for cut in (6, len(blob) - 6):  # inside the magic, inside the last moment's payload
+            path.write_bytes(blob[:cut])
+            with pytest.raises(CheckpointCorruptError, match="shrank while it was read"):
+                models.load_checkpoint(path)
