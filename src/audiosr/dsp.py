@@ -7,8 +7,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.signal import sosfilt
+from scipy.linalg.lapack import dgtsv, dtbtrs
 
 
 @dataclass(frozen=True)
@@ -67,10 +66,6 @@ class BiquadCascade:
             h = h * (b0 + b1 * z1 + b2 * z2) / (1.0 + a1 * z1 + a2 * z2)
         return h
 
-    def as_sos(self) -> np.ndarray:
-        """(n, 6) second-order-section matrix [b0, b1, b2, 1, a1, a2]."""
-        return np.array([[b0, b1, b2, 1.0, a1, a2] for b0, b1, b2, a1, a2 in self.sections])
-
 
 def design_butterworth_lowpass(order: int, cutoff_ratio: float) -> BiquadCascade:
     """Even-order Butterworth lowpass as a biquad cascade.
@@ -96,19 +91,36 @@ def design_butterworth_lowpass(order: int, cutoff_ratio: float) -> BiquadCascade
     return BiquadCascade(tuple(sections))
 
 
+def _filter(sections, x: np.ndarray) -> np.ndarray:
+    """Run the biquads over each row of ``x`` along its last axis, from rest.
+
+    Per section the numerator ``b0 x[n] + b1 x[n-1] + b2 x[n-2]`` is formed with
+    numpy; the denominator's recursion ``y[n] = v[n] - a1 y[n-1] - a2 y[n-2]`` is
+    one unit-lower-triangular banded solve (LAPACK ``dtbtrs``) with a row per
+    right-hand side, run in place on the Fortran view of the (rows, n) batch.
+    Each row is solved on its own, so a batch equals the stack of its rows."""
+    shape, n = x.shape, x.shape[-1]
+    y = np.asarray(x, dtype=np.float64).reshape(-1, n)
+    ab = np.ones((3, n))  # band rows: unit diagonal (not read), a1, a2
+    for b0, b1, b2, a1, a2 in sections:
+        v = b0 * y
+        v[:, 1:] += b1 * y[:, :-1]
+        v[:, 2:] += b2 * y[:, :-2]
+        ab[1], ab[2] = a1, a2
+        y = dtbtrs(ab, v.T, uplo="L", diag="U", overwrite_b=1)[0].T
+    return y.reshape(shape)
+
+
 def apply_filter(cascade: BiquadCascade, s: Signal) -> Signal:
     """Causal single-pass filtering from rest; length and rate are preserved."""
     if len(s) == 0:
         raise ValueError("cannot filter an empty signal")
-    y = sosfilt(cascade.as_sos(), s.samples)
-    return Signal(y, s.sample_rate)
+    return Signal(_filter(cascade.sections, s.samples), s.sample_rate)
 
 
 @functools.lru_cache(maxsize=16)
 def _antialias(factor: int) -> BiquadCascade:
-    """``decimate``'s lowpass for ``factor``, designed once; the cascade is
-    frozen, and each caller takes its own ``as_sos()`` copy (``sosfilt``
-    rejects a read-only one)."""
+    """``decimate``'s lowpass for ``factor``, designed once."""
     return design_butterworth_lowpass(8, 1.0 / factor)
 
 
@@ -121,7 +133,7 @@ def decimate(x: np.ndarray, factor: int) -> np.ndarray:
     factor, n = int(factor), x.shape[-1]
     if n < factor:
         raise ValueError(f"signal of length {n} too short for factor {factor}")
-    return sosfilt(_antialias(factor).as_sos(), x, axis=-1)[..., : n // factor * factor : factor].copy()
+    return _filter(_antialias(factor).sections, x)[..., : n // factor * factor : factor].copy()
 
 
 def check_rate(sample_rate: int, factor: int) -> None:
@@ -131,24 +143,49 @@ def check_rate(sample_rate: int, factor: int) -> None:
 
 def downsample(s: Signal, factor: int) -> Signal:
     """``decimate`` a signal whose sample rate ``factor`` divides."""
-    kept = decimate(s.samples, factor)
     check_rate(s.sample_rate, int(factor))
-    return Signal(kept, s.sample_rate // int(factor))
+    return Signal(decimate(s.samples, factor), s.sample_rate // int(factor))
 
 
 def spline(x: np.ndarray, factor: int) -> np.ndarray:
     """Natural cubic spline of each row along the last axis, on a grid
     ``factor`` times denser. Original samples are kept exactly on the coarse
-    grid; points past the last knot evaluate the final spline segment."""
+    grid; points past the last knot evaluate the final spline segment.
+
+    The result equals scipy's ``CubicSpline(np.arange(n), x, axis=-1,
+    bc_type="natural")`` bit for bit: the same tridiagonal system for the knot
+    slopes, solved by the same LAPACK routine (``dgtsv``), the same Hermite
+    coefficients (scipy's divisions by the unit knot spacing are exact, so they
+    are left out), evaluated in the same order."""
     if not float(factor).is_integer() or factor < 2:
         raise ValueError(f"upsample factor must be an integer >= 2, got {factor}")
     factor, n = int(factor), x.shape[-1]
     if n < 4:
         raise ValueError(f"spline upsampling needs at least 4 samples, got {n}")
-    fit = CubicSpline(np.arange(n), x, axis=-1, bc_type="natural")
-    out = fit(np.arange(n * factor, dtype=np.float64) / factor)
-    out[..., ::factor] = x  # keep on-grid values bit-exact
-    return out
+    y = np.asarray(x, dtype=np.float64).reshape(-1, n)
+    slope = np.diff(y)
+    rhs = np.empty_like(y)
+    rhs[:, 0], rhs[:, -1] = 3 * slope[:, 0], 3 * slope[:, -1]  # natural ends
+    rhs[:, 1:-1] = 3 * (slope[:, :-1] + slope[:, 1:])
+    diag = np.full(n, 4.0)
+    diag[0] = diag[-1] = 2.0
+    ones = np.ones(n - 1)
+    deriv = dgtsv(ones, diag, ones, rhs.T, overwrite_b=1)[3].T  # first derivative at each knot
+    cubic = deriv[:, :-1] + deriv[:, 1:] - 2 * slope
+    quadratic = slope - deriv[:, :-1] - cubic
+    # each output point's knot interval, the last one extended past the final
+    # knot, and its offset from that knot
+    k = np.minimum(np.arange(n * factor) // factor, n - 2)
+    u = np.arange(n * factor, dtype=np.float64) / factor - k
+    out = y[:, :-1].take(k, axis=-1)
+    out += 0.0  # scipy's sum starts from 0.0, which turns a -0.0 sample into 0.0
+    term = np.empty_like(out)
+    for c, power in ((deriv[:, :-1], u), (quadratic, u * u), (cubic, u * u * u)):
+        c.take(k, axis=-1, out=term)
+        term *= power
+        out += term
+    out[:, ::factor] = y  # keep on-grid values bit-exact
+    return out.reshape(x.shape[:-1] + (n * factor,))
 
 
 def spline_upsample(s: Signal, factor: int) -> Signal:

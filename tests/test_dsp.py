@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+import scipy.interpolate
 import scipy.signal
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from audiosr import dsp, metrics
 from audiosr.dsp import Signal, SpectrogramParams
@@ -105,6 +109,52 @@ class TestApplyFilter:
         assert amp == pytest.approx(href, rel=5e-2, abs=1e-6)
 
 
+def scipy_sosfilt(cascade, x):
+    """The cascade run by scipy's direct-form-II-transposed ``sosfilt``."""
+    sos = np.array([[b0, b1, b2, 1.0, a1, a2] for b0, b1, b2, a1, a2 in cascade.sections])
+    return scipy.signal.sosfilt(sos, x, axis=-1)
+
+
+class TestFilterNumerics:
+    """The banded-solve recursion against scipy's, and its batch contract."""
+
+    @pytest.mark.parametrize("factor", [2, 3, 4])
+    @pytest.mark.parametrize("shape", [(8192,), (32, 512), (3, 5)])
+    def test_decimate_matches_sosfilt(self, factor, shape):
+        x = np.random.default_rng(factor).uniform(-1.0, 1.0, shape)
+        ref = scipy_sosfilt(dsp.design_butterworth_lowpass(8, 1.0 / factor), x)
+        ref = ref[..., : shape[-1] // factor * factor : factor]
+        out = dsp.decimate(x, factor)
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("order, ratio", [(2, 0.1), (4, 0.5), (8, 0.9)])
+    def test_apply_filter_matches_sosfilt(self, order, ratio):
+        c = dsp.design_butterworth_lowpass(order, ratio)
+        x = np.random.default_rng(order).uniform(-1.0, 1.0, 4096)
+        out = dsp.apply_filter(c, Signal(x, 12000)).samples
+        assert np.max(np.abs(out - scipy_sosfilt(c, x))) <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 512])
+    def test_zero_batch_gives_exact_zeros(self, n):
+        out = dsp.decimate(np.zeros((4, n)), 2)
+        assert out.shape == (4, n // 2)
+        assert np.all(out == 0.0) and not np.any(np.signbit(out))
+
+    @pytest.mark.parametrize("factor", [2, 3, 4])
+    def test_batch_equals_the_stack_of_its_rows(self, factor):
+        x = np.random.default_rng(7).normal(size=(5, 301))
+        rows = np.stack([dsp.decimate(row, factor) for row in x])
+        assert dsp.decimate(x, factor).tobytes() == rows.tobytes()
+
+    def test_input_is_left_alone(self):
+        x = np.random.default_rng(8).normal(size=(3, 64))
+        x.flags.writeable = False
+        before = x.copy()
+        dsp.decimate(x, 2)
+        assert np.array_equal(x, before)
+
+
 class TestDownsample:
     def test_length_and_rate_contract(self):
         out = dsp.downsample(Signal(np.random.default_rng(0).normal(size=8192), 12000), 2)
@@ -121,6 +171,14 @@ class TestDownsample:
 
     def test_indivisible_rate_rejected(self):
         with pytest.raises(ValueError):
+            dsp.downsample(Signal(np.zeros(100), 12001), 2)
+
+    def test_rate_is_checked_before_filtering(self, monkeypatch):
+        def no_filter(*args):
+            raise AssertionError("decimate ran before the rate check")
+
+        monkeypatch.setattr(dsp, "decimate", no_filter)
+        with pytest.raises(ValueError, match="not divisible by factor 2"):
             dsp.downsample(Signal(np.zeros(100), 12001), 2)
 
     def test_passband_survives(self):
@@ -211,6 +269,41 @@ class TestSplineUpsample:
         out = dsp.spline_upsample(Signal(x, 6000), 4)
         for j in range(0, (n - 1) * 4 + 1):
             assert out.samples[j] == pytest.approx(oracle(j / 4), abs=1e-9)
+
+
+def scipy_spline(x, factor):
+    """scipy's natural cubic spline on the dense grid, on-grid samples restored."""
+    n = x.shape[-1]
+    fit = scipy.interpolate.CubicSpline(np.arange(n), x, axis=-1, bc_type="natural")
+    out = fit(np.arange(n * factor, dtype=np.float64) / factor)
+    out[..., ::factor] = x
+    return out
+
+
+sample_floats = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+class TestSplineMatchesScipy:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        x=hnp.arrays(np.float64, st.one_of(
+            st.tuples(st.integers(4, 600)),
+            st.tuples(st.integers(1, 4), st.integers(4, 600)),
+        ), elements=sample_floats),
+        factor=st.integers(2, 4),
+    )
+    def test_bit_identical(self, x, factor):
+        out = dsp.spline(x, factor)
+        ref = scipy_spline(x, factor)
+        assert out.shape == ref.shape
+        assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", [4, 5, 39, 250, 251, 2532, 16003])
+    @pytest.mark.parametrize("factor", [2, 3, 4])
+    def test_bit_identical_at_fixed_lengths(self, n, factor):
+        x = np.random.default_rng(n).normal(size=(2, n))
+        assert dsp.spline(x, factor).tobytes() == scipy_spline(x, factor).tobytes()
+        assert dsp.spline(x[1], factor).tobytes() == scipy_spline(x[1], factor).tobytes()
 
 
 class TestStftPower:

@@ -7,6 +7,9 @@ other, so the only way for a rule to reach two of them is through a lower
 layer.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,3 +79,15 @@ def test_imports_point_down(module):
 )
 def test_import_forms_recognised(source, expected):
     assert package_imports(ast.parse(source)) == expected
+
+
+def test_import_leaves_out_scipy_signal_and_interpolate():
+    # both cost a second of start-up per process; dsp runs on scipy.linalg.lapack
+    code = (
+        "import sys, audiosr, audiosr.cli\n"
+        "print(sorted(m for m in ('scipy.signal', 'scipy.interpolate') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
