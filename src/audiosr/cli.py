@@ -46,6 +46,14 @@ class DataConfig:
     synth_freq_hi: float = 2800.0
     synth_kinds: tuple[str, ...] = ("sine", "chirp")
 
+    def __post_init__(self):
+        if not self.manifest:
+            self.synth_spec()  # checks the synth_* values
+
+    def synth_spec(self) -> data.SynthSpec:
+        return data.SynthSpec(self.synth_count, self.synth_length, self.synth_rate,
+                              freq_range=(self.synth_freq_lo, self.synth_freq_hi), kinds=self.synth_kinds)
+
 
 # run.model values: the kinds that upsample
 _UPSAMPLERS = [kind for kind, (_, model_cls) in models.KINDS.items() if model_cls.mode]
@@ -106,13 +114,7 @@ def _load_corpus(cfg: DataConfig):
         ids = [f"{e.speaker}/{e.utterance}" for e in entries]
         text = Path(cfg.manifest).read_text(encoding="utf-8") + f"|split={cfg.split}"
         return corpus, ids, _sha256(text.encode())
-    spec = data.SynthSpec(
-        count=cfg.synth_count,
-        length=cfg.synth_length,
-        sample_rate=cfg.synth_rate,
-        freq_range=(cfg.synth_freq_lo, cfg.synth_freq_hi),
-        kinds=cfg.synth_kinds,
-    )
+    spec = cfg.synth_spec()
     corpus = data.synth_signals(spec, cfg.synth_seed)
     ids = [str(i) for i in range(len(corpus))]
     return corpus, ids, _sha256(f"{spec}|seed={cfg.synth_seed}".encode())
@@ -131,10 +133,16 @@ def _file_sha256(path) -> str:
     return "sha256:" + digest.hexdigest()
 
 
-def _write_run_meta(out_dir: Path, command: str, items: dict) -> None:
-    lines = [f"command = {command}", f"version = {__version__}"]
-    for key in sorted(items):
-        lines.append(f"{key} = {items[key]}")
+def _write_run_meta(out_dir: Path, command: str, items: dict, sections: dict | None = None) -> None:
+    """Write ``run.meta``: the provenance as ``# key = value`` lines, then each
+    config in ``sections`` that is not None as a config-file section, so a
+    training run's record is a config that re-runs it."""
+    lines = [f"# command = {command}", f"# version = {__version__}"]
+    lines += [f"# {key} = {items[key]}" for key in sorted(items)]
+    for name, cfg in (sections or {}).items():
+        if cfg is not None:
+            values = cfg if isinstance(cfg, dict) else models.encode_config(cfg)
+            lines += ["", f"[{name}]"] + [f"{key} = {val}" for key, val in values.items()]
     data.write_atomic(out_dir / "run.meta", "\n".join(lines) + "\n")
 
 
@@ -201,45 +209,28 @@ def _run_training(out: Path, progress_every: int, trainer, *inputs) -> train.Tra
 
 
 def _cmd_train(args) -> int:
-    kind, model_cfg, train_cfg, _, _, data_cfg = _load_run_config(args.config, want_gan=False)
-    out = Path(args.out)  # made by the trainer when it first saves a checkpoint
-    corpus, _, corpus_hash = _load_corpus(data_cfg)
-    model = _build_model(kind, model_cfg, train_cfg.seed)
-    log = _run_training(out, args.progress_every, train.train_supervised, model, corpus, train_cfg)
-    _write_run_meta(out, "train", {
-        "model": kind,
-        "config": _flatten_cfg(model_cfg, train_cfg),
-        "seed": train_cfg.seed,
-        "corpus_hash": corpus_hash,
-    })
-    print(f"trained {kind} for {train_cfg.steps} steps; final loss {log.records[-1].loss:.6f}")
-    return 0
-
-
-def _cmd_train_gan(args) -> int:
-    kind, model_cfg, train_cfg, gan_cfg, critic_cfg, data_cfg = _load_run_config(
-        args.config, want_gan=True
-    )
-    if kind != "unet":
+    """``train`` and ``train-gan``. The run's ``run.meta`` holds its config
+    sections, so ``--config run.meta`` re-runs it."""
+    gan = args.command == "train-gan"
+    kind, model_cfg, train_cfg, gan_cfg, critic_cfg, data_cfg = _load_run_config(args.config, gan)
+    if gan and kind != "unet":
         raise UsageError("train-gan needs run.model = unet (pre-upsampling generator)")
     out = Path(args.out)  # made by the trainer when it first saves a checkpoint
     corpus, _, corpus_hash = _load_corpus(data_cfg)
-    generator = _build_model(kind, model_cfg, train_cfg.seed)
-    critic = _build_model("critic", critic_cfg, train_cfg.seed + 1)
-    _run_training(out, args.progress_every, train.train_wgan_gp, generator, critic, corpus, gan_cfg)
-    _write_run_meta(out, "train-gan", {
-        "config": _flatten_cfg(model_cfg, train_cfg, critic_cfg, gan_cfg),
-        "seed": train_cfg.seed,
-        "corpus_hash": corpus_hash,
+    model = _build_model(kind, model_cfg, train_cfg.seed)
+    if gan:
+        critic = _build_model("critic", critic_cfg, train_cfg.seed + 1)
+        _run_training(out, args.progress_every, train.train_wgan_gp, model, critic, corpus, gan_cfg)
+        done = f"adversarial run finished after {train_cfg.steps} outer steps"
+    else:
+        log = _run_training(out, args.progress_every, train.train_supervised, model, corpus, train_cfg)
+        done = f"trained {kind} for {train_cfg.steps} steps; final loss {log.records[-1].loss:.6f}"
+    _write_run_meta(out, args.command, {"corpus_hash": corpus_hash}, {
+        "run": {"model": kind}, "model": model_cfg, "critic": critic_cfg,
+        "train": train_cfg, "gan": gan_cfg, "data": data_cfg,
     })
-    print(f"adversarial run finished after {train_cfg.steps} outer steps")
+    print(done)
     return 0
-
-
-def _flatten_cfg(*cfgs) -> str:
-    """``Class.key=value`` pairs in ``models.encode_config``'s format, ``;``-joined."""
-    return ";".join(f"{type(cfg).__name__}.{key}={val}"
-                    for cfg in cfgs for key, val in models.encode_config(cfg).items())
 
 
 def _cmd_eval(args) -> int:
@@ -290,7 +281,6 @@ def _cmd_upsample(args) -> int:
         "scale": args.scale,
         "method": args.method,
         "checkpoint": args.checkpoint or "none",
-        "seed": 0,
         "corpus_hash": _file_sha256(args.input),
     })
     print(f"wrote {args.output}: {len(result)} samples @ {result.sample_rate} Hz")
@@ -365,7 +355,6 @@ def _cmd_probe(args) -> int:
     _write_run_meta(out, "probe", {
         "checkpoint": Path(args.checkpoint).name,
         "length": args.length,
-        "seed": 0,
         "corpus_hash": _file_sha256(args.checkpoint),
     })
     period = report.periodicity if report.periodicity is not None else "none"
@@ -401,7 +390,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--progress-every", type=int, default=10)
-    p.set_defaults(func=_cmd_train_gan)
+    p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="SNR/LSD report for a checkpoint or the spline baseline")
     p.add_argument("--checkpoint")

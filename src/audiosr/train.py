@@ -59,6 +59,11 @@ class TrainConfig:
             raise ValueError("patch_length must be >= 1")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
+        self.adam()  # checks lr and the betas
+
+    def adam(self) -> AdamState:
+        """A fresh Adam state with this run's step size and betas."""
+        return AdamState(alpha=self.lr, beta1=self.beta1, beta2=self.beta2)
 
 
 @dataclass
@@ -208,7 +213,7 @@ def _run_steps(model: Model, corpus: list[Signal], cfg: TrainConfig, rows: int, 
     log.meta.update(scale=cfg.scale, seed=cfg.seed, batch_size=cfg.batch_size,
                     patch_length=cfg.patch_length, lr=cfg.lr)
     for m in final.values():
-        m.adam_state = AdamState(alpha=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
+        m.adam_state = cfg.adam()
     sampler = _PatchSampler(corpus, cfg.patch_length, cfg.scale, cfg.seed)
     t0 = time.perf_counter()
     for step in range(1, cfg.steps + 1):

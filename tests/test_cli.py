@@ -1,13 +1,14 @@
 import argparse
 import hashlib
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from audiosr import cli, data, models, train
+from audiosr import cli, data, models
 from audiosr.dsp import Signal
 
 
@@ -262,23 +263,24 @@ class TestPrepareAndTrain:
         assert run("prepare", "--root", str(tmp_path / "raw"), "--out", str(tmp_path / "o")) == 2
         assert not (tmp_path / "o").exists()
 
+    TRAIN_RUN = (
+        "[run]\nmodel = edsr\n"
+        "[model]\nfilters = 4\nn_blocks = 1\n"
+        "[train]\nsteps = 3\nbatch_size = 2\npatch_length = 256\nseed = 3\n"
+        "[data]\nsynth_count = 4\nsynth_length = 2048\n"
+    )
+    GAN_RUN = (
+        "[run]\nmodel = unet\n"
+        "[model]\ndepth = 2\ndown_filters = 4,8\ndown_kernels = 9,9\nbottleneck_filters = 8\nscale = 2\n"
+        "[critic]\nlayers = 2\nbase_filters = 4\nkernel = 9\n"
+        "[train]\nsteps = 1\nbatch_size = 2\npatch_length = 256\n"
+        "[gan]\nn_critic = 2\n"
+        "[data]\nsynth_count = 4\nsynth_length = 1024\n"
+    )
+
     def test_train_from_config(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text(
-            "[run]\n"
-            "model = edsr\n"
-            "[model]\n"
-            "filters = 4\n"
-            "n_blocks = 1\n"
-            "[train]\n"
-            "steps = 3\n"
-            "batch_size = 2\n"
-            "patch_length = 256\n"
-            "seed = 3\n"
-            "[data]\n"
-            "synth_count = 4\n"
-            "synth_length = 2048\n"
-        )
+        cfgfile.write_text(self.TRAIN_RUN)
         out = tmp_path / "run"
         assert run("train", "--config", str(cfgfile), "--out", str(out)) == 0
         assert (out / "final.ckpt").exists()
@@ -335,14 +337,25 @@ class TestPrepareAndTrain:
     @pytest.mark.parametrize(
         "line, bad, code",
         [("steps = 1", "steps = 1\nscale = 4", 1), ("patch_length = 256", "patch_length = 4096", 2),
-         ("patch_length = 256", "patch_length = 255", 1), ("steps = 1", "steps = 1\nmode = pre", 1)],
-        ids=["scale-mismatch", "corpus-too-short", "patch-length-conflict", "mode-conflict"],
+         ("patch_length = 256", "patch_length = 255", 1), ("steps = 1", "steps = 1\nmode = pre", 1),
+         ("steps = 1", "steps = 1\nlr = 0", 1), ("steps = 1", "steps = 1\nbeta1 = 1.0", 1),
+         ("synth_count = 2", "synth_count = 0", 1)],
+        ids=["scale-mismatch", "corpus-too-short", "patch-length-conflict", "mode-conflict",
+             "zero-lr", "beta1-one", "no-synth-items"],
     )
     def test_failed_train_leaves_no_out_dir(self, tmp_path, line, bad, code):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("[run]\nmodel = edsr\n" + self.TINY_RUN.replace(line, bad))
         assert run("train", "--config", str(cfgfile), "--out", str(tmp_path / "o")) == code
         assert not (tmp_path / "o").exists()
+
+    def test_readme_config_example_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(example)
+        kind, model_cfg, train_cfg, _, _, data_cfg = cli._load_run_config(cfgfile, want_gan=False)
+        assert (kind, model_cfg.n_blocks, train_cfg.loss, data_cfg.split) == ("edsr", 32, "l2", "train")
 
     def test_unknown_section_is_usage_error(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
@@ -351,44 +364,35 @@ class TestPrepareAndTrain:
 
     def test_train_gan_from_config(self, tmp_path):
         cfgfile = tmp_path / "gan.cfg"
-        cfgfile.write_text(
-            "[run]\n"
-            "model = unet\n"
-            "[model]\n"
-            "depth = 2\n"
-            "down_filters = 4,8\n"
-            "down_kernels = 9,9\n"
-            "bottleneck_filters = 8\n"
-            "scale = 2\n"
-            "[critic]\n"
-            "layers = 2\n"
-            "base_filters = 4\n"
-            "kernel = 9\n"
-            "[train]\n"
-            "steps = 1\n"
-            "batch_size = 2\n"
-            "patch_length = 256\n"
-            "[gan]\n"
-            "n_critic = 2\n"
-            "[data]\n"
-            "synth_count = 4\n"
-            "synth_length = 1024\n"
-        )
+        cfgfile.write_text(self.GAN_RUN)
         out = tmp_path / "gan"
         assert run("train-gan", "--config", str(cfgfile), "--out", str(out)) == 0
         assert (out / "generator.ckpt").exists()
         assert (out / "critic.ckpt").exists()
-        # run.meta's config decodes back into the run's configs
-        meta = dict(line.split(" = ", 1) for line in (out / "run.meta").read_text().splitlines())
-        sections = {}
-        for pair in meta["config"].split(";"):
-            key, _, val = pair.partition("=")
-            name, _, field = key.partition(".")
-            sections.setdefault(name, {})[field] = val
-        unet = models.decode_config(models.UnetConfig, sections["UnetConfig"])
-        base = models.decode_config(train.TrainConfig, sections["TrainConfig"])
-        gan = models.decode_config(train.GanConfig, sections["GanConfig"], base=base)
-        assert (unet.down_filters, base.loss, gan.n_critic, gan.warm_start) == ((4, 8), None, 2, None)
+        # run.meta loads back as the run's config
+        kind, unet, base, gan, critic, _ = cli._load_run_config(out / "run.meta", want_gan=True)
+        assert (kind, unet.down_filters, base.loss, gan.n_critic, gan.warm_start) == ("unet", (4, 8), None, 2, None)
+        assert (critic.layers, critic.base_filters) == (2, 4)
+
+    @pytest.mark.parametrize(
+        "command, config, ckpts",
+        [("train", TRAIN_RUN, ["final.ckpt"]), ("train-gan", GAN_RUN, ["generator.ckpt", "critic.ckpt"])],
+        ids=["train", "train-gan"],
+    )
+    def test_run_meta_reruns_the_run(self, tmp_path, command, config, ckpts):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(config)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(command, "--config", str(cfgfile), "--out", str(a)) == 0
+        assert run(command, "--config", str(a / "run.meta"), "--out", str(b)) == 0
+        for name in ckpts:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+        def losses(out):  # trainlog.csv without its wall-time column
+            return [line.rsplit(",", 1)[0] for line in (out / "trainlog.csv").read_text().splitlines()]
+
+        assert losses(a) == losses(b)
+        assert (a / "run.meta").read_bytes() == (b / "run.meta").read_bytes()
 
     # a valid tiny GAN run, apart from what each case below changes in it
     TINY_GAN_RUN = (
@@ -536,6 +540,37 @@ class TestExitCodes:
             ) == 0
             metas.append((out / "run.meta").read_bytes())
         assert metas[0] == metas[1]
+
+
+class TestRunMeta:
+    """Every command's run.meta parses as a config file: a training run's holds
+    the sections that re-run it, any other command's only comment lines."""
+
+    @pytest.mark.parametrize(
+        "command", ["prepare", "train", "train-gan", "eval", "upsample", "compare-losses", "probe"]
+    )
+    def test_parses_as_a_config(self, tmp_path, tiny_ckpt, command):
+        TestPrepareAndTrain().build_corpus(tmp_path / "raw")
+        (tmp_path / "train.cfg").write_text(TestPrepareAndTrain.TRAIN_RUN)
+        (tmp_path / "gan.cfg").write_text(TestPrepareAndTrain.GAN_RUN)
+        write_tone(tmp_path / "in.wav", n=2048)
+        argv = {
+            "prepare": ["--root", str(tmp_path / "raw")],
+            "train": ["--config", str(tmp_path / "train.cfg")],
+            "train-gan": ["--config", str(tmp_path / "gan.cfg")],
+            "eval": ["--spline", "--scale", "2", "--synth", "2"],
+            "upsample": ["--scale", "2", str(tmp_path / "in.wav"), str(tmp_path / "o.wav")],
+            "compare-losses": ["--steps", "1", "--synth", "4", "--patch", "512", "--batch", "2"],
+            "probe": ["--checkpoint", str(tiny_ckpt), "--length", "4096"],
+        }[command]
+        out = tmp_path / "out"
+        assert run(command, *argv, "--out", str(out)) == 0
+        assert (out / "run.meta").read_text().startswith(f"# command = {command}\n")
+        sections = {
+            "train": ["run", "model", "train", "data"],
+            "train-gan": ["run", "model", "critic", "train", "gan", "data"],
+        }.get(command, [])
+        assert list(cli._read_config(out / "run.meta")) == sections
 
 
 class TestRepeatedCalls:
