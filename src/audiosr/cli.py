@@ -9,11 +9,13 @@ import argparse
 import configparser
 import functools
 import hashlib
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, data, dsp, metrics, models, probe, train
 from .dsp import Signal
@@ -26,6 +28,15 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def _from_flags(build, *args, **kwargs):
+    """``build(*args, **kwargs)`` for a config made from flag values, whose
+    ``ValueError`` is a usage error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(f"bad flag value: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +145,15 @@ def _file_sha256(path) -> str:
 
 
 def _write_run_meta(out_dir: Path, command: str, items: dict, sections: dict | None = None) -> None:
-    """Write ``run.meta``: the provenance as ``# key = value`` lines, then each
+    """Write ``run.meta``: the command, the Python/numpy/scipy versions, the BLAS
+    thread variables and the provenance as ``# key = value`` lines, then each
     config in ``sections`` that is not None as a config-file section, so a
     training run's record is a config that re-runs it."""
-    lines = [f"# command = {command}", f"# version = {__version__}"]
+    lines = [f"# command = {command}", f"# version = {__version__}",
+             "# python = {}.{}.{}".format(*sys.version_info[:3]),
+             f"# numpy = {np.__version__}", f"# scipy = {scipy.__version__}"]
+    lines += [f"# {var} = {os.environ.get(var, 'unset')}"
+              for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")]
     lines += [f"# {key} = {items[key]}" for key in sorted(items)]
     for name, cfg in (sections or {}).items():
         if cfg is not None:
@@ -234,8 +250,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    corpus, ids, corpus_hash = _load_corpus(DataConfig(
-        manifest=args.manifest, split=args.split, synth_count=args.synth, synth_seed=args.synth_seed,
+    corpus, ids, corpus_hash = _load_corpus(_from_flags(
+        DataConfig, manifest=args.manifest, split=args.split, synth_count=args.synth,
+        synth_seed=args.synth_seed,
     ))
     if args.spline:
         model = None
@@ -288,8 +305,14 @@ def _cmd_upsample(args) -> int:
 
 
 def _cmd_compare_losses(args) -> int:
-    train_spec = data.SynthSpec(count=args.synth, length=args.patch * 2, sample_rate=12000)
+    train_spec = _from_flags(data.SynthSpec, count=args.synth, length=args.patch * 2,
+                             sample_rate=12000)
     eval_spec = data.SynthSpec(count=max(args.synth // 4, 8), length=8192, sample_rate=12000)
+    mode = models.KINDS[args.model][1].mode
+    cfgs = {loss: _from_flags(
+        train.TrainConfig, steps=args.steps, mode=mode, scale=args.scale, batch_size=args.batch,
+        loss=loss, seed=args.seed, patch_length=args.patch, lr=args.lr,
+    ) for loss in ("l1", "l2")}
     train_corpus = data.synth_signals(train_spec, args.seed + 1)
     eval_corpus = data.synth_signals(eval_spec, args.seed + 2)
     if args.model == "edsr":
@@ -303,12 +326,8 @@ def _cmd_compare_losses(args) -> int:
             bottleneck_filters=32, scale=args.scale,
         )
     rows = []
-    for loss in ("l1", "l2"):
+    for loss, cfg in cfgs.items():
         model = _build_model(args.model, model_cfg, args.seed)
-        cfg = train.TrainConfig(
-            steps=args.steps, mode=model.mode, scale=args.scale, batch_size=args.batch,
-            loss=loss, seed=args.seed, patch_length=args.patch, lr=args.lr,
-        )
         _, log = train.train_supervised(model, train_corpus, cfg)
         report = metrics.evaluate_model(model, eval_corpus, args.scale)
         rows.append((loss, report))

@@ -3,11 +3,37 @@ spline upsampling, and STFT power spectrograms."""
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dtbtrs
+import scipy
+
+
+def _load_flapack():
+    """scipy's f2py LAPACK wrappers, loaded from the extension file that
+    ``scipy.linalg.lapack`` re-exports. Importing ``scipy.linalg`` would run its
+    ``__init__``, whose array-API layer pulls in numpy.f2py and numpy.testing.
+    CPython keeps one copy of a single-phase extension per name and path, so
+    these are the very objects ``scipy.linalg.lapack`` exports, whichever of the
+    two is loaded first."""
+    folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_flapack" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    from scipy.linalg import lapack
+    return lapack
+
+
+_flapack = _load_flapack()
+dgtsv, dtbtrs = _flapack.dgtsv, _flapack.dtbtrs
 
 
 @dataclass(frozen=True)
@@ -226,6 +252,14 @@ class SpectrogramParams:
 DEFAULT_STFT = SpectrogramParams()
 
 
+@functools.lru_cache(maxsize=16)
+def _window(p: SpectrogramParams) -> np.ndarray:
+    """``p.window_array()``, computed once and kept read-only."""
+    win = p.window_array()
+    win.flags.writeable = False
+    return win
+
+
 @dataclass(frozen=True)
 class PowerSpectrogram:
     """W x K grid of power values, clamped below at the configured floor."""
@@ -259,10 +293,9 @@ def stft_power(s: Signal, p: SpectrogramParams = DEFAULT_STFT) -> PowerSpectrogr
         raise ValueError(
             f"signal of length {n} shorter than one frame ({p.frame_length})"
         )
-    n_frames = 1 + (n - p.frame_length) // p.hop
-    starts = np.arange(n_frames) * p.hop
-    idx = starts[:, None] + np.arange(p.frame_length)[None, :]
-    segments = s.samples[idx] * p.window_array()
+    frames = np.lib.stride_tricks.sliding_window_view(s.samples, p.frame_length)[:: p.hop]
+    segments = frames * _window(p)
+    starts = np.arange(segments.shape[0]) * p.hop
     spectrum = np.fft.rfft(segments, axis=1)
     power = np.maximum(np.abs(spectrum) ** 2, p.power_floor)
     frame_times = (starts + p.frame_length / 2.0) / s.sample_rate

@@ -1,10 +1,12 @@
 import argparse
 import hashlib
+import sys
 import wave
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -530,6 +532,26 @@ class TestExitCodes:
         assert rows
         assert all(np.isfinite([float(v) for v in row.split(",")[1:4]]).all() for row in rows)
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["eval", "--spline", "--scale", "2", "--synth", "0"], "count must be >= 1"),
+         (["compare-losses", "--lr", "0", "--steps", "1", "--synth", "4", "--patch", "512"],
+          "alpha and eps must be positive"),
+         (["compare-losses", "--batch", "0", "--steps", "1", "--synth", "4", "--patch", "512"],
+          "batch_size must be >= 1")],
+        ids=["eval-no-synth-items", "compare-losses-zero-lr", "compare-losses-zero-batch"],
+    )
+    def test_bad_flag_value_is_a_usage_error(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert run(*argv, "--out", str(out)) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_wav_is_still_a_data_error(self, tmp_path):
+        src = tmp_path / "in.wav"
+        src.write_bytes(b"RIFF0000WAVEjunk")
+        assert run("upsample", "--scale", "2", str(src), str(tmp_path / "o.wav")) == 2
+
     def test_run_meta_deterministic(self, tmp_path):
         metas = []
         for name in ("a", "b"):
@@ -571,6 +593,19 @@ class TestRunMeta:
             "train-gan": ["run", "model", "critic", "train", "gan", "data"],
         }.get(command, [])
         assert list(cli._read_config(out / "run.meta")) == sections
+
+    def test_records_versions_and_blas_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / "out"
+        assert run("eval", "--spline", "--scale", "2", "--synth", "2", "--out", str(out)) == 0
+        lines = (out / "run.meta").read_text().splitlines()
+        python = "{}.{}.{}".format(*sys.version_info[:3])
+        for line in (f"# python = {python}", f"# numpy = {np.__version__}",
+                     f"# scipy = {scipy.__version__}", "# OMP_NUM_THREADS = unset",
+                     "# OPENBLAS_NUM_THREADS = 1", "# MKL_NUM_THREADS = unset"):
+            assert line in lines
 
 
 class TestRepeatedCalls:

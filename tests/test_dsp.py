@@ -348,6 +348,19 @@ class TestStftPower:
         b = dsp.stft_power(Signal(x, 12000))
         assert np.array_equal(a.grid, b.grid)
 
+    @pytest.mark.parametrize("window", ["hann", "rectangular"])
+    @pytest.mark.parametrize("n", [256, 257, 600, 1000, 6144])
+    def test_grid_equals_per_frame_rfft(self, window, n):
+        p = SpectrogramParams(frame_length=256, hop=96, window=window)
+        x = np.random.default_rng(n).normal(size=n)
+        sp = dsp.stft_power(Signal(x, 8000), p)
+        win = p.window_array()
+        starts = range(0, n - p.frame_length + 1, p.hop)
+        ref = [np.maximum(np.abs(np.fft.rfft(x[s : s + p.frame_length] * win)) ** 2, p.power_floor)
+               for s in starts]
+        assert sp.grid.tobytes() == np.array(ref).tobytes()
+        assert np.array_equal(sp.frame_times, (np.array(starts) + p.frame_length / 2) / 8000)
+
     def test_rectangular_window(self):
         p = SpectrogramParams(frame_length=256, hop=256, window="rectangular")
         x = np.ones(512)

@@ -81,13 +81,41 @@ def test_import_forms_recognised(source, expected):
     assert package_imports(ast.parse(source)) == expected
 
 
-def test_import_leaves_out_scipy_signal_and_interpolate():
-    # both cost a second of start-up per process; dsp runs on scipy.linalg.lapack
+def run_fresh(code: str) -> str:
+    """stdout of ``python -c code`` in a fresh process that imports from ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_import_leaves_out_scipy_linalg_signal_and_interpolate():
+    # each costs start-up per process; dsp loads scipy's LAPACK wrappers from their file
     code = (
         "import sys, audiosr, audiosr.cli\n"
-        "print(sorted(m for m in ('scipy.signal', 'scipy.interpolate') if m in sys.modules))"
+        "print(sorted(m for m in ('scipy.linalg', 'scipy._lib._array_api', 'scipy.signal',"
+        " 'scipy.interpolate') if m in sys.modules))"
     )
-    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    assert run_fresh(code).strip() == "[]"
+
+
+@pytest.mark.parametrize("first", ["scipy.linalg", "audiosr"])
+def test_lapack_wrappers_are_scipys_in_either_import_order(first):
+    second = "audiosr" if first == "scipy.linalg" else "scipy.linalg"
+    code = (
+        f"import {first}\nimport {second}\n"
+        "import scipy.linalg.lapack as lapack\nfrom audiosr import dsp\n"
+        "print(dsp.dgtsv is lapack.dgtsv, dsp.dtbtrs is lapack.dtbtrs)"
+    )
+    assert run_fresh(code).split() == ["True", "True"]
+
+
+def test_lapack_wrappers_fall_back_to_scipy_linalg():
+    # with no extension file found, dsp takes the public scipy.linalg.lapack import
+    code = (
+        "import importlib.machinery, sys\n"
+        "importlib.machinery.EXTENSION_SUFFIXES[:] = ['.no-such-suffix']\n"
+        "from audiosr import dsp\nprint('scipy.linalg' in sys.modules)\n"
+        "import scipy.linalg.lapack as lapack\n"
+        "print(dsp.dgtsv is lapack.dgtsv, dsp.dtbtrs is lapack.dtbtrs)"
+    )
+    assert run_fresh(code).split() == ["True", "True", "True"]
