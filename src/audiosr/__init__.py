@@ -3,4 +3,3 @@
 __version__ = "0.1.0"
 
 from . import data, diffgraph, dsp, metrics, models, probe, train  # noqa: E402,F401
-from .dsp import DEFAULT_STFT, Signal, SpectrogramParams  # noqa: F401

@@ -250,6 +250,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.scale < 2:
+        raise UsageError(f"scale must be an integer >= 2, got {args.scale}")
     corpus, ids, corpus_hash = _load_corpus(_from_flags(
         DataConfig, manifest=args.manifest, split=args.split, synth_count=args.synth,
         synth_seed=args.synth_seed,
@@ -281,6 +283,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_upsample(args) -> int:
+    if args.scale < 2:
+        raise UsageError(f"scale must be an integer >= 2, got {args.scale}")
     sig = data.wav_read(args.input, downmix=args.downmix)
     model = None
     if args.method == "model":
@@ -361,6 +365,7 @@ def _cmd_probe(args) -> int:
     model = models.load_checkpoint(args.checkpoint)
     if model.mode is None:  # its score is not audio
         raise ValueError(f"a {model.kind!r} model does not upsample audio")
+    _from_flags(probe.check_length, args.length, model.upsample_ratio)
     report = probe.zero_input_probe(
         model,
         length=args.length,

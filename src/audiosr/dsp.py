@@ -62,39 +62,9 @@ class Signal:
         return len(self) / self.sample_rate
 
 
-@dataclass(frozen=True)
-class BiquadCascade:
-    """Second-order IIR sections (b0, b1, b2, a1, a2), a0 normalized to 1."""
-
-    sections: tuple[tuple[float, float, float, float, float], ...]
-
-    def __post_init__(self):
-        if not self.sections:
-            raise ValueError("cascade needs at least one section")
-        for i, sec in enumerate(self.sections):
-            if len(sec) != 5:
-                raise ValueError(f"section {i} must be (b0, b1, b2, a1, a2)")
-            b0, b1, b2, a1, a2 = (float(v) for v in sec)
-            # stability triangle for z^2 + a1 z + a2
-            if not (abs(a2) < 1.0 and abs(a1) < 1.0 + a2):
-                raise ValueError(f"section {i} is unstable: a1={a1}, a2={a2}")
-        object.__setattr__(
-            self, "sections", tuple(tuple(float(v) for v in s) for s in self.sections)
-        )
-
-    def response(self, freq_ratio) -> np.ndarray:
-        """Complex frequency response at frequencies given as a ratio of Nyquist."""
-        w = np.pi * np.asarray(freq_ratio, dtype=np.float64)
-        z1 = np.exp(-1j * w)
-        z2 = z1 * z1
-        h = np.ones_like(z1)
-        for b0, b1, b2, a1, a2 in self.sections:
-            h = h * (b0 + b1 * z1 + b2 * z2) / (1.0 + a1 * z1 + a2 * z2)
-        return h
-
-
-def design_butterworth_lowpass(order: int, cutoff_ratio: float) -> BiquadCascade:
-    """Even-order Butterworth lowpass as a biquad cascade.
+def design_butterworth_lowpass(order: int, cutoff_ratio: float) -> tuple[tuple[float, ...], ...]:
+    """Even-order Butterworth lowpass as a cascade of second-order sections
+    ``(b0, b1, b2, a1, a2)``, each with a0 normalized to 1.
 
     The analog prototype is mapped by the bilinear transform with the cutoff
     pre-warped, so the half-power point lands exactly at ``cutoff_ratio``
@@ -114,7 +84,7 @@ def design_butterworth_lowpass(order: int, cutoff_ratio: float) -> BiquadCascade
         a0 = 1.0 + a + wc2
         b0 = wc2 / a0
         sections.append((b0, 2.0 * b0, b0, (2.0 * wc2 - 2.0) / a0, (1.0 - a + wc2) / a0))
-    return BiquadCascade(tuple(sections))
+    return tuple(sections)
 
 
 def _filter(sections, x: np.ndarray) -> np.ndarray:
@@ -137,15 +107,8 @@ def _filter(sections, x: np.ndarray) -> np.ndarray:
     return y.reshape(shape)
 
 
-def apply_filter(cascade: BiquadCascade, s: Signal) -> Signal:
-    """Causal single-pass filtering from rest; length and rate are preserved."""
-    if len(s) == 0:
-        raise ValueError("cannot filter an empty signal")
-    return Signal(_filter(cascade.sections, s.samples), s.sample_rate)
-
-
 @functools.lru_cache(maxsize=16)
-def _antialias(factor: int) -> BiquadCascade:
+def _antialias(factor: int) -> tuple[tuple[float, ...], ...]:
     """``decimate``'s lowpass for ``factor``, designed once."""
     return design_butterworth_lowpass(8, 1.0 / factor)
 
@@ -159,7 +122,7 @@ def decimate(x: np.ndarray, factor: int) -> np.ndarray:
     factor, n = int(factor), x.shape[-1]
     if n < factor:
         raise ValueError(f"signal of length {n} too short for factor {factor}")
-    return _filter(_antialias(factor).sections, x)[..., : n // factor * factor : factor].copy()
+    return _filter(_antialias(factor), x)[..., : n // factor * factor : factor].copy()
 
 
 def check_rate(sample_rate: int, factor: int) -> None:
@@ -218,56 +181,23 @@ def spline_upsample(s: Signal, factor: int) -> Signal:
     return Signal(spline(s.samples, factor), s.sample_rate * int(factor))
 
 
-@dataclass(frozen=True)
-class SpectrogramParams:
-    """STFT configuration used by metrics and the artifact probe."""
-
-    frame_length: int = 2048
-    hop: int = 512
-    window: str = "hann"
-    power_floor: float = 1e-10
-
-    def __post_init__(self):
-        if self.frame_length <= 0 or self.frame_length % 2 != 0:
-            raise ValueError(f"frame_length must be a positive even int, got {self.frame_length}")
-        if not 0 < self.hop <= self.frame_length:
-            raise ValueError(f"hop must satisfy 0 < hop <= frame_length, got {self.hop}")
-        if self.window not in ("hann", "rectangular"):
-            raise ValueError(f"window must be 'hann' or 'rectangular', got {self.window!r}")
-        if not self.power_floor > 0:
-            raise ValueError(f"power_floor must be > 0, got {self.power_floor}")
-
-    @property
-    def n_bins(self) -> int:
-        return self.frame_length // 2 + 1
-
-    def window_array(self) -> np.ndarray:
-        n = self.frame_length
-        if self.window == "hann":
-            # periodic Hann, exact mainlobe for bin-centered tones
-            return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
-        return np.ones(n)
-
-
-DEFAULT_STFT = SpectrogramParams()
-
-
-@functools.lru_cache(maxsize=16)
-def _window(p: SpectrogramParams) -> np.ndarray:
-    """``p.window_array()``, computed once and kept read-only."""
-    win = p.window_array()
-    win.flags.writeable = False
-    return win
+# The one STFT that metrics and the probe score every signal on: 2048-sample
+# frames every 512 samples under a periodic Hann window (exact mainlobe for
+# bin-centered tones), power clamped below at 1e-10 so its log stays finite.
+FRAME_LENGTH = 2048
+HOP = 512
+WINDOW = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(FRAME_LENGTH) / FRAME_LENGTH)
+WINDOW.flags.writeable = False
+POWER_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
 class PowerSpectrogram:
-    """W x K grid of power values, clamped below at the configured floor."""
+    """W x K grid of power values, clamped below at ``POWER_FLOOR``."""
 
     grid: np.ndarray
     frame_times: np.ndarray
     bin_freqs: np.ndarray
-    params: SpectrogramParams
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=np.float64)
@@ -277,27 +207,15 @@ class PowerSpectrogram:
             raise ValueError("grid shape does not match its axes")
         object.__setattr__(self, "grid", g)
 
-    @property
-    def n_frames(self) -> int:
-        return self.grid.shape[0]
 
-    @property
-    def n_bins(self) -> int:
-        return self.grid.shape[1]
-
-
-def stft_power(s: Signal, p: SpectrogramParams = DEFAULT_STFT) -> PowerSpectrogram:
-    """Windowed real-FFT power per frame; W = 1 + floor((len - frame)/hop)."""
+def stft_power(s: Signal) -> PowerSpectrogram:
+    """Windowed real-FFT power per frame; W = 1 + floor((len - FRAME_LENGTH)/HOP)."""
     n = len(s)
-    if n < p.frame_length:
-        raise ValueError(
-            f"signal of length {n} shorter than one frame ({p.frame_length})"
-        )
-    frames = np.lib.stride_tricks.sliding_window_view(s.samples, p.frame_length)[:: p.hop]
-    segments = frames * _window(p)
-    starts = np.arange(segments.shape[0]) * p.hop
-    spectrum = np.fft.rfft(segments, axis=1)
-    power = np.maximum(np.abs(spectrum) ** 2, p.power_floor)
-    frame_times = (starts + p.frame_length / 2.0) / s.sample_rate
-    bin_freqs = np.arange(p.n_bins) * s.sample_rate / p.frame_length
-    return PowerSpectrogram(power, frame_times, bin_freqs, p)
+    if n < FRAME_LENGTH:
+        raise ValueError(f"signal of length {n} shorter than one frame ({FRAME_LENGTH})")
+    frames = np.lib.stride_tricks.sliding_window_view(s.samples, FRAME_LENGTH)[::HOP]
+    spectrum = np.fft.rfft(frames * WINDOW, axis=1)
+    power = np.maximum(np.abs(spectrum) ** 2, POWER_FLOOR)
+    frame_times = (np.arange(power.shape[0]) * HOP + FRAME_LENGTH / 2.0) / s.sample_rate
+    bin_freqs = np.arange(FRAME_LENGTH // 2 + 1) * s.sample_rate / FRAME_LENGTH
+    return PowerSpectrogram(power, frame_times, bin_freqs)

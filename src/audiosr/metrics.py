@@ -9,8 +9,8 @@ import numpy as np
 
 from . import dsp
 from .data import write_atomic
-from .dsp import DEFAULT_STFT, Signal, SpectrogramParams
-from .models import encode_config, reconstruct, upsampling_mode
+from .dsp import Signal
+from .models import reconstruct, upsampling_mode
 
 
 def snr(generated: Signal, actual: Signal) -> float:
@@ -33,7 +33,7 @@ def snr(generated: Signal, actual: Signal) -> float:
     return 10.0 * math.log10(ref / residual)
 
 
-def lsd(generated: Signal, actual: Signal, p: SpectrogramParams = DEFAULT_STFT) -> float:
+def lsd(generated: Signal, actual: Signal) -> float:
     """Frame-wise RMS of log10 power-spectrum differences, averaged over frames."""
     if len(generated) != len(actual):
         raise ValueError(
@@ -41,8 +41,8 @@ def lsd(generated: Signal, actual: Signal, p: SpectrogramParams = DEFAULT_STFT) 
         )
     if generated.sample_rate != actual.sample_rate:
         raise ValueError("sample rate mismatch")
-    pg = dsp.stft_power(generated, p).grid
-    pa = dsp.stft_power(actual, p).grid
+    pg = dsp.stft_power(generated).grid
+    pa = dsp.stft_power(actual).grid
     # difference of logs keeps lsd(a, b) == lsd(b, a) bit-exact
     diff = np.log10(pg) - np.log10(pa)
     per_frame = np.sqrt(np.mean(diff**2, axis=1))
@@ -58,15 +58,17 @@ class MetricReport:
     snr_std: float
     lsd_mean: float
     lsd_std: float
-    stft_params: SpectrogramParams
     scale: int
     mode: str = "post"
     checkpoint_id: str = ""
     notes: dict = field(default_factory=dict)
 
     def to_csv(self, path) -> None:
-        lines = [f"# stft.{key} = {val}" for key, val in encode_config(self.stft_params).items()]
-        lines += [
+        lines = [
+            f"# stft.frame_length = {dsp.FRAME_LENGTH}",
+            f"# stft.hop = {dsp.HOP}",
+            "# stft.window = hann",
+            f"# stft.power_floor = {dsp.POWER_FLOOR}",
             f"# scale = {self.scale}",
             f"# mode = {self.mode}",
             f"# checkpoint = {self.checkpoint_id or 'none'}",
@@ -86,7 +88,6 @@ def evaluate_model(
     corpus: list[Signal],
     scale: int,
     mode: str | None = None,
-    stft_params: SpectrogramParams = DEFAULT_STFT,
     item_ids: list[str] | None = None,
     checkpoint_id: str = "",
 ) -> MetricReport:
@@ -111,14 +112,14 @@ def evaluate_model(
         item_id = item_ids[i] if item_ids is not None else str(i)
         recon = reconstruct(model, dsp.downsample(sig, scale), scale)
         n = min(len(recon), len(sig))
-        if n < stft_params.frame_length:
+        if n < dsp.FRAME_LENGTH:
             raise ValueError(
                 f"item {item_id}: only {n} comparable samples, need at least one "
-                f"STFT frame ({stft_params.frame_length})"
+                f"STFT frame ({dsp.FRAME_LENGTH})"
             )
         gen = Signal(recon.samples[:n], sig.sample_rate)
         ref = Signal(sig.samples[:n], sig.sample_rate)
-        per_item.append((item_id, snr(gen, ref), lsd(gen, ref, stft_params)))
+        per_item.append((item_id, snr(gen, ref), lsd(gen, ref)))
 
     snrs = np.array([s for _, s, _ in per_item])
     lsds = np.array([l for _, _, l in per_item])
@@ -128,7 +129,6 @@ def evaluate_model(
         snr_std=float(np.std(snrs)),
         lsd_mean=float(np.mean(lsds)),
         lsd_std=float(np.std(lsds)),
-        stft_params=stft_params,
         scale=scale,
         mode=mode if model is not None else "baseline-spline",
         checkpoint_id=checkpoint_id,

@@ -9,7 +9,8 @@ import numpy as np
 from . import diffgraph as dg
 from . import dsp
 from .data import write_atomic
-from .dsp import DEFAULT_STFT, PowerSpectrogram, Signal, SpectrogramParams
+from .dsp import PowerSpectrogram, Signal
+from .models import count_parameters
 from .models import phase_shuffle  # noqa: F401  re-exported: probe.phase_shuffle
 
 MAX_PERIOD = 256  # longest exact period, in samples, that the probe looks for
@@ -32,7 +33,6 @@ class ArtifactReport:
 def zero_input_probe(
     m,
     length: int = 16384,
-    stft: SpectrogramParams = DEFAULT_STFT,
     sample_rate: int = 12000,
     peak_threshold_db: float = 20.0,
 ) -> ArtifactReport:
@@ -45,12 +45,7 @@ def zero_input_probe(
     ratio = getattr(m, "upsample_ratio", None)
     if ratio is None:
         raise ValueError("zero-input probe needs a model exposing 'upsample_ratio'")
-    if length < stft.frame_length:
-        raise ValueError(
-            f"probe length {length} shorter than one STFT frame ({stft.frame_length})"
-        )
-    if length % ratio != 0:
-        raise ValueError(f"probe length {length} not divisible by upsample ratio {ratio}")
+    check_length(length, ratio)
     with dg.no_grad():
         out = m.forward(dg.Tensor(np.zeros((1, 1, length // ratio))), training=False)
     samples = out.data[0, 0].astype(np.float64)
@@ -59,7 +54,7 @@ def zero_input_probe(
             f"model produced {samples.shape[0]} samples for a {length}-sample probe"
         )
 
-    sp = dsp.stft_power(Signal(samples, sample_rate), stft)
+    sp = dsp.stft_power(Signal(samples, sample_rate))
     mean_db = 10.0 * np.log10(sp.grid.mean(axis=0))
     median_db = float(np.median(mean_db))
     edge = (
@@ -79,13 +74,8 @@ def zero_input_probe(
         peaks.sort(key=lambda t: t[2], reverse=True)
         period = _exact_period(samples)
 
-    n_params = None
-    if hasattr(m, "parameters"):
-        n_params = sum(p.size for p in m.parameters())
-    kind = getattr(m, "kind", type(m).__name__)
-    model_id = f"{kind}-{n_params}p" if n_params is not None else str(kind)
     return ArtifactReport(
-        model_id=model_id,
+        model_id=f"{m.kind}-{count_parameters(m)}p",
         probe_length=length,
         sample_rate=sample_rate,
         spectrogram=sp,
@@ -93,6 +83,15 @@ def zero_input_probe(
         periodicity=period,
         edge_power_db=edge,
     )
+
+
+def check_length(length: int, ratio: int) -> None:
+    """A probe's output length must cover one STFT frame and be a whole
+    number of the model's upsampling ratio."""
+    if length < dsp.FRAME_LENGTH:
+        raise ValueError(f"probe length {length} shorter than one STFT frame ({dsp.FRAME_LENGTH})")
+    if length % ratio != 0:
+        raise ValueError(f"probe length {length} not divisible by upsample ratio {ratio}")
 
 
 def _exact_period(x: np.ndarray) -> int | None:
@@ -125,14 +124,13 @@ def export_spectrogram(sp: PowerSpectrogram, path, fmt: str = "csv") -> None:
 
 def write_report(report: ArtifactReport, path) -> None:
     """Human-readable probe summary: key/value lines plus a peak table."""
-    p = report.spectrogram.params
     lines = [
         f"model: {report.model_id}",
         f"probe_length: {report.probe_length}",
         f"sample_rate: {report.sample_rate}",
         f"periodicity_samples: {report.periodicity if report.periodicity is not None else 'none'}",
         f"edge_frame_power_db: first={report.edge_power_db[0]:.2f} last={report.edge_power_db[1]:.2f}",
-        f"stft: frame={p.frame_length} hop={p.hop} window={p.window} floor={p.power_floor!r}",
+        f"stft: frame={dsp.FRAME_LENGTH} hop={dsp.HOP} window=hann floor={dsp.POWER_FLOOR!r}",
         f"peaks: {len(report.peaks)}",
         "freq_hz\tpower_db\tprominence_db",
     ]

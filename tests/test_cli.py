@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from audiosr import cli, data, models
+from audiosr import diffgraph as dg
 from audiosr.dsp import Signal
 
 
@@ -150,6 +151,30 @@ class TestProbeCommand:
         assert run("probe", "--checkpoint", str(ckpt), "--out", str(tmp_path / "p")) == 2
         assert "a 'critic' model does not upsample audio" in capsys.readouterr().err
         assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("length", ["512", "0", "4097"])
+    def test_bad_length_is_usage_error(self, tmp_path, tiny_ckpt, capsys, length):
+        # 512 and 0 are shorter than one STFT frame; 4097 is not a multiple of the ratio 2
+        out = tmp_path / "p"
+        assert run("probe", "--checkpoint", str(tiny_ckpt), "--out", str(out), "--length", length) == 1
+        assert f"probe length {length}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_wrong_output_length_is_data_error(self, tmp_path, monkeypatch, capsys):
+        class Short:
+            kind, mode, upsample_ratio = "edsr", "post", 2
+
+            def parameters(self):
+                return []
+
+            def forward(self, x, training=False):
+                return dg.Tensor(np.zeros((1, 1, 2 * x.shape[-1] - 2)))
+
+        monkeypatch.setattr(models, "load_checkpoint", lambda path: Short())
+        out = tmp_path / "p"
+        assert run("probe", "--checkpoint", "any.ckpt", "--out", str(out), "--length", "4096") == 2
+        assert "model produced 4094 samples for a 4096-sample probe" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_run_meta_hashes_the_checkpoint_file(self, tmp_path):
         ckpt = tmp_path / "edsr.ckpt"
@@ -562,6 +587,52 @@ class TestExitCodes:
             ) == 0
             metas.append((out / "run.meta").read_bytes())
         assert metas[0] == metas[1]
+
+
+class TestScaleFlag:
+    """``--scale`` below 2 is a usage error, found before any input is made or read."""
+
+    @pytest.fixture(autouse=True)
+    def no_input(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("input was made or read before the flag check")
+
+        monkeypatch.setattr(data, "synth_signals", unreachable)
+        monkeypatch.setattr(data, "wav_read", unreachable)
+
+    @pytest.mark.parametrize("scale", ["1", "0", "-2"])
+    def test_eval(self, tmp_path, capsys, scale):
+        out = tmp_path / "e"
+        assert run("eval", "--spline", "--scale", scale, "--synth", "2", "--out", str(out)) == 1
+        assert "scale must be an integer >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale", ["1", "0"])
+    def test_upsample(self, tmp_path, capsys, scale):
+        src = tmp_path / "in.wav"
+        src.write_bytes(b"")
+        assert run("upsample", "--scale", scale, str(src), str(tmp_path / "o.wav")) == 1
+        assert "scale must be an integer >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "o.wav").exists()
+
+
+class TestOutputHeaders:
+    def test_stft_lines_are_pinned(self, tmp_path, tiny_ckpt):
+        # metrics.csv and report.txt name the STFT that scored them
+        assert run("eval", "--spline", "--scale", "2", "--synth", "2", "--out", str(tmp_path / "e")) == 0
+        lines = (tmp_path / "e" / "metrics.csv").read_text().splitlines()
+        assert [line for line in lines if line.startswith("# stft.")] == [
+            "# stft.frame_length = 2048",
+            "# stft.hop = 512",
+            "# stft.window = hann",
+            "# stft.power_floor = 1e-10",
+        ]
+        out = tmp_path / "p"
+        assert run("probe", "--checkpoint", str(tiny_ckpt), "--out", str(out), "--length", "4096") == 0
+        lines = (out / "report.txt").read_text().splitlines()
+        assert [line for line in lines if line.startswith("stft:")] == [
+            "stft: frame=2048 hop=512 window=hann floor=1e-10"
+        ]
 
 
 class TestRunMeta:

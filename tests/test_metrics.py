@@ -2,32 +2,36 @@ import math
 
 import numpy as np
 import pytest
+import scipy.signal
 
-from audiosr import dsp, metrics, models
-from audiosr.dsp import Signal, SpectrogramParams
+from audiosr import metrics, models
+from audiosr.dsp import Signal
+
+LOWPASS = scipy.signal.butter(8, 0.6, output="sos")
 
 
 def noise_pair(seed, n=4096, rate=12000):
     rng = np.random.default_rng(seed)
-    lowpass = dsp.design_butterworth_lowpass(8, 0.6)
-    a = dsp.apply_filter(lowpass, Signal(rng.normal(0, 0.2, n), rate))
-    b = dsp.apply_filter(lowpass, Signal(rng.normal(0, 0.2, n), rate))
+    a = Signal(scipy.signal.sosfilt(LOWPASS, rng.normal(0, 0.2, n)), rate)
+    b = Signal(scipy.signal.sosfilt(LOWPASS, rng.normal(0, 0.2, n)), rate)
     return a, b
 
 
-def lsd_oracle(generated, actual, p):
-    """Straight-from-the-formula reimplementation, independent of the library path."""
+def lsd_oracle(generated, actual):
+    """Straight-from-the-formula reimplementation, independent of the library
+    path, on the paper's STFT: 2048-sample periodic-Hann frames every 512
+    samples, power floored at 1e-10."""
+    frame_length, hop = 2048, 512
+
     def power_grid(sig):
         n = len(sig)
-        n_frames = 1 + (n - p.frame_length) // p.hop
-        win = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(p.frame_length) / p.frame_length)
-        if p.window == "rectangular":
-            win = np.ones(p.frame_length)
+        n_frames = 1 + (n - frame_length) // hop
+        win = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(frame_length) / frame_length)
         rows = []
         for w in range(n_frames):
-            seg = sig.samples[w * p.hop : w * p.hop + p.frame_length] * win
+            seg = sig.samples[w * hop : w * hop + frame_length] * win
             spec = np.fft.rfft(seg)
-            rows.append(np.maximum(np.abs(spec) ** 2, p.power_floor))
+            rows.append(np.maximum(np.abs(spec) ** 2, 1e-10))
         return rows
 
     pg, pa = power_grid(generated), power_grid(actual)
@@ -88,10 +92,9 @@ class TestLsd:
         assert metrics.lsd(gen, a) == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_bruteforce_oracle(self):
-        p = SpectrogramParams(frame_length=512, hop=128)
         for seed in range(5):
-            a, b = noise_pair(seed, n=2048)
-            assert metrics.lsd(a, b, p) == pytest.approx(lsd_oracle(a, b, p), abs=1e-9)
+            a, b = noise_pair(seed, n=6144)
+            assert metrics.lsd(a, b) == pytest.approx(lsd_oracle(a, b), abs=1e-9)
 
     def test_symmetric(self):
         a, b = noise_pair(7)
@@ -101,9 +104,8 @@ class TestLsd:
         rng = np.random.default_rng(8)
         x = rng.normal(0, 0.3, 4096 + 512)
         y = x + rng.normal(0, 0.05, len(x))
-        p = SpectrogramParams(frame_length=1024, hop=512)
-        base = metrics.lsd(Signal(x[:4096], 8000), Signal(y[:4096], 8000), p)
-        shifted = metrics.lsd(Signal(x[512:], 8000), Signal(y[512:], 8000), p)
+        base = metrics.lsd(Signal(x[:4096], 8000), Signal(y[:4096], 8000))
+        shifted = metrics.lsd(Signal(x[512:], 8000), Signal(y[512:], 8000))
         assert abs(base - shifted) <= 0.1
 
     def test_bit_identical_on_repeat(self):
@@ -136,11 +138,16 @@ class TestEvaluateModel:
         assert math.isfinite(rep.lsd_mean) and rep.lsd_mean > 0
         assert math.isfinite(rep.snr_mean)
 
-    def test_report_embeds_stft_params(self):
-        p = SpectrogramParams(frame_length=1024, hop=256)
-        rep = metrics.evaluate_model(None, self.corpus(), 2, "pre", stft_params=p)
-        assert rep.stft_params == p
+    def test_report_embeds_stft_params(self, tmp_path):
+        rep = metrics.evaluate_model(None, self.corpus(), 2, "pre")
         assert rep.scale == 2
+        rep.to_csv(tmp_path / "metrics.csv")
+        assert (tmp_path / "metrics.csv").read_text().splitlines()[:4] == [
+            "# stft.frame_length = 2048",
+            "# stft.hop = 512",
+            "# stft.window = hann",
+            "# stft.power_floor = 1e-10",
+        ]
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):

@@ -464,8 +464,6 @@ class TestConfigCodec:
         train.GanConfig(base=BASE, gp_weight=0.5, warm_start="runs/None"),
         cli.DataConfig(),
         cli.DataConfig(manifest="None", split="val", synth_freq_hi=1e3, synth_kinds=("noise-mix",)),
-        dsp.SpectrogramParams(),
-        dsp.SpectrogramParams(frame_length=256, hop=64, window="rectangular", power_floor=1e-12),
     ])
     def test_roundtrip(self, cfg):
         # every config dataclass, None-valued str | None fields included

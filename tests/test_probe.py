@@ -3,9 +3,6 @@ import pytest
 
 from audiosr import diffgraph as dg, dsp, models, probe
 from audiosr.diffgraph import Tensor
-from audiosr.dsp import SpectrogramParams
-
-PROBE_STFT = SpectrogramParams(frame_length=1024, hop=256)
 
 
 class ConvShuffleStack:
@@ -36,30 +33,30 @@ class TestZeroInputProbe:
         for name, p in m.params.items():
             if name.endswith(".b"):
                 p.data = np.zeros_like(p.data)
-        rep = probe.zero_input_probe(m, length=2048, stft=PROBE_STFT)
+        rep = probe.zero_input_probe(m, length=2048)
         assert rep.peaks == []
         assert rep.periodicity is None
-        assert np.all(rep.spectrogram.grid == PROBE_STFT.power_floor)
+        assert np.all(rep.spectrogram.grid == 1e-10)
 
     @pytest.mark.parametrize("r,biases", [(2, [0.25, -0.5]), (4, [0.1, 0.2, 0.3, 0.4])])
     def test_bias_comb_is_exactly_periodic(self, r, biases):
         stack = ConvShuffleStack(r, biases)
-        rep = probe.zero_input_probe(stack, length=4096, stft=PROBE_STFT)
+        rep = probe.zero_input_probe(stack, length=4096)
         assert rep.periodicity == r
         assert len(rep.peaks) > 0
 
     def test_comb_peaks_confined_to_harmonics_of_the_comb(self):
         rate = 12000
         stack = ConvShuffleStack(2, [0.25, -0.5])
-        rep = probe.zero_input_probe(stack, length=4096, stft=PROBE_STFT, sample_rate=rate)
+        rep = probe.zero_input_probe(stack, length=4096, sample_rate=rate)
         comb = (0.0, rate / 2.0)  # period-2 comb lives at DC and Nyquist
-        bin_width = rate / PROBE_STFT.frame_length
+        bin_width = rate / 2048
         for freq, _, _ in rep.peaks:
             assert any(abs(freq - c) <= 2 * bin_width for c in comb)
 
     def test_random_default_edsr_reports_peaks(self):
         m = models.build_edsr(models.EdsrConfig(), seed=0)
-        rep = probe.zero_input_probe(m, length=2048, stft=PROBE_STFT)
+        rep = probe.zero_input_probe(m, length=2048)
         assert len(rep.peaks) > 0
         assert rep.peaks == sorted(rep.peaks, key=lambda t: t[2], reverse=True)
 
@@ -68,19 +65,25 @@ class TestZeroInputProbe:
             depth=2, down_filters=(4, 8), down_kernels=(9, 9), bottleneck_filters=8, scale=2
         )
         m = models.build_unet(cfg, seed=2)
-        rep = probe.zero_input_probe(m, length=2048, stft=PROBE_STFT)
+        rep = probe.zero_input_probe(m, length=2048)
         assert rep.probe_length == 2048
 
     def test_bad_length_rejected(self):
         m = models.build_edsr(models.EdsrConfig(filters=4, n_blocks=1), seed=1)
         with pytest.raises(ValueError):
-            probe.zero_input_probe(m, length=2047, stft=PROBE_STFT)
+            probe.zero_input_probe(m, length=2047)
         with pytest.raises(ValueError, match="shorter than one STFT frame"):
-            probe.zero_input_probe(m, length=512, stft=PROBE_STFT)
+            probe.zero_input_probe(m, length=512)
+
+    def test_model_id_is_kind_and_parameter_count(self):
+        m = models.build_edsr(models.EdsrConfig(filters=4, n_blocks=1), seed=1)
+        rep = probe.zero_input_probe(m, length=2048)
+        assert rep.model_id == f"edsr-{models.count_parameters(m)}p"
+        assert probe.zero_input_probe(ConvShuffleStack(2, [0.1, 0.2]), length=2048).model_id == "stack-0p"
 
     def test_period_detector_prefers_smallest(self):
         stack = ConvShuffleStack(4, [0.3, -0.3, 0.3, -0.3])  # period 2 pattern via r=4
-        rep = probe.zero_input_probe(stack, length=4096, stft=PROBE_STFT)
+        rep = probe.zero_input_probe(stack, length=4096)
         assert rep.periodicity == 2
 
 
@@ -143,7 +146,7 @@ class TestExport:
         g = np.full((w, k), 1e-4)
         times = np.arange(w) * 0.1
         freqs = np.linspace(0, 6000, k)
-        return dsp.PowerSpectrogram(g, times, freqs, dsp.DEFAULT_STFT)
+        return dsp.PowerSpectrogram(g, times, freqs)
 
     def test_csv_row_count(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -166,7 +169,7 @@ class TestExport:
 
     def test_report_text(self, tmp_path):
         stack = ConvShuffleStack(2, [0.25, -0.5])
-        rep = probe.zero_input_probe(stack, length=4096, stft=PROBE_STFT)
+        rep = probe.zero_input_probe(stack, length=4096)
         path = tmp_path / "report.txt"
         probe.write_report(rep, path)
         text = path.read_text()
