@@ -11,7 +11,7 @@ import functools
 import hashlib
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +58,8 @@ class DataConfig:
     synth_kinds: tuple[str, ...] = ("sine", "chirp")
 
     def __post_init__(self):
+        if self.synth_seed < 0:
+            raise ValueError(f"synth_seed must be >= 0, got {self.synth_seed}")
         if not self.manifest:
             self.synth_spec()  # checks the synth_* values
 
@@ -178,6 +180,10 @@ def _cmd_prepare(args) -> int:
         data.check_split_ratios(ratios)
     except ValueError as exc:
         raise UsageError(f"bad --ratios {args.ratios!r}: {exc}") from exc
+    if args.target_rate < 1:
+        raise UsageError(f"--target-rate must be a positive integer, got {args.target_rate}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     target = args.target_rate
     src_index = data.scan_corpus(args.root, seed=args.seed)
     out = _out_dir(args.out)
@@ -309,54 +315,29 @@ def _cmd_upsample(args) -> int:
 
 
 def _cmd_compare_losses(args) -> int:
-    train_spec = _from_flags(data.SynthSpec, count=args.synth, length=args.patch * 2,
-                             sample_rate=12000)
-    eval_spec = data.SynthSpec(count=max(args.synth // 4, 8), length=8192, sample_rate=12000)
-    mode = models.KINDS[args.model][1].mode
-    cfgs = {loss: _from_flags(
-        train.TrainConfig, steps=args.steps, mode=mode, scale=args.scale, batch_size=args.batch,
-        loss=loss, seed=args.seed, patch_length=args.patch, lr=args.lr,
-    ) for loss in ("l1", "l2")}
-    train_corpus = data.synth_signals(train_spec, args.seed + 1)
-    eval_corpus = data.synth_signals(eval_spec, args.seed + 2)
-    if args.model == "edsr":
-        stages = args.scale.bit_length() - 1
-        model_cfg = models.EdsrConfig(
-            filters=16, n_blocks=2, upsample_stages=stages
-        )
-    else:
-        model_cfg = models.UnetConfig(
-            depth=2, down_filters=(16, 32), down_kernels=(17, 9),
-            bottleneck_filters=32, scale=args.scale,
-        )
-    rows = []
-    for loss, cfg in cfgs.items():
-        model = _build_model(args.model, model_cfg, args.seed)
-        _, log = train.train_supervised(model, train_corpus, cfg)
-        report = metrics.evaluate_model(model, eval_corpus, args.scale)
-        rows.append((loss, report))
+    """Train the config's model once under l1 and once under l2, and score both
+    on a held-out copy of ``[data]``: the test split, synthesised one seed on."""
+    kind, model_cfg, train_cfg, _, _, data_cfg = _load_run_config(args.config, want_gan=False)
+    if train_cfg.loss is not None:
+        raise UsageError("compare-losses sets the loss itself; drop [train] loss")
+    corpus, _, corpus_hash = _load_corpus(data_cfg)
+    held_out = _load_corpus(replace(data_cfg, split="test", synth_seed=data_cfg.synth_seed + 1))[0]
+    lines = [f"# model = {kind}", f"# scale = {train_cfg.scale}", f"# steps = {train_cfg.steps}",
+             f"# seed = {train_cfg.seed}", "loss,snr_mean,snr_std,lsd_mean,lsd_std"]
+    for loss in ("l1", "l2"):
+        model = _build_model(kind, model_cfg, train_cfg.seed)
+        _, log = train.train_supervised(model, corpus, replace(train_cfg, loss=loss))
+        report = metrics.evaluate_model(model, held_out, train_cfg.scale)
         print(
             f"{loss}: final train loss {log.records[-1].loss:.6f} | "
             f"SNR {report.snr_mean:.2f}+/-{report.snr_std:.2f} | "
             f"LSD {report.lsd_mean:.3f}+/-{report.lsd_std:.3f}"
         )
-    lines = [
-        f"# model = {args.model}",
-        f"# scale = {args.scale}",
-        f"# steps = {args.steps}",
-        f"# seed = {args.seed}",
-        "loss,snr_mean,snr_std,lsd_mean,lsd_std",
-    ]
-    for loss, rep in rows:
-        lines.append(f"{loss},{rep.snr_mean!r},{rep.snr_std!r},{rep.lsd_mean!r},{rep.lsd_std!r}")
+        lines.append(f"{loss},{report.snr_mean!r},{report.snr_std!r},{report.lsd_mean!r},{report.lsd_std!r}")
     out = _out_dir(args.out)
     data.write_atomic(out / "compare.csv", "\n".join(lines) + "\n")
-    _write_run_meta(out, "compare-losses", {
-        "model": args.model,
-        "scale": args.scale,
-        "steps": args.steps,
-        "seed": args.seed,
-        "corpus_hash": _sha256(f"{train_spec}|{args.seed}".encode()),
+    _write_run_meta(out, "compare-losses", {"corpus_hash": corpus_hash}, {
+        "run": {"model": kind}, "model": model_cfg, "train": train_cfg, "data": data_cfg,
     })
     return 0
 
@@ -365,7 +346,7 @@ def _cmd_probe(args) -> int:
     model = models.load_checkpoint(args.checkpoint)
     if model.mode is None:  # its score is not audio
         raise ValueError(f"a {model.kind!r} model does not upsample audio")
-    _from_flags(probe.check_length, args.length, model.upsample_ratio)
+    _from_flags(probe.check_args, args.length, model.upsample_ratio, args.rate, args.threshold)
     report = probe.zero_input_probe(
         model,
         length=args.length,
@@ -437,15 +418,8 @@ def _build_parser() -> _Parser:
     p.add_argument("output")
     p.set_defaults(func=_cmd_upsample)
 
-    p = sub.add_parser("compare-losses", help="train the same model under l1 and l2, report both")
-    p.add_argument("--model", choices=("edsr", "unet"), default="edsr")
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--scale", type=int, default=2)
-    p.add_argument("--batch", type=int, default=8)
-    p.add_argument("--patch", type=int, default=1024)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--synth", type=int, default=64)
+    p = sub.add_parser("compare-losses", help="train a config's model under l1 and l2, report both")
+    p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_compare_losses)
 

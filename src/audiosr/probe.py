@@ -45,7 +45,7 @@ def zero_input_probe(
     ratio = getattr(m, "upsample_ratio", None)
     if ratio is None:
         raise ValueError("zero-input probe needs a model exposing 'upsample_ratio'")
-    check_length(length, ratio)
+    check_args(length, ratio, sample_rate, peak_threshold_db)
     with dg.no_grad():
         out = m.forward(dg.Tensor(np.zeros((1, 1, length // ratio))), training=False)
     samples = out.data[0, 0].astype(np.float64)
@@ -85,9 +85,14 @@ def zero_input_probe(
     )
 
 
-def check_length(length: int, ratio: int) -> None:
+def check_args(length: int, ratio: int, sample_rate: int, threshold: float) -> None:
     """A probe's output length must cover one STFT frame and be a whole
-    number of the model's upsampling ratio."""
+    number of the model's upsampling ratio; its rate must be a positive
+    integer and its peak threshold finite."""
+    if not float(sample_rate).is_integer() or sample_rate <= 0:
+        raise ValueError(f"probe sample_rate must be a positive integer, got {sample_rate!r}")
+    if not np.isfinite(threshold):
+        raise ValueError(f"probe peak threshold must be finite, got {threshold!r}")
     if length < dsp.FRAME_LENGTH:
         raise ValueError(f"probe length {length} shorter than one STFT frame ({dsp.FRAME_LENGTH})")
     if length % ratio != 0:

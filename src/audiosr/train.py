@@ -59,6 +59,8 @@ class TrainConfig:
             raise ValueError("patch_length must be >= 1")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         self.adam()  # checks lr and the betas
 
     def adam(self) -> AdamState:

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import sys
 import wave
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from audiosr import cli, data, models
+from audiosr import cli, data, models, train
 from audiosr import diffgraph as dg
 from audiosr.dsp import Signal
 
@@ -366,9 +367,10 @@ class TestPrepareAndTrain:
         [("steps = 1", "steps = 1\nscale = 4", 1), ("patch_length = 256", "patch_length = 4096", 2),
          ("patch_length = 256", "patch_length = 255", 1), ("steps = 1", "steps = 1\nmode = pre", 1),
          ("steps = 1", "steps = 1\nlr = 0", 1), ("steps = 1", "steps = 1\nbeta1 = 1.0", 1),
-         ("synth_count = 2", "synth_count = 0", 1)],
+         ("synth_count = 2", "synth_count = 0", 1), ("steps = 1", "steps = 1\nseed = -1", 1),
+         ("synth_count = 2", "synth_count = 2\nsynth_seed = -1", 1)],
         ids=["scale-mismatch", "corpus-too-short", "patch-length-conflict", "mode-conflict",
-             "zero-lr", "beta1-one", "no-synth-items"],
+             "zero-lr", "beta1-one", "no-synth-items", "negative-seed", "negative-synth-seed"],
     )
     def test_failed_train_leaves_no_out_dir(self, tmp_path, line, bad, code):
         cfgfile = tmp_path / "run.cfg"
@@ -498,23 +500,70 @@ class TestConfigFuzz:
 
 
 class TestCompareLosses:
-    def test_emits_table_shaped_csv(self, tmp_path):
-        out = tmp_path / "cmp"
-        code = run(
-            "compare-losses", "--model", "edsr", "--steps", "3", "--seed", "7",
-            "--synth", "4", "--patch", "512", "--batch", "2", "--out", str(out),
-        )
-        assert code == 0
-        lines = (out / "compare.csv").read_text().strip().splitlines()
-        body = [l for l in lines if not l.startswith("#")]
-        assert body[0] == "loss,snr_mean,snr_std,lsd_mean,lsd_std"
-        assert body[1].startswith("l1,")
-        assert body[2].startswith("l2,")
+    RUN = (
+        "[run]\nmodel = edsr\n"
+        "[model]\nfilters = 4\nn_blocks = 1\n"
+        "[train]\nsteps = 2\nbatch_size = 2\npatch_length = 512\nseed = 7\n"
+        "[data]\nsynth_count = 4\nsynth_length = 2048\n"
+    )
 
-    def test_failed_run_leaves_no_out_dir(self, tmp_path):
-        out = tmp_path / "cmp"
-        assert run("compare-losses", "--model", "edsr", "--scale", "3", "--out", str(out)) == 1
-        assert not out.exists()
+    def compare(self, tmp_path, text, out="cmp"):
+        cfgfile = tmp_path / "cmp.cfg"
+        cfgfile.write_text(text)
+        return run("compare-losses", "--config", str(cfgfile), "--out", str(tmp_path / out))
+
+    def test_emits_table_shaped_csv(self, tmp_path):
+        assert self.compare(tmp_path, self.RUN) == 0
+        lines = (tmp_path / "cmp" / "compare.csv").read_text().splitlines()
+        assert lines[:5] == ["# model = edsr", "# scale = 2", "# steps = 2", "# seed = 7",
+                             "loss,snr_mean,snr_std,lsd_mean,lsd_std"]
+        assert [line.split(",")[0] for line in lines[5:]] == ["l1", "l2"]
+
+    def test_failed_run_leaves_no_out_dir(self, tmp_path, capsys):
+        # the config's 2x EDSR rejects scale 3 with its own message
+        assert self.compare(tmp_path, self.RUN.replace("seed = 7", "seed = 7\nscale = 3")) == 1
+        assert "model upsamples by 2, but scale 3 was requested" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
+
+    @pytest.mark.parametrize("loss", ["l1", "l2"])
+    def test_loss_key_is_usage_error(self, tmp_path, capsys, loss):
+        assert self.compare(tmp_path, self.RUN.replace("seed = 7", f"seed = 7\nloss = {loss}")) == 1
+        assert "compare-losses sets the loss itself" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
+
+    def test_run_meta_reruns_the_comparison(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert self.compare(tmp_path, self.RUN, out="a") == 0
+        assert run("compare-losses", "--config", str(a / "run.meta"), "--out", str(b)) == 0
+        assert list(cli._read_config(a / "run.meta")) == ["run", "model", "train", "data"]
+        for name in ("compare.csv", "run.meta"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_both_corpora_load_before_training(self, tmp_path, monkeypatch):
+        events = []
+        load, fit = cli._load_corpus, train.train_supervised
+        monkeypatch.setattr(cli, "_load_corpus", lambda cfg: events.append(cfg) or load(cfg))
+        monkeypatch.setattr(train, "train_supervised",
+                            lambda m, corpus, cfg: events.append(cfg.loss) or fit(m, corpus, cfg))
+        assert self.compare(tmp_path, self.RUN) == 0
+        fitted, held_out, *losses = events
+        # the held-out corpus is the test split of [data], synthesised one seed on
+        assert held_out == replace(fitted, split="test", synth_seed=fitted.synth_seed + 1)
+        assert losses == ["l1", "l2"]
+
+    def test_flags_are_config_and_out(self):
+        sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        options = [s for a in sub.choices["compare-losses"]._actions for s in a.option_strings]
+        assert options == ["-h", "--help", "--config", "--out"]
+
+    def test_readme_config_is_the_toy_run(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        example = readme.split("```ini\n")[2].split("```", 1)[0]
+        (tmp_path / "cmp.cfg").write_text(example)
+        kind, m, t, _, _, d = cli._load_run_config(tmp_path / "cmp.cfg", want_gan=False)
+        assert (kind, m.filters, m.n_blocks, m.upsample_stages) == ("edsr", 16, 2, 1)
+        assert (t.steps, t.batch_size, t.patch_length, t.lr, t.seed, t.loss) == (500, 8, 1024, 1e-3, 7, None)
+        assert (d.synth_count, d.synth_length, d.synth_seed) == (64, 2048, 8)
 
 
 class TestExitCodes:
@@ -558,15 +607,17 @@ class TestExitCodes:
         assert all(np.isfinite([float(v) for v in row.split(",")[1:4]]).all() for row in rows)
 
     @pytest.mark.parametrize(
-        "argv, message",
-        [(["eval", "--spline", "--scale", "2", "--synth", "0"], "count must be >= 1"),
-         (["compare-losses", "--lr", "0", "--steps", "1", "--synth", "4", "--patch", "512"],
-          "alpha and eps must be positive"),
-         (["compare-losses", "--batch", "0", "--steps", "1", "--synth", "4", "--patch", "512"],
-          "batch_size must be >= 1")],
+        "argv, edit, message",
+        [(["eval", "--spline", "--scale", "2", "--synth", "0"], None, "count must be >= 1"),
+         (["compare-losses"], ("seed = 7", "seed = 7\nlr = 0"), "alpha and eps must be positive"),
+         (["compare-losses"], ("batch_size = 2", "batch_size = 0"), "batch_size must be >= 1")],
         ids=["eval-no-synth-items", "compare-losses-zero-lr", "compare-losses-zero-batch"],
     )
-    def test_bad_flag_value_is_a_usage_error(self, tmp_path, capsys, argv, message):
+    def test_bad_flag_value_is_a_usage_error(self, tmp_path, capsys, argv, edit, message):
+        if edit:  # compare-losses reads its values from a config file
+            cfgfile = tmp_path / "run.cfg"
+            cfgfile.write_text(TestCompareLosses.RUN.replace(*edit))
+            argv = argv + ["--config", str(cfgfile)]
         out = tmp_path / "out"
         assert run(*argv, "--out", str(out)) == 1
         assert message in capsys.readouterr().err
@@ -616,6 +667,33 @@ class TestScaleFlag:
         assert not (tmp_path / "o.wav").exists()
 
 
+class TestFlagEdgeValues:
+    """A numeric flag at an edge value it does not allow is a usage error,
+    found before ``--out`` is made."""
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("probe", "--length", "0"), ("probe", "--length", "-1"), ("probe", "--rate", "0"),
+         ("probe", "--rate", "-1"), ("probe", "--threshold", "nan"), ("probe", "--threshold", "inf"),
+         ("probe", "--threshold", "-inf"), ("prepare", "--target-rate", "0"),
+         ("prepare", "--target-rate", "-1"), ("prepare", "--seed", "-1"), ("eval", "--scale", "0"),
+         ("eval", "--scale", "-1"), ("eval", "--synth", "0"), ("eval", "--synth", "-1"),
+         ("eval", "--synth-seed", "-1")],
+    )
+    def test_exits_1_with_no_out(self, tmp_path, tiny_ckpt, capsys, command, flag, value):
+        TestPrepareAndTrain().build_corpus(tmp_path / "raw", speakers=1)
+        base = {
+            "probe": ["--checkpoint", str(tiny_ckpt), "--length", "4096"],
+            "prepare": ["--root", str(tmp_path / "raw")],
+            "eval": ["--spline", "--scale", "2", "--synth", "2"],
+        }[command]
+        out = tmp_path / "out"
+        # "--flag=value", since argparse reads a lone "-inf" as an option
+        assert run(command, *base, f"{flag}={value}", "--out", str(out)) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestOutputHeaders:
     def test_stft_lines_are_pinned(self, tmp_path, tiny_ckpt):
         # metrics.csv and report.txt name the STFT that scored them
@@ -646,6 +724,7 @@ class TestRunMeta:
         TestPrepareAndTrain().build_corpus(tmp_path / "raw")
         (tmp_path / "train.cfg").write_text(TestPrepareAndTrain.TRAIN_RUN)
         (tmp_path / "gan.cfg").write_text(TestPrepareAndTrain.GAN_RUN)
+        (tmp_path / "cmp.cfg").write_text(TestCompareLosses.RUN)
         write_tone(tmp_path / "in.wav", n=2048)
         argv = {
             "prepare": ["--root", str(tmp_path / "raw")],
@@ -653,7 +732,7 @@ class TestRunMeta:
             "train-gan": ["--config", str(tmp_path / "gan.cfg")],
             "eval": ["--spline", "--scale", "2", "--synth", "2"],
             "upsample": ["--scale", "2", str(tmp_path / "in.wav"), str(tmp_path / "o.wav")],
-            "compare-losses": ["--steps", "1", "--synth", "4", "--patch", "512", "--batch", "2"],
+            "compare-losses": ["--config", str(tmp_path / "cmp.cfg")],
             "probe": ["--checkpoint", str(tiny_ckpt), "--length", "4096"],
         }[command]
         out = tmp_path / "out"
@@ -662,6 +741,7 @@ class TestRunMeta:
         sections = {
             "train": ["run", "model", "train", "data"],
             "train-gan": ["run", "model", "critic", "train", "gan", "data"],
+            "compare-losses": ["run", "model", "train", "data"],
         }.get(command, [])
         assert list(cli._read_config(out / "run.meta")) == sections
 

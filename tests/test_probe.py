@@ -75,6 +75,22 @@ class TestZeroInputProbe:
         with pytest.raises(ValueError, match="shorter than one STFT frame"):
             probe.zero_input_probe(m, length=512)
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [({"sample_rate": 0}, "positive integer"), ({"sample_rate": 12000.5}, "positive integer"),
+         ({"peak_threshold_db": float("nan")}, "finite"), ({"peak_threshold_db": -np.inf}, "finite")],
+        ids=["rate-0", "fractional-rate", "nan-threshold", "minus-inf-threshold"],
+    )
+    def test_bad_rate_or_threshold_rejected_before_forward(self, kwargs, match):
+        class Unrunnable:
+            kind, upsample_ratio = "stack", 2
+
+            def forward(self, x, training=False):
+                raise AssertionError("forward ran before the argument check")
+
+        with pytest.raises(ValueError, match=match):
+            probe.zero_input_probe(Unrunnable(), length=4096, **kwargs)
+
     def test_model_id_is_kind_and_parameter_count(self):
         m = models.build_edsr(models.EdsrConfig(filters=4, n_blocks=1), seed=1)
         rep = probe.zero_input_probe(m, length=2048)
