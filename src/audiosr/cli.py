@@ -322,6 +322,9 @@ def _cmd_compare_losses(args) -> int:
         raise UsageError("compare-losses sets the loss itself; drop [train] loss")
     corpus, _, corpus_hash = _load_corpus(data_cfg)
     held_out = _load_corpus(replace(data_cfg, split="test", synth_seed=data_cfg.synth_seed + 1))[0]
+    if model_cfg.scale == train_cfg.scale:  # else training rejects the model first, a usage error
+        for i, sig in enumerate(held_out):  # a reconstruction has scale * floor(n / scale) samples
+            metrics.check_comparable(str(i), len(sig) // train_cfg.scale * train_cfg.scale)
     lines = [f"# model = {kind}", f"# scale = {train_cfg.scale}", f"# steps = {train_cfg.steps}",
              f"# seed = {train_cfg.seed}", "loss,snr_mean,snr_std,lsd_mean,lsd_std"]
     for loss in ("l1", "l2"):

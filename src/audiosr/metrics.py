@@ -83,6 +83,15 @@ class MetricReport:
         write_atomic(path, "\n".join(lines) + "\n")
 
 
+def check_comparable(item_id: str, n: int) -> None:
+    """Reject an item with ``n`` comparable samples, fewer than one STFT frame."""
+    if n < dsp.FRAME_LENGTH:
+        raise ValueError(
+            f"item {item_id}: only {n} comparable samples, need at least one "
+            f"STFT frame ({dsp.FRAME_LENGTH})"
+        )
+
+
 def evaluate_model(
     model,
     corpus: list[Signal],
@@ -112,11 +121,7 @@ def evaluate_model(
         item_id = item_ids[i] if item_ids is not None else str(i)
         recon = reconstruct(model, dsp.downsample(sig, scale), scale)
         n = min(len(recon), len(sig))
-        if n < dsp.FRAME_LENGTH:
-            raise ValueError(
-                f"item {item_id}: only {n} comparable samples, need at least one "
-                f"STFT frame ({dsp.FRAME_LENGTH})"
-            )
+        check_comparable(item_id, n)
         gen = Signal(recon.samples[:n], sig.sample_rate)
         ref = Signal(sig.samples[:n], sig.sample_rate)
         per_item.append((item_id, snr(gen, ref), lsd(gen, ref)))

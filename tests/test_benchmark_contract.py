@@ -5,16 +5,19 @@ against perfbench/reference.json. These tests import its tracer and workloads
 read-only, so a deleted function or a numerics drift fails here, not only when
 the benchmark runs.
 """
+import gc
 import hashlib
 import importlib.util
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from audiosr import data, models, train
+from audiosr import diffgraph as dg
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -189,14 +192,52 @@ def test_float64_training_is_bit_identical(name, steps):
 
 @pytest.mark.parametrize("name", ["train_edsr", "train_gan"])
 def test_one_training_tape_is_alive_at_a_time(name):
-    # each step frees its graph before the next forward, so 3 steps peak like 1
-    peaks = []
-    for steps in (1, 3):
-        _, run = _perfbench_trainer(name, steps)
+    # Each step frees its graph before the next forward. From step 2 on, a step
+    # also carries its optimizer state: Adam's m and v, the held gradients and
+    # the parameters Adam re-allocates, 4x the parameter bytes. So 2 steps peak
+    # at most that (plus 5% for array headers) above 1, and 4 steps peak like 2.
+    # A graph kept past its step, the first step's included, fails one of them.
+    peaks = {}
+    for steps in (1, 2, 4):
+        trained, run = _perfbench_trainer(name, steps)
         tracemalloc.start()  # numpy reports its array buffers to tracemalloc
         try:
             run()
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[1] <= 1.15 * peaks[0], f"1-step peak {peaks[0]} B, 3-step peak {peaks[1]} B"
+    state = 4 * sum(p.data.nbytes for model in trained for p in model.parameters())
+    assert peaks[2] - peaks[1] <= state + 0.05 * peaks[1], f"peaks {peaks} B, optimizer state {state} B"
+    assert peaks[4] <= 1.05 * peaks[2], f"peaks {peaks} B"
+
+
+def test_the_tape_keeps_only_what_its_vjps_read(monkeypatch):
+    # After a toy EDSR forward and loss, before the backward, reference counting
+    # alone has freed each block's relu input (conv1's output) and residual mul
+    # input (conv2's output); every conv's input is alive, for its weight's VJP.
+    # The tape has the nodes it had when each tensor held its parent tensors.
+    refs = {"conv1d": [], "relu": [], "mul": []}
+
+    def spy(name):
+        op = getattr(dg, name)
+
+        def wrapper(x, *args, **kwargs):
+            if x.ndim == 3:  # not the loss's scalar mul
+                refs[name].append(weakref.ref(x.data))
+            return op(x, *args, **kwargs)
+        return wrapper
+
+    model = models.build_edsr(models.EdsrConfig(**workloads.EDSR), seed=0)
+    for name in refs:
+        monkeypatch.setattr(dg, name, spy(name))
+    rng = np.random.default_rng(0)
+    x, target = dg.Tensor(rng.standard_normal((2, 1, 64))), dg.Tensor(rng.standard_normal((2, 1, 128)))
+    gc.disable()
+    try:
+        loss = dg.l1(model.forward(x, training=True), target)
+        alive = {name: [r() is not None for r in found] for name, found in refs.items()}
+    finally:
+        gc.enable()
+    blocks = workloads.EDSR["n_blocks"]
+    assert alive == {"conv1d": [True] * (2 * blocks + 4), "relu": [False] * blocks, "mul": [False] * blocks}
+    assert len(dg._toposort(loss)) == tracer._tape_nodes(loss) == 38

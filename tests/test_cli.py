@@ -551,6 +551,20 @@ class TestCompareLosses:
         assert held_out == replace(fitted, split="test", synth_seed=fitted.synth_seed + 1)
         assert losses == ["l1", "l2"]
 
+    @pytest.mark.parametrize("run_cfg, scored", [
+        (RUN.replace("synth_length = 2048", "synth_length = 1024"), 1024),
+        # a 3x reconstruction of 2,048 samples has 3 * 682 = 2,046
+        (RUN.replace("model = edsr", "model = unet").replace("filters = 4\nn_blocks = 1", "scale = 3")
+            .replace("seed = 7", "seed = 7\nscale = 3"), 2046),
+    ], ids=["short", "scale-3"])
+    def test_short_held_out_item_fails_before_training(self, tmp_path, capsys, monkeypatch, run_cfg, scored):
+        fits = []
+        monkeypatch.setattr(train, "train_supervised", lambda *args: fits.append(args))
+        assert self.compare(tmp_path, run_cfg) == 2
+        assert f"item 0: only {scored} comparable samples, need at least one STFT frame (2048)" in capsys.readouterr().err
+        assert fits == []
+        assert not (tmp_path / "cmp").exists()
+
     def test_flags_are_config_and_out(self):
         sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         options = [s for a in sub.choices["compare-losses"]._actions for s in a.option_strings]

@@ -171,6 +171,28 @@ class TestBackward:
         dg.backward(dg.sum_all(dg.leaky_relu(x, 0.3)), [x])
         assert np.allclose(x.grad.data, [0.3, 0.3, 1.0])
 
+    @staticmethod
+    def edge_inputs(dtype):
+        """Both signed zeros, the smallest subnormals of either sign, and two normals."""
+        tiny = np.finfo(dtype).smallest_subnormal
+        return np.array([-1.0, -tiny, -0.0, 0.0, tiny, 2.0], dtype=dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("slope", [None, 0.2, 0.0, -0.5])  # None: relu
+    def test_activation_gradient_is_its_mask_bit_for_bit(self, dtype, slope):
+        # at a negative slope the output's sign no longer tells which branch was taken
+        x = Tensor(self.edge_inputs(dtype), requires_grad=True)
+        y = dg.relu(x) if slope is None else dg.leaky_relu(x, slope)
+        dg.backward(dg.sum_all(y), [x])
+        want = np.where(x.data > 0, 1, slope or 0).astype(dtype)
+        assert x.grad.dtype == dtype and x.grad.data.tobytes() == want.tobytes()
+
+    def test_dropout_gradient_is_its_scaled_mask_bit_for_bit(self):
+        x = Tensor(np.tile(self.edge_inputs(np.float64), 50), requires_grad=True)
+        dg.backward(dg.sum_all(dg.dropout(x, 0.3, np.random.default_rng(5))), [x])
+        keep = np.random.default_rng(5).random(x.shape) >= 0.3
+        assert x.grad.data.tobytes() == (keep / (1 - 0.3)).tobytes()
+
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.zeros((2, 2)), requires_grad=True)
         with pytest.raises(GraphError):
@@ -699,6 +721,14 @@ class TestInputGradientAndDoubleBackward:
         y = dg.mul(x, 2.0)
         with pytest.raises(GraphError, match="leaf"):
             dg.input_gradient(dg.sum_all(dg.mul(y, y)), y)
+
+    def test_backward_rejects_a_non_leaf(self):
+        # a non-leaf is not a node of the graph; only its tape node is
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        y = dg.mul(x, 2.0)
+        with pytest.raises(GraphError, match="leaf"):
+            dg.backward(dg.sum_all(dg.mul(y, y)), [x, y])
+        assert x.grad is None
 
     def test_input_gradient_under_no_grad_is_detached(self):
         x = Tensor(np.random.default_rng(6).normal(size=(2, 1, 8)), requires_grad=True)
