@@ -2,6 +2,9 @@
 
 Subcommands: prepare, train, train-gan, eval, upsample, compare-losses, probe.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Flag domains, checked by the parser before any file is read: --scale >= 2; --rate,
+--target-rate, --synth >= 1; --length >= one STFT frame; seeds, --progress-every >= 0;
+--threshold finite; --ratios three non-negative numbers summing to 1; --split train/val/test.
 """
 from __future__ import annotations
 
@@ -30,13 +33,29 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _from_flags(build, *args, **kwargs):
-    """``build(*args, **kwargs)`` for a config made from flag values, whose
-    ``ValueError`` is a usage error."""
+def _integer(low: int):
+    """An argparse type: an integer no less than ``low``."""
+    def integer(text: str) -> int:  # its name reads "invalid integer value" for a non-integer
+        if (value := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+        return value
+    return integer
+
+
+def _finite(text: str) -> float:
+    """An argparse type: a finite float."""
+    if not np.isfinite(value := float(text)):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _ratios(text: str) -> str:
+    """An argparse type: comma-separated split ratios, kept as given for run.meta."""
     try:
-        return build(*args, **kwargs)
+        data.check_split_ratios([float(v) for v in text.split(",")])
     except ValueError as exc:
-        raise UsageError(f"bad flag value: {exc}") from exc
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +77,8 @@ class DataConfig:
     synth_kinds: tuple[str, ...] = ("sine", "chirp")
 
     def __post_init__(self):
+        if self.split not in data.SPLITS:
+            raise ValueError(f"split must be one of {', '.join(data.SPLITS)}, got {self.split!r}")
         if self.synth_seed < 0:
             raise ValueError(f"synth_seed must be >= 0, got {self.synth_seed}")
         if not self.manifest:
@@ -175,15 +196,7 @@ def _out_dir(path_str: str) -> Path:
 # ---------------------------------------------------------------------------
 
 def _cmd_prepare(args) -> int:
-    try:
-        ratios = tuple(float(v) for v in args.ratios.split(","))
-        data.check_split_ratios(ratios)
-    except ValueError as exc:
-        raise UsageError(f"bad --ratios {args.ratios!r}: {exc}") from exc
-    if args.target_rate < 1:
-        raise UsageError(f"--target-rate must be a positive integer, got {args.target_rate}")
-    if args.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    ratios = tuple(float(v) for v in args.ratios.split(","))
     target = args.target_rate
     src_index = data.scan_corpus(args.root, seed=args.seed)
     out = _out_dir(args.out)
@@ -256,20 +269,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if args.scale < 2:
-        raise UsageError(f"scale must be an integer >= 2, got {args.scale}")
-    corpus, ids, corpus_hash = _load_corpus(_from_flags(
-        DataConfig, manifest=args.manifest, split=args.split, synth_count=args.synth,
-        synth_seed=args.synth_seed,
-    ))
-    if args.spline:
-        model = None
-        ckpt_id = "spline-baseline"
-    else:
-        if not args.checkpoint:
-            raise UsageError("eval needs --checkpoint or --spline")
-        model = models.load_checkpoint(args.checkpoint)
-        ckpt_id = Path(args.checkpoint).name
+    data_cfg = DataConfig(args.manifest, args.split, synth_count=args.synth, synth_seed=args.synth_seed)
+    corpus, ids, corpus_hash = _load_corpus(data_cfg)
+    model = None if args.spline else models.load_checkpoint(args.checkpoint)
+    ckpt_id = "spline-baseline" if args.spline else Path(args.checkpoint).name
     report = metrics.evaluate_model(model, corpus, args.scale, item_ids=ids, checkpoint_id=ckpt_id)
     out = _out_dir(args.out)
     report.to_csv(out / "metrics.csv")
@@ -289,14 +292,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_upsample(args) -> int:
-    if args.scale < 2:
-        raise UsageError(f"scale must be an integer >= 2, got {args.scale}")
+    if (args.method == "model") != bool(args.checkpoint):
+        raise UsageError("--checkpoint goes with --method model and only with it")
     sig = data.wav_read(args.input, downmix=args.downmix)
-    model = None
-    if args.method == "model":
-        if not args.checkpoint:
-            raise UsageError("--method model needs --checkpoint")
-        model = models.load_checkpoint(args.checkpoint)
+    model = models.load_checkpoint(args.checkpoint) if args.checkpoint else None
     result = models.reconstruct(model, sig, args.scale)
     clipped = np.clip(result.samples, -1.0, 1.0)
     n_clipped = int(np.sum(clipped != result.samples))
@@ -347,15 +346,10 @@ def _cmd_compare_losses(args) -> int:
 
 def _cmd_probe(args) -> int:
     model = models.load_checkpoint(args.checkpoint)
-    if model.mode is None:  # its score is not audio
-        raise ValueError(f"a {model.kind!r} model does not upsample audio")
-    _from_flags(probe.check_args, args.length, model.upsample_ratio, args.rate, args.threshold)
-    report = probe.zero_input_probe(
-        model,
-        length=args.length,
-        sample_rate=args.rate,
-        peak_threshold_db=args.threshold,
-    )
+    if args.length % (model.upsample_ratio or 1):  # None: the probe rejects the model itself
+        raise UsageError(f"probe length {args.length} not divisible by upsample ratio {model.upsample_ratio}")
+    report = probe.zero_input_probe(model, length=args.length, sample_rate=args.rate,
+                                    peak_threshold_db=args.threshold)
     out = _out_dir(args.out)
     probe.write_report(report, out / "report.txt")
     probe.export_spectrogram(report.spectrogram, out / "spec.csv", fmt="csv")
@@ -382,37 +376,38 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("prepare", help="scan and decimate a corpus, write a manifest")
     p.add_argument("--root", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--target-rate", type=int, default=12000)
-    p.add_argument("--ratios", default="0.8,0.1,0.1")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--target-rate", type=_integer(1), default=12000)
+    p.add_argument("--ratios", type=_ratios, default="0.8,0.1,0.1")
+    p.add_argument("--seed", type=_integer(0), default=0)
     p.add_argument("--downmix", action="store_true")
     p.set_defaults(func=_cmd_prepare)
 
     p = sub.add_parser("train", help="supervised training from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--progress-every", type=int, default=100)
+    p.add_argument("--progress-every", type=_integer(0), default=100)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("train-gan", help="adversarial training from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--progress-every", type=int, default=10)
+    p.add_argument("--progress-every", type=_integer(0), default=10)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="SNR/LSD report for a checkpoint or the spline baseline")
-    p.add_argument("--checkpoint")
-    p.add_argument("--spline", action="store_true")
-    p.add_argument("--scale", type=int, required=True)
+    method = p.add_mutually_exclusive_group(required=True)
+    method.add_argument("--checkpoint")
+    method.add_argument("--spline", action="store_true")
+    p.add_argument("--scale", type=_integer(2), required=True)
     p.add_argument("--manifest")
-    p.add_argument("--split", default="test")
-    p.add_argument("--synth", type=int, default=16)
-    p.add_argument("--synth-seed", type=int, default=99)
+    p.add_argument("--split", choices=data.SPLITS, default="test")
+    p.add_argument("--synth", type=_integer(1), default=16)
+    p.add_argument("--synth-seed", type=_integer(0), default=99)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("upsample", help="upsample a WAV with the spline or a checkpoint")
-    p.add_argument("--scale", type=int, required=True)
+    p.add_argument("--scale", type=_integer(2), required=True)
     p.add_argument("--method", choices=("spline", "model"), default="spline")
     p.add_argument("--checkpoint")
     p.add_argument("--downmix", action="store_true")
@@ -429,9 +424,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("probe", help="zero-input tonal-artifact probe")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--length", type=int, default=16384)
-    p.add_argument("--rate", type=int, default=12000)
-    p.add_argument("--threshold", type=float, default=20.0)
+    p.add_argument("--length", type=_integer(dsp.FRAME_LENGTH), default=16384)
+    p.add_argument("--rate", type=_integer(1), default=12000)
+    p.add_argument("--threshold", type=_finite, default=20.0)
     p.set_defaults(func=_cmd_probe)
     return parser
 

@@ -1,5 +1,5 @@
-"""WAV ingestion, corpus scanning with speaker-level splits, patch extraction,
-and a seeded synthetic-signal generator for desk-scale tests."""
+"""WAV ingestion, corpus scanning with speaker-level splits, and a seeded
+synthetic-signal generator for desk-scale tests."""
 from __future__ import annotations
 
 import os
@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 
 from .dsp import Signal
+
+SPLITS = ("train", "val", "test")
 
 
 class WavError(Exception):
@@ -180,7 +182,7 @@ class CorpusIndex:
     ratios: tuple[float, float, float]
 
     def items(self, split: str) -> list[CorpusEntry]:
-        if split not in ("train", "val", "test"):
+        if split not in SPLITS:
             raise ValueError(f"split must be train/val/test, got {split!r}")
         return [e for e in self.entries if self.split[e.speaker] == split]
 
@@ -220,7 +222,7 @@ class CorpusIndex:
                 if len(parts) != 4:
                     raise ValueError("expected 4 tab-separated fields")
                 sp, speaker, fpath, samples = parts
-                if sp not in ("train", "val", "test"):
+                if sp not in SPLITS:
                     raise ValueError(f"unknown split {sp!r}")
                 if split.setdefault(speaker, sp) != sp:
                     raise ValueError(f"speaker {speaker!r} is in both {split[speaker]!r} and {sp!r}")

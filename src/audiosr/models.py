@@ -188,9 +188,9 @@ class Model:
         return self.config.scale
 
     @property
-    def upsample_ratio(self) -> int:
-        """Output samples per input sample: the scale for post models, else 1."""
-        return self.scale if self.mode == "post" else 1
+    def upsample_ratio(self) -> int | None:
+        """Output samples per input sample: None for a model with no mode, the scale for post, else 1."""
+        return None if self.mode is None else self.scale if self.mode == "post" else 1
 
     def forward(self, x, training: bool = False, rng: np.random.Generator | None = None):
         raise NotImplementedError

@@ -44,7 +44,7 @@ def zero_input_probe(
     """
     ratio = getattr(m, "upsample_ratio", None)
     if ratio is None:
-        raise ValueError("zero-input probe needs a model exposing 'upsample_ratio'")
+        raise ValueError(f"a {m.kind!r} model does not upsample audio")
     check_args(length, ratio, sample_rate, peak_threshold_db)
     with dg.no_grad():
         out = m.forward(dg.Tensor(np.zeros((1, 1, length // ratio))), training=False)

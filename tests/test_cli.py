@@ -44,11 +44,14 @@ class TestUpsample:
         assert out.sample_rate == 24000
         assert (tmp_path / "run.meta").exists()
 
-    def test_model_method_needs_checkpoint(self, tmp_path):
+    def test_model_method_needs_checkpoint(self, tmp_path, capsys):
+        # and a checkpoint needs --method model: the spline would ignore it
         src = tmp_path / "in.wav"
         write_tone(src)
-        code = run("upsample", "--scale", "2", "--method", "model", str(src), str(tmp_path / "o.wav"))
-        assert code == 1
+        for method in (["--method", "model"], ["--method", "spline", "--checkpoint", "any.ckpt"]):
+            assert run("upsample", "--scale", "2", *method, str(src), str(tmp_path / "o.wav")) == 1
+            assert "--checkpoint goes with --method model and only with it" in capsys.readouterr().err
+        assert not (tmp_path / "o.wav").exists()
 
     def test_model_upsample(self, tmp_path, tiny_ckpt):
         src = tmp_path / "in.wav"
@@ -158,7 +161,11 @@ class TestProbeCommand:
         # 512 and 0 are shorter than one STFT frame; 4097 is not a multiple of the ratio 2
         out = tmp_path / "p"
         assert run("probe", "--checkpoint", str(tiny_ckpt), "--out", str(out), "--length", length) == 1
-        assert f"probe length {length}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if length == "4097":
+            assert "probe length 4097 not divisible by upsample ratio 2" in err
+        else:
+            assert f"argument --length: must be an integer >= 2048, got {length}" in err
         assert not out.exists()
 
     def test_wrong_output_length_is_data_error(self, tmp_path, monkeypatch, capsys):
@@ -209,7 +216,8 @@ class TestEvalCommand:
         assert (out / "metrics.csv").exists()
 
     def test_needs_checkpoint_or_spline(self, tmp_path):
-        assert run("eval", "--scale", "2", "--out", str(tmp_path / "e")) == 1
+        for given in ([], ["--spline", "--checkpoint", "any.ckpt"]):  # one, not neither or both
+            assert run("eval", *given, "--scale", "2", "--out", str(tmp_path / "e")) == 1
 
     def test_scale_mismatch_is_usage_error(self, tmp_path, tiny_ckpt, capsys):
         code = run(
@@ -368,9 +376,11 @@ class TestPrepareAndTrain:
          ("patch_length = 256", "patch_length = 255", 1), ("steps = 1", "steps = 1\nmode = pre", 1),
          ("steps = 1", "steps = 1\nlr = 0", 1), ("steps = 1", "steps = 1\nbeta1 = 1.0", 1),
          ("synth_count = 2", "synth_count = 0", 1), ("steps = 1", "steps = 1\nseed = -1", 1),
-         ("synth_count = 2", "synth_count = 2\nsynth_seed = -1", 1)],
+         ("synth_count = 2", "synth_count = 2\nsynth_seed = -1", 1),
+         ("synth_count = 2", "synth_count = 2\nmanifest = missing.txt\nsplit = foo", 1)],
         ids=["scale-mismatch", "corpus-too-short", "patch-length-conflict", "mode-conflict",
-             "zero-lr", "beta1-one", "no-synth-items", "negative-seed", "negative-synth-seed"],
+             "zero-lr", "beta1-one", "no-synth-items", "negative-seed", "negative-synth-seed",
+             "unknown-split"],
     )
     def test_failed_train_leaves_no_out_dir(self, tmp_path, line, bad, code):
         cfgfile = tmp_path / "run.cfg"
@@ -622,7 +632,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "argv, edit, message",
-        [(["eval", "--spline", "--scale", "2", "--synth", "0"], None, "count must be >= 1"),
+        [(["eval", "--spline", "--scale", "2", "--synth", "0"], None, "--synth: must be an integer >= 1"),
          (["compare-losses"], ("seed = 7", "seed = 7\nlr = 0"), "alpha and eps must be positive"),
          (["compare-losses"], ("batch_size = 2", "batch_size = 0"), "batch_size must be >= 1")],
         ids=["eval-no-synth-items", "compare-losses-zero-lr", "compare-losses-zero-batch"],
@@ -669,7 +679,7 @@ class TestScaleFlag:
     def test_eval(self, tmp_path, capsys, scale):
         out = tmp_path / "e"
         assert run("eval", "--spline", "--scale", scale, "--synth", "2", "--out", str(out)) == 1
-        assert "scale must be an integer >= 2" in capsys.readouterr().err
+        assert f"--scale: must be an integer >= 2, got {scale}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("scale", ["1", "0"])
@@ -677,35 +687,49 @@ class TestScaleFlag:
         src = tmp_path / "in.wav"
         src.write_bytes(b"")
         assert run("upsample", "--scale", scale, str(src), str(tmp_path / "o.wav")) == 1
-        assert "scale must be an integer >= 2" in capsys.readouterr().err
+        assert f"--scale: must be an integer >= 2, got {scale}" in capsys.readouterr().err
         assert not (tmp_path / "o.wav").exists()
 
 
 class TestFlagEdgeValues:
-    """A numeric flag at an edge value it does not allow is a usage error,
-    found before ``--out`` is made."""
+    """A flag value outside its domain is a usage error from the parser, found
+    before any input is read or ``--out`` is made: every input path here is
+    missing, so a later check would exit 2."""
 
     @pytest.mark.parametrize(
         "command, flag, value",
-        [("probe", "--length", "0"), ("probe", "--length", "-1"), ("probe", "--rate", "0"),
-         ("probe", "--rate", "-1"), ("probe", "--threshold", "nan"), ("probe", "--threshold", "inf"),
-         ("probe", "--threshold", "-inf"), ("prepare", "--target-rate", "0"),
-         ("prepare", "--target-rate", "-1"), ("prepare", "--seed", "-1"), ("eval", "--scale", "0"),
+        [("probe", "--length", "0"), ("probe", "--length", "-1"), ("probe", "--length", "2047"),
+         ("probe", "--rate", "0"), ("probe", "--rate", "-1"), ("probe", "--rate", "1.5"),
+         ("probe", "--threshold", "nan"), ("probe", "--threshold", "inf"),
+         ("probe", "--threshold", "-inf"), ("probe", "--threshold", "1e309"),
+         ("prepare", "--target-rate", "0"), ("prepare", "--target-rate", "-1"),
+         ("prepare", "--seed", "-1"), ("prepare", "--ratios", "0.5,0.5"), ("eval", "--scale", "0"),
          ("eval", "--scale", "-1"), ("eval", "--synth", "0"), ("eval", "--synth", "-1"),
-         ("eval", "--synth-seed", "-1")],
+         ("eval", "--synth-seed", "-1"), ("eval", "--split", "foo"), ("upsample", "--scale", "0"),
+         ("upsample", "--scale", "-1"), ("train", "--progress-every", "-1")],
     )
-    def test_exits_1_with_no_out(self, tmp_path, tiny_ckpt, capsys, command, flag, value):
-        TestPrepareAndTrain().build_corpus(tmp_path / "raw", speakers=1)
+    def test_exits_1_with_no_out(self, tmp_path, capsys, command, flag, value):
+        missing = tmp_path / "missing"
         base = {
-            "probe": ["--checkpoint", str(tiny_ckpt), "--length", "4096"],
-            "prepare": ["--root", str(tmp_path / "raw")],
-            "eval": ["--spline", "--scale", "2", "--synth", "2"],
+            "probe": ["--checkpoint", str(missing / "a.ckpt"), "--length", "4096"],
+            "prepare": ["--root", str(missing)],
+            "eval": ["--spline", "--scale", "2", "--manifest", str(missing / "manifest.txt")],
+            "upsample": ["--scale", "2", str(missing / "in.wav"), str(tmp_path / "o.wav")],
+            "train": ["--config", str(missing / "run.cfg")],
         }[command]
         out = tmp_path / "out"
         # "--flag=value", since argparse reads a lone "-inf" as an option
         assert run(command, *base, f"{flag}={value}", "--out", str(out)) == 1
-        assert "usage error" in capsys.readouterr().err
+        assert f"usage error: argument {flag}: " in capsys.readouterr().err
         assert not out.exists()
+        assert not (tmp_path / "o.wav").exists()
+
+    def test_no_numeric_flag_skips_its_domain(self):
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for command in sub.choices.values():
+            for action in command._actions:
+                assert action.type not in (int, float), f"{command.prog} {action.option_strings}"
 
 
 class TestOutputHeaders:

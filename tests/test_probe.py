@@ -68,6 +68,12 @@ class TestZeroInputProbe:
         rep = probe.zero_input_probe(m, length=2048)
         assert rep.probe_length == 2048
 
+    def test_critic_rejected(self):
+        critic = models.build_critic(models.CriticConfig(layers=2, base_filters=2))
+        assert critic.upsample_ratio is None
+        with pytest.raises(ValueError, match="a 'critic' model does not upsample audio"):
+            probe.zero_input_probe(critic)
+
     def test_bad_length_rejected(self):
         m = models.build_edsr(models.EdsrConfig(filters=4, n_blocks=1), seed=1)
         with pytest.raises(ValueError):
