@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 Flag domains, checked by the parser before any file is read: --scale >= 2; --rate,
 --target-rate, --synth >= 1; --length >= one STFT frame; seeds, --progress-every >= 0;
 --threshold finite; --ratios three non-negative numbers summing to 1; --split train/val/test.
+eval takes --split only with --manifest, and --synth, --synth-seed only without it.
 """
 from __future__ import annotations
 
@@ -198,23 +199,22 @@ def _out_dir(path_str: str) -> Path:
 def _cmd_prepare(args) -> int:
     ratios = tuple(float(v) for v in args.ratios.split(","))
     target = args.target_rate
-    src_index = data.scan_corpus(args.root, seed=args.seed)
+    sources = data.list_corpus(args.root)
     out = _out_dir(args.out)
-    audio_dir = out / "audio"
-    for entry in src_index.entries:
-        sig = data.wav_read(entry.path, downmix=args.downmix)
+    entries = []
+    for speaker, path in sources:
+        sig = data.wav_read(path, downmix=args.downmix)
         if sig.sample_rate != target:
             if sig.sample_rate % target != 0 or sig.sample_rate < target:
-                raise data.CorpusError(
-                    f"{entry.path}: rate {sig.sample_rate} cannot be decimated to {target}"
-                )
+                raise data.CorpusError(f"{path}: rate {sig.sample_rate} cannot be decimated to {target}")
             sig = dsp.downsample(sig, sig.sample_rate // target)
-        dest = audio_dir / entry.speaker
-        dest.mkdir(parents=True, exist_ok=True)
+        dest = out / "audio" / speaker / path.name
+        dest.parent.mkdir(parents=True, exist_ok=True)
         clipped = Signal(np.clip(sig.samples, -1.0, 1.0), sig.sample_rate)
-        data.wav_write(clipped, dest / f"{entry.utterance}.wav")
-    index = data.scan_corpus(audio_dir, split_ratios=ratios, seed=args.seed)
-    index.write_manifest(out / "manifest.txt")
+        data.wav_write(clipped, dest)
+        entries.append(data.CorpusEntry(speaker, path.stem, str(dest), len(clipped)))
+    split = data.split_speakers([speaker for speaker, _ in sources], ratios, args.seed)
+    data.CorpusIndex(entries, split, args.seed, ratios).write_manifest(out / "manifest.txt")
     manifest_text = (out / "manifest.txt").read_text(encoding="utf-8")
     _write_run_meta(out, "prepare", {
         "seed": args.seed,
@@ -223,7 +223,7 @@ def _cmd_prepare(args) -> int:
         "root": args.root,
         "corpus_hash": _sha256(manifest_text.encode()),
     })
-    print(f"prepared {len(index.entries)} files from {len(set(index.split))} speakers -> {out}")
+    print(f"prepared {len(entries)} files from {len(split)} speakers -> {out}")
     return 0
 
 
@@ -269,7 +269,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    data_cfg = DataConfig(args.manifest, args.split, synth_count=args.synth, synth_seed=args.synth_seed)
+    if args.manifest and (args.synth, args.synth_seed) != (None, None):
+        raise UsageError("--synth and --synth-seed make a synthetic corpus; drop them or --manifest")
+    if not args.manifest and args.split is not None:
+        raise UsageError("--split picks from a --manifest; a synthetic corpus has none")
+    data_cfg = DataConfig(args.manifest, args.split or "test", synth_count=args.synth or 16,
+                          synth_seed=99 if args.synth_seed is None else args.synth_seed)
     corpus, ids, corpus_hash = _load_corpus(data_cfg)
     model = None if args.spline else models.load_checkpoint(args.checkpoint)
     ckpt_id = "spline-baseline" if args.spline else Path(args.checkpoint).name
@@ -280,7 +285,7 @@ def _cmd_eval(args) -> int:
         "scale": args.scale,
         "mode": report.mode,
         "checkpoint": ckpt_id,
-        "seed": args.synth_seed,
+        **({"split": data_cfg.split} if args.manifest else {"seed": data_cfg.synth_seed}),
         "corpus_hash": corpus_hash,
     })
     print(
@@ -373,7 +378,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="audiosr", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("prepare", help="scan and decimate a corpus, write a manifest")
+    p = sub.add_parser("prepare", help="decimate a speaker-per-directory corpus, write a manifest")
     p.add_argument("--root", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--target-rate", type=_integer(1), default=12000)
@@ -400,9 +405,10 @@ def _build_parser() -> _Parser:
     method.add_argument("--spline", action="store_true")
     p.add_argument("--scale", type=_integer(2), required=True)
     p.add_argument("--manifest")
-    p.add_argument("--split", choices=data.SPLITS, default="test")
-    p.add_argument("--synth", type=_integer(1), default=16)
-    p.add_argument("--synth-seed", type=_integer(0), default=99)
+    # no defaults: _cmd_eval tells a corpus flag given from one left out
+    p.add_argument("--split", choices=data.SPLITS)
+    p.add_argument("--synth", type=_integer(1))
+    p.add_argument("--synth-seed", type=_integer(0))
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_eval)
 

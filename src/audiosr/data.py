@@ -1,4 +1,4 @@
-"""WAV ingestion, corpus scanning with speaker-level splits, and a seeded
+"""WAV ingestion, corpus listing with speaker-level splits, and a seeded
 synthetic-signal generator for desk-scale tests."""
 from __future__ import annotations
 
@@ -155,15 +155,6 @@ def wav_write(s: Signal, path) -> None:
     write_atomic(path, header + payload)
 
 
-def wav_info(path) -> tuple[int, int, int]:
-    """(samples, sample_rate, channels) from the header, without decoding."""
-    raw = Path(path).read_bytes()
-    fmt, data = _parse_wav(raw, path)
-    _check_pcm16(fmt, path)
-    _, channels, rate, _ = fmt
-    return len(data) // (2 * channels), rate, channels
-
-
 @dataclass(frozen=True)
 class CorpusEntry:
     speaker: str
@@ -245,33 +236,33 @@ def check_split_ratios(ratios) -> None:
         raise ValueError(f"split_ratios must sum to 1, got {sum(ratios)}")
 
 
-def scan_corpus(root, split_ratios=(0.8, 0.1, 0.1), seed: int = 0) -> CorpusIndex:
-    """Index every WAV under ``root``; each directory of WAVs is one speaker.
-
-    Splitting is per speaker: sorted speaker ids, one seeded shuffle, then
-    floor(ratio * n) speakers for train and val, remainder to test.
-    """
+def list_corpus(root) -> list[tuple[str, Path]]:
+    """Every WAV under ``root`` as (speaker, path), ordered by speaker, then file
+    name, reading no file. A file's speaker is its directory's name, or
+    ``root``'s name for a file directly under ``root``."""
     root = Path(root)
     if not root.exists():
         raise CorpusError(f"corpus root {root} does not exist")
-    check_split_ratios(split_ratios)
-    wavs = sorted(root.rglob("*.wav"))
-    if not wavs:
+    found = {}
+    for w in sorted(root.rglob("*.wav")):
+        key = (w.parent.name if w.parent != root else root.name, w.name)
+        if (first := found.setdefault(key, w)) != w:
+            raise CorpusError(f"{first} and {w} share speaker {key[0]!r} and file name {key[1]!r}")
+    if not found:
         raise CorpusError(f"no .wav files found under {root}")
-    entries = []
-    for w in wavs:
-        speaker = w.parent.name if w.parent != root else root.name
-        entries.append(CorpusEntry(speaker, w.stem, str(w), wav_info(w)[0]))
-    speakers = sorted({e.speaker for e in entries})
-    rng = np.random.default_rng(seed)
-    order = [speakers[i] for i in rng.permutation(len(speakers))]
-    n = len(speakers)
-    n_train = int(np.floor(split_ratios[0] * n))
-    n_val = int(np.floor(split_ratios[1] * n))
-    split = {}
-    for i, sp in enumerate(order):
-        split[sp] = "train" if i < n_train else ("val" if i < n_train + n_val else "test")
-    return CorpusIndex(entries=entries, split=split, seed=seed, ratios=tuple(split_ratios))
+    return [(speaker, found[speaker, name]) for speaker, name in sorted(found)]
+
+
+def split_speakers(speakers, ratios, seed: int) -> dict[str, str]:
+    """Split per speaker: sorted speaker ids, one seeded shuffle, then
+    floor(ratio * n) speakers for train and val, remainder to test."""
+    check_split_ratios(ratios)
+    speakers = sorted(set(speakers))
+    order = [speakers[i] for i in np.random.default_rng(seed).permutation(len(speakers))]
+    n_train = int(np.floor(ratios[0] * len(speakers)))
+    n_val = int(np.floor(ratios[1] * len(speakers)))
+    return {sp: "train" if i < n_train else ("val" if i < n_train + n_val else "test")
+            for i, sp in enumerate(order)}
 
 
 @dataclass(frozen=True)

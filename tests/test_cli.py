@@ -243,6 +243,35 @@ class TestEvalCommand:
         assert f"{wav}: 4096 samples, but the manifest says 500" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--manifest", "M", "--synth", "5"], "--synth and --synth-seed"),
+         (["--manifest", "M", "--synth-seed", "3"], "--synth and --synth-seed"),
+         (["--synth", "2", "--split", "val"], "--split picks from a --manifest")],
+        ids=["manifest-synth", "manifest-synth-seed", "split-without-manifest"],
+    )
+    def test_corpus_flags_it_would_ignore_are_usage_errors(self, tmp_path, capsys, flags, message):
+        flags = [str(tmp_path / "missing.txt") if f == "M" else f for f in flags]  # read first: exit 2
+        out = tmp_path / "e"
+        assert run("eval", "--spline", "--scale", "2", *flags, "--out", str(out)) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_meta_records_the_seed_or_the_split(self, tmp_path):
+        assert run("eval", "--spline", "--scale", "2", "--synth", "2", "--out", str(tmp_path / "s")) == 0
+        lines = (tmp_path / "s" / "run.meta").read_text().splitlines()
+        assert "# seed = 99" in lines
+        assert not any(line.startswith("# split") for line in lines)
+        wav = tmp_path / "p0" / "a.wav"
+        wav.parent.mkdir()
+        write_tone(wav, n=4096, rate=24000)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"test\tp0\t{wav}\t4096\n")
+        assert run("eval", "--spline", "--scale", "2", "--manifest", str(manifest), "--out", str(tmp_path / "m")) == 0
+        lines = (tmp_path / "m" / "run.meta").read_text().splitlines()
+        assert "# split = test" in lines
+        assert not any(line.startswith("# seed") for line in lines)
+
     def test_mode_flag_is_gone(self, tmp_path, tiny_ckpt):
         code = run(
             "eval", "--checkpoint", str(tiny_ckpt), "--scale", "2", "--mode", "post",
@@ -298,6 +327,32 @@ class TestPrepareAndTrain:
         (tmp_path / "raw").mkdir()
         assert run("prepare", "--root", str(tmp_path / "raw"), "--out", str(tmp_path / "o")) == 2
         assert not (tmp_path / "o").exists()
+
+    def test_prepare_into_a_used_out_lists_only_this_run(self, tmp_path):
+        self.build_corpus(tmp_path / "a", speakers=2)
+        self.build_corpus(tmp_path / "b", speakers=1)
+        out = tmp_path / "prepared"
+        assert run("prepare", "--root", str(tmp_path / "a"), "--out", str(out)) == 0
+        assert run("prepare", "--root", str(tmp_path / "b"), "--out", str(out)) == 0
+        index = data.CorpusIndex.read_manifest(out / "manifest.txt")
+        assert [e.path for e in index.entries] == [str(out / "audio" / "p000" / f"u{u}.wav") for u in range(2)]
+
+    def test_prepare_sources_sharing_an_output_path_is_data_error(self, tmp_path, capsys):
+        for top in ("x", "y"):
+            self.build_corpus(tmp_path / "raw" / top, speakers=1)
+        out = tmp_path / "prepared"
+        assert run("prepare", "--root", str(tmp_path / "raw"), "--out", str(out)) == 2
+        first, second = (tmp_path / "raw" / top / "p000" / "u0.wav" for top in ("x", "y"))  # the first pair
+        assert f"{first} and {second}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_prepare_reads_each_source_once(self, tmp_path, monkeypatch):
+        self.build_corpus(tmp_path / "raw")
+        reads = []
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda path: reads.append(path) or read_bytes(path))
+        assert run("prepare", "--root", str(tmp_path / "raw"), "--out", str(tmp_path / "o")) == 0
+        assert sorted(reads) == sorted((tmp_path / "raw").rglob("*.wav"))
 
     TRAIN_RUN = (
         "[run]\nmodel = edsr\n"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from audiosr import data, dsp, models
+from audiosr import cli, data, dsp, models
 from audiosr.data import (
     CorpusError,
     SynthSpec,
@@ -209,7 +209,7 @@ def mutate(blob: bytes, mutations) -> bytes:
 def test_mutated_wav_raises_only_wav_errors(tmp_path_factory, base, mutations):
     path = tmp_path_factory.mktemp("fuzz") / "m.wav"
     path.write_bytes(mutate(base, mutations))
-    for read in (data.wav_read, lambda p: data.wav_read(p, downmix=True), data.wav_info):
+    for read in (data.wav_read, lambda p: data.wav_read(p, downmix=True)):
         try:
             read(path)
         except data.WavError:
@@ -251,48 +251,55 @@ class TestCorpusScan:
                 ints = rng.integers(-2000, 2000, size=200)
                 data.wav_write(Signal(ints / 32768.0, 48000), d / f"p{225 + s}_{u:03d}.wav")
 
+    def prepare(self, root, out, seed):
+        assert cli.main(["prepare", "--root", str(root), "--out", str(out), "--seed", str(seed)]) == 0
+        return data.CorpusIndex.read_manifest(out / "manifest.txt")
+
     def test_deterministic_split(self, tmp_path):
         self.build_tree(tmp_path)
-        a = data.scan_corpus(tmp_path, seed=3)
-        b = data.scan_corpus(tmp_path, seed=3)
-        assert a.split == b.split
-        assert [e.path for e in a.entries] == [e.path for e in b.entries]
+        listing = data.list_corpus(tmp_path)
+        assert listing == data.list_corpus(tmp_path)
+        assert listing == [(f"p{225 + s}", tmp_path / f"p{225 + s}" / f"p{225 + s}_{u:03d}.wav")
+                           for s in range(4) for u in range(3)]
+        speakers = [speaker for speaker, _ in listing]
+        assert data.split_speakers(speakers, (0.5, 0.25, 0.25), 3) == data.split_speakers(
+            speakers[::-1], (0.5, 0.25, 0.25), 3)
 
-    def test_ratio_allocation(self, tmp_path):
-        self.build_tree(tmp_path, speakers=10, utts=1)
-        index = data.scan_corpus(tmp_path, split_ratios=(0.8, 0.1, 0.1), seed=0)
-        assert sorted(index.split.values()) == ["test"] + ["train"] * 8 + ["val"]
+    def test_ratio_allocation(self):
+        split = data.split_speakers([f"p{s}" for s in range(10)], (0.8, 0.1, 0.1), 0)
+        assert sorted(split.values()) == ["test"] + ["train"] * 8 + ["val"]
 
     def test_speaker_never_straddles_splits(self, tmp_path):
-        self.build_tree(tmp_path, speakers=5, utts=4)
-        index = data.scan_corpus(tmp_path, seed=9)
-        for e in index.entries:
-            assert index.split[e.speaker] in ("train", "val", "test")
-        by_speaker = {}
-        for e in index.entries:
-            by_speaker.setdefault(e.speaker, set()).add(index.split[e.speaker])
-        assert all(len(v) == 1 for v in by_speaker.values())
+        self.build_tree(tmp_path / "raw", speakers=5, utts=4)
+        index = self.prepare(tmp_path / "raw", tmp_path / "out", seed=9)  # the reader rejects a straddle
+        assert len(index.entries) == 20
+        assert set(index.split) == {f"p{225 + s}" for s in range(5)}
 
     def test_empty_corpus_rejected(self, tmp_path):
         with pytest.raises(CorpusError):
-            data.scan_corpus(tmp_path)
+            data.list_corpus(tmp_path)
 
     def test_missing_root_rejected(self, tmp_path):
         with pytest.raises(CorpusError):
-            data.scan_corpus(tmp_path / "nope")
+            data.list_corpus(tmp_path / "nope")
 
     def test_manifest_roundtrip(self, tmp_path):
-        self.build_tree(tmp_path)
-        index = data.scan_corpus(tmp_path, seed=5)
-        manifest = tmp_path / "manifest.txt"
-        index.write_manifest(manifest)
-        back = data.CorpusIndex.read_manifest(manifest)
-        assert {e.samples for e in index.entries} == {200}  # read from each WAV header
-        assert back.seed == 5
-        assert back.split == index.split
-        assert [(e.speaker, e.path, e.samples) for e in back.entries] == [
-            (e.speaker, e.path, e.samples) for e in index.entries
+        self.build_tree(tmp_path / "raw")
+        out = tmp_path / "out"
+        index = self.prepare(tmp_path / "raw", out, seed=5)
+        assert {e.samples for e in index.entries} == {50}  # 200 samples at 48 kHz, decimated to 12 kHz
+        assert index.seed == 5
+        assert index.split == data.split_speakers(index.split, (0.8, 0.1, 0.1), 5)
+        assert [(e.speaker, e.path) for e in index.entries] == [
+            (speaker, str(out / "audio" / speaker / path.name))
+            for speaker, path in data.list_corpus(tmp_path / "raw")
         ]
+
+    def test_file_directly_under_root_is_the_roots_speaker(self, tmp_path):
+        self.build_tree(tmp_path / "c", speakers=1, utts=1)
+        data.wav_write(Signal(np.zeros(4), 8000), tmp_path / "c" / "a.wav")
+        assert data.list_corpus(tmp_path / "c") == [
+            ("c", tmp_path / "c" / "a.wav"), ("p225", tmp_path / "c" / "p225" / "p225_000.wav")]
 
 
 _MANIFEST_LINES = [
