@@ -212,7 +212,7 @@ def _cmd_prepare(args) -> int:
         dest.parent.mkdir(parents=True, exist_ok=True)
         clipped = Signal(np.clip(sig.samples, -1.0, 1.0), sig.sample_rate)
         data.wav_write(clipped, dest)
-        entries.append(data.CorpusEntry(speaker, path.stem, str(dest), len(clipped)))
+        entries.append(data.CorpusEntry(speaker, path.stem, str(dest.relative_to(out)), len(clipped)))
     split = data.split_speakers([speaker for speaker, _ in sources], ratios, args.seed)
     data.CorpusIndex(entries, split, args.seed, ratios).write_manifest(out / "manifest.txt")
     manifest_text = (out / "manifest.txt").read_text(encoding="utf-8")
@@ -307,7 +307,7 @@ def _cmd_upsample(args) -> int:
     if n_clipped:
         print(f"note: clipped {n_clipped} out-of-range samples before writing", file=sys.stderr)
     data.wav_write(Signal(clipped, result.sample_rate), args.output)
-    out = _out_dir(args.out) if args.out else Path(args.output).resolve().parent
+    out = _out_dir(args.out)
     _write_run_meta(out, "upsample", {
         "scale": args.scale,
         "method": args.method,
@@ -417,7 +417,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--method", choices=("spline", "model"), default="spline")
     p.add_argument("--checkpoint")
     p.add_argument("--downmix", action="store_true")
-    p.add_argument("--out", help="directory for run metadata (default: output's directory)")
+    p.add_argument("--out", required=True, help="directory for run metadata")
     p.add_argument("input")
     p.add_argument("output")
     p.set_defaults(func=_cmd_upsample)

@@ -189,8 +189,8 @@ class CorpusIndex:
 
     @classmethod
     def read_manifest(cls, path) -> "CorpusIndex":
-        """Parse a manifest written by ``write_manifest``; malformed content
-        raises ``CorpusError``."""
+        """Parse a manifest written by ``write_manifest``; a relative audio path
+        is joined to the manifest's directory. Malformed content raises ``CorpusError``."""
         try:
             text = Path(path).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
@@ -220,7 +220,7 @@ class CorpusIndex:
                 count = int(samples)
                 if count < 0:
                     raise ValueError(f"negative sample count {count}")
-                entries.append(CorpusEntry(speaker, Path(fpath).stem, fpath, count))
+                entries.append(CorpusEntry(speaker, Path(fpath).stem, str(Path(path).parent / fpath), count))
             except ValueError as exc:
                 raise CorpusError(f"{path}: malformed manifest line {line!r}: {exc}") from None
         if not entries:

@@ -292,15 +292,13 @@ def leaky_relu(x, slope: float = 0.2) -> Tensor:
     return _masked(x, x.data > 0, lambda m: factors.take(m.view(np.uint8)), "leaky_relu")
 
 
-def dropout(x, rate: float, rng: np.random.Generator | None = None, training: bool = True) -> Tensor:
-    """Inverted dropout; identity in eval mode and at rate 0."""
+def dropout(x, rate: float, rng: np.random.Generator | None = None) -> Tensor:
+    """Inverted dropout with masks drawn from ``rng``; identity without an rng and at rate 0."""
     x = _as_tensor(x)
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x
-    if rng is None:
-        raise ValueError("training-mode dropout needs an rng")
     dtype = x.dtype
     return _masked(x, rng.random(x.shape) >= rate, lambda m: m.astype(dtype) / (1.0 - rate), "dropout")
 

@@ -105,10 +105,10 @@ class Model:
 
     Each layer is declared once, in ``forward``, whose ``_conv`` and ``_dense``
     make its parameters on first use, sized by their input. The constructor
-    runs one eval-mode forward on an empty batch, which does no arithmetic:
+    runs one forward, with no rng, on an empty batch, which does no arithmetic:
     each parameter is drawn from ``default_rng(init_seed)`` in forward order,
     or adopted from ``params`` after a name and shape check. So every layer
-    must be reached by that eval-mode forward.
+    must be reached by that forward.
     """
 
     kind = "model"
@@ -137,7 +137,7 @@ class Model:
     def _param(self, name: str, shape: tuple[int, ...], bound: float) -> Parameter:
         """Parameter ``name``; the construction forward makes it, drawn
         uniformly from [-bound, bound) or adopted from the given arrays."""
-        if self._source is None:  # a KeyError here: a layer only a training forward reaches
+        if self._source is None:  # a KeyError here: a layer only a forward given an rng reaches
             return self.params[name]
         if name in self.params:
             raise ValueError(f"duplicate parameter name {name!r}")
@@ -192,7 +192,7 @@ class Model:
         """Output samples per input sample: None for a model with no mode, the scale for post, else 1."""
         return None if self.mode is None else self.scale if self.mode == "post" else 1
 
-    def forward(self, x, training: bool = False, rng: np.random.Generator | None = None):
+    def forward(self, x, rng: np.random.Generator | None = None):
         raise NotImplementedError
 
 
@@ -200,7 +200,7 @@ class EdsrModel(Model):
     kind = "edsr"
     mode = "post"
 
-    def forward(self, x, training: bool = False, rng=None):
+    def forward(self, x, rng=None):
         x = self._check_input(x)
         cfg = self.config
         h = self._conv(x, "stem", cfg.filters, cfg.stem_kernel)
@@ -222,12 +222,10 @@ class UnetModel(Model):
     kind = "unet"
     mode = "pre"
 
-    def forward(self, x, training: bool = False, rng: np.random.Generator | None = None, parts: int = 1):
+    def forward(self, x, rng: np.random.Generator | None = None, parts: int = 1):
         x = self._check_input(x)
         cfg = self.config
-        if training and cfg.dropout_rate > 0 and rng is None:
-            raise ValueError("training-mode forward needs an rng for dropout")
-        if training:  # up{i}'s mask has the length after i + 2 stride-2 halvings
+        if rng is not None:  # up{i}'s mask has the length after i + 2 stride-2 halvings
             rng = _Replay(rng, parts, x.shape[0], lambda r, n: [
                 r.random((n, 2 * cfg.down_filters[i], -(-x.shape[2] // 2 ** (i + 2))))
                 for i in reversed(range(cfg.depth))] if cfg.dropout_rate > 0 else [])
@@ -241,7 +239,7 @@ class UnetModel(Model):
         h = dg.leaky_relu(h, 0.2)
         for i in reversed(range(cfg.depth)):
             h = self._conv(h, f"up{i}", 2 * cfg.down_filters[i], cfg.down_kernels[i])
-            h = dg.dropout(h, cfg.dropout_rate, rng=rng, training=training)
+            h = dg.dropout(h, cfg.dropout_rate, rng=rng)
             h = dg.relu(h)
             h = dg.subpixel_shuffle1d(h, 2)
             skip = skips[i]
@@ -278,7 +276,7 @@ def phase_shuffle(x, n: int, rng: np.random.Generator):
 
 
 class _Replay:
-    """The rng of a training forward over ``parts`` equal slices of its batch.
+    """The rng of a forward over ``parts`` equal slices of its batch.
     It makes every draw up front, in the order of separate forwards on the
     slices: part by part, and in each part the layers in forward order, as
     ``draw(rng, rows)`` lists them. Each layer's ``random`` or ``integers``
@@ -296,14 +294,12 @@ class _Replay:
 class CriticModel(Model):
     kind = "critic"
 
-    def forward(self, x, training: bool = False, rng: np.random.Generator | None = None, parts: int = 1):
+    def forward(self, x, rng: np.random.Generator | None = None, parts: int = 1):
         x = self._check_input(x)
         cfg = self.config
-        shuffle = training and cfg.phase_shuffle_n > 0
-        if shuffle and rng is None:
-            raise ValueError("training-mode forward needs an rng for phase shuffling")
+        shuffle = rng is not None and cfg.phase_shuffle_n > 0
         n = cfg.phase_shuffle_n
-        if training:
+        if rng is not None:
             rng = _Replay(rng, parts, x.shape[0], lambda r, rows: [
                 r.integers(-n, n + 1, size=rows) for _ in range(cfg.layers - 1)] if shuffle else [])
         h = x
@@ -379,7 +375,7 @@ def reconstruct(m: Model | None, low: Signal, scale: int) -> Signal:
         return dsp.spline_upsample(low, scale)
     feed = model_input(m, low.samples, scale)
     with dg.no_grad():
-        out = m.forward(Tensor(feed[None, None, :]), training=False)
+        out = m.forward(Tensor(feed[None, None, :]))
     return Signal(out.data[0, 0], low.sample_rate * scale)
 
 

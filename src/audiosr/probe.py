@@ -36,7 +36,7 @@ def zero_input_probe(
     sample_rate: int = 12000,
     peak_threshold_db: float = 20.0,
 ) -> ArtifactReport:
-    """Forward an all-zero signal in eval mode and characterize the output.
+    """Forward an all-zero signal with no rng and characterize the output.
 
     ``length`` is the output length; the input is shortened by the model's
     upsampling ratio. Tonal peaks are bins whose time-mean power sits more than
@@ -47,7 +47,7 @@ def zero_input_probe(
         raise ValueError(f"a {m.kind!r} model does not upsample audio")
     check_args(length, ratio, sample_rate, peak_threshold_db)
     with dg.no_grad():
-        out = m.forward(dg.Tensor(np.zeros((1, 1, length // ratio))), training=False)
+        out = m.forward(dg.Tensor(np.zeros((1, 1, length // ratio))))
     samples = out.data[0, 0].astype(np.float64)
     if samples.shape[0] != length:
         raise ValueError(

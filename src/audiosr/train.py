@@ -250,7 +250,7 @@ def train_supervised(
     net_rng = np.random.default_rng([cfg.seed, 1])
 
     def step_body(step, inp, tgt):
-        loss = loss_fn(model.forward(Tensor(inp), training=True, rng=net_rng), Tensor(tgt))
+        loss = loss_fn(model.forward(Tensor(inp), rng=net_rng), Tensor(tgt))
         value = loss.item()
         _update(model, loss, step, "loss at step", loss=value)
         return {"loss": value}
@@ -267,7 +267,6 @@ def gradient_penalty(
     x,
     x_tilde,
     eps: np.ndarray,
-    training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Mean over the batch of (||grad_xhat D(xhat)||_2 - 1)^2 with
@@ -284,7 +283,7 @@ def gradient_penalty(
         raise ValueError("eps values must lie in [0, 1]")
     e = eps.astype(np.result_type(xd, td, np.float32))[:, None, None]
     xhat = Tensor(e * xd + (1.0 - e) * td, requires_grad=True)
-    scores = critic.forward(xhat, training=training, rng=rng)
+    scores = critic.forward(xhat, rng=rng)
     grad = dg.input_gradient(dg.sum_all(scores), xhat)
     per_item = dg.sum_axes(dg.mul(grad, grad), (1, 2))
     norm = dg.sqrt(per_item)
@@ -327,8 +326,8 @@ def train_wgan_gp(
     def critic_step(step, fake, tgt):
         eps = eps_rng.random(b)
         fake, tgt = fake.astype(critic.dtype, copy=False), tgt.astype(critic.dtype, copy=False)
-        scores = critic.forward(Tensor(np.concatenate([fake, tgt])), training=True, rng=critic_rng, parts=2)
-        pen = gradient_penalty(critic, tgt, fake, eps, training=True, rng=critic_rng)
+        scores = critic.forward(Tensor(np.concatenate([fake, tgt])), rng=critic_rng, parts=2)
+        pen = gradient_penalty(critic, tgt, fake, eps, rng=critic_rng)
         loss_c = dg.add(dg.sub(dg.mean_all(dg.slice_axis(scores, 0, 0, b)),
                                dg.mean_all(dg.slice_axis(scores, 0, b, b))), dg.mul(pen, cfg.gp_weight))
         c_val, p_val = loss_c.item(), pen.item()
@@ -340,11 +339,11 @@ def train_wgan_gp(
         # one draw and one degradation per outer step: n_critic critic batches, whose
         # fakes come from one generator forward, then the generator's; b rows each
         with dg.no_grad():
-            fakes = generator.forward(Tensor(inp[:-b]), training=True, rng=gen_rng, parts=cfg.n_critic)
+            fakes = generator.forward(Tensor(inp[:-b]), rng=gen_rng, parts=cfg.n_critic)
         critic_losses, penalties = zip(*[critic_step(step, f, t) for f, t in zip(
             np.split(fakes.data, cfg.n_critic), np.split(tgt[:-b], cfg.n_critic))])
-        fake = generator.forward(Tensor(inp[-b:]), training=True, rng=gen_rng)
-        s_fake = critic.forward(fake, training=True, rng=critic_rng)
+        fake = generator.forward(Tensor(inp[-b:]), rng=gen_rng)
+        s_fake = critic.forward(fake, rng=critic_rng)
         loss_g = dg.neg(dg.mean_all(s_fake))
         if cfg.content_weight > 0:
             loss_g = dg.add(loss_g, dg.mul(dg.l1(fake, Tensor(tgt[-b:])), cfg.content_weight))

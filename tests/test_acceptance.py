@@ -239,7 +239,7 @@ def test_criterion_4_gradient_checks():
 
     def dropout_loss():
         drng.bit_generator.state = mask_rng_state  # same mask for every probe
-        return dg.sum_all(dg.dropout(d, 0.3, drng, training=True))
+        return dg.sum_all(dg.dropout(d, 0.3, drng))
 
     results["dropout"] = _fd_worst(dropout_loss, [d])
 
@@ -260,7 +260,7 @@ def test_criterion_5_gradient_penalty():
         def __init__(self, w):
             self.w = Tensor(w.reshape(1, 1, -1))
 
-        def forward(self, x, training=False, rng=None):
+        def forward(self, x, rng=None):
             return dg.sum_axes(dg.mul(x, self.w), (1, 2))
 
     rng = np.random.default_rng(15)
@@ -278,9 +278,9 @@ def test_criterion_5_gradient_penalty():
     captured = {}
 
     class Spy(Linear):
-        def forward(self, x, training=False, rng=None):
+        def forward(self, x, rng=None):
             captured["in"] = x.data.copy()
-            return super().forward(x, training=training, rng=rng)
+            return super().forward(x, rng=rng)
 
     spy = Spy(w)
     xa, xb = rng.normal(size=(2, 1, 12)), rng.normal(size=(2, 1, 12))
@@ -345,7 +345,7 @@ def test_criterion_6_zero_input_periodicity():
             def parameters(self):
                 return []
 
-            def forward(self, x, training=False, rng=None):
+            def forward(self, x, rng=None):
                 return dg.subpixel_shuffle1d(dg.conv1d(x, self.w, self.b), r)
 
         rep = probe.zero_input_probe(Stack(), length=4096)

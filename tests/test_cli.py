@@ -38,7 +38,8 @@ class TestUpsample:
         src = tmp_path / "in.wav"
         dst = tmp_path / "out.wav"
         write_tone(src, n=4096)
-        assert run("upsample", "--scale", "2", "--method", "spline", str(src), str(dst)) == 0
+        assert run("upsample", "--out", str(tmp_path), "--scale", "2",
+                   "--method", "spline", str(src), str(dst)) == 0
         out = data.wav_read(dst)
         assert len(out) == 8192
         assert out.sample_rate == 24000
@@ -49,7 +50,8 @@ class TestUpsample:
         src = tmp_path / "in.wav"
         write_tone(src)
         for method in (["--method", "model"], ["--method", "spline", "--checkpoint", "any.ckpt"]):
-            assert run("upsample", "--scale", "2", *method, str(src), str(tmp_path / "o.wav")) == 1
+            assert run("upsample", "--out", str(tmp_path), "--scale", "2", *method,
+                       str(src), str(tmp_path / "o.wav")) == 1
             assert "--checkpoint goes with --method model and only with it" in capsys.readouterr().err
         assert not (tmp_path / "o.wav").exists()
 
@@ -58,7 +60,7 @@ class TestUpsample:
         dst = tmp_path / "out.wav"
         write_tone(src, n=2048)
         code = run(
-            "upsample", "--scale", "2", "--method", "model",
+            "upsample", "--out", str(tmp_path), "--scale", "2", "--method", "model",
             "--checkpoint", str(tiny_ckpt), str(src), str(dst),
         )
         assert code == 0
@@ -70,7 +72,7 @@ class TestUpsample:
         src = tmp_path / "in.wav"
         write_tone(src, n=512)
         code = run(
-            "upsample", "--scale", "4", "--method", "model",
+            "upsample", "--out", str(tmp_path), "--scale", "4", "--method", "model",
             "--checkpoint", str(tiny_ckpt), str(src), str(tmp_path / "o.wav"),
         )
         assert code == 1
@@ -83,7 +85,7 @@ class TestUpsample:
         src = tmp_path / "in.wav"
         write_tone(src, n=512)
         code = run(
-            "upsample", "--scale", "4", "--method", "model",
+            "upsample", "--out", str(tmp_path), "--scale", "4", "--method", "model",
             "--checkpoint", str(ckpt), str(src), str(tmp_path / "o.wav"),
         )
         assert code == 1
@@ -97,7 +99,8 @@ class TestUpsample:
         models.save_checkpoint(models.build_unet(cfg, seed=0), ckpt)
         src, dst = tmp_path / "in.wav", tmp_path / "out.wav"
         write_tone(src, n=1001)
-        code = run("upsample", "--scale", "2", "--method", "model", "--checkpoint", str(ckpt), str(src), str(dst))
+        code = run("upsample", "--out", str(tmp_path), "--scale", "2", "--method", "model",
+                   "--checkpoint", str(ckpt), str(src), str(dst))
         assert code == 0
         assert len(data.wav_read(dst)) == 2002
 
@@ -109,25 +112,47 @@ class TestUpsample:
         models.save_checkpoint(models.build_unet(cfg, seed=0), ckpt)
         src = tmp_path / "in.wav"
         write_tone(src, n=3)
-        code = run("upsample", "--scale", "2", "--method", "model", "--checkpoint", str(ckpt), str(src), str(tmp_path / "o.wav"))
+        code = run("upsample", "--out", str(tmp_path), "--scale", "2", "--method", "model",
+                   "--checkpoint", str(ckpt), str(src), str(tmp_path / "o.wav"))
         assert code == 2
         assert "at least 4 samples, got 3" in capsys.readouterr().err
 
     def test_missing_input_is_data_error(self, tmp_path):
-        code = run("upsample", "--scale", "2", str(tmp_path / "nope.wav"), str(tmp_path / "o.wav"))
+        code = run("upsample", "--out", str(tmp_path), "--scale", "2",
+                   str(tmp_path / "nope.wav"), str(tmp_path / "o.wav"))
         assert code == 2
 
     def test_output_under_a_file_is_data_error(self, tmp_path, capsys):
         src = tmp_path / "in.wav"
         write_tone(src, n=512)
         (tmp_path / "afile").write_bytes(b"")
-        assert run("upsample", "--scale", "2", str(src), str(tmp_path / "afile" / "o.wav")) == 2
+        assert run("upsample", "--out", str(tmp_path), "--scale", "2",
+                   str(src), str(tmp_path / "afile" / "o.wav")) == 2
         assert "data error" in capsys.readouterr().err
+
+    def test_out_is_required_before_any_read(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(data, "wav_read", lambda *a, **k: pytest.fail("input read before the usage check"))
+        src = tmp_path / "in.wav"
+        write_tone(src, n=512)
+        assert run("upsample", "--scale", "2", str(src), str(tmp_path / "o.wav")) == 1
+        assert "the following arguments are required: --out" in capsys.readouterr().err
+        assert not (tmp_path / "o.wav").exists()
+
+    def test_run_meta_in_the_output_directory_is_kept(self, tmp_path):
+        src, run_dir = tmp_path / "in.wav", tmp_path / "run1"
+        write_tone(src, n=512)
+        run_dir.mkdir()
+        meta = b"# command = train\n\n[run]\nmodel = edsr\n"
+        (run_dir / "run.meta").write_bytes(meta)
+        out = tmp_path / "up"
+        assert run("upsample", "--out", str(out), "--scale", "2", str(src), str(run_dir / "hi.wav")) == 0
+        assert (run_dir / "run.meta").read_bytes() == meta
+        assert (out / "run.meta").read_text().startswith("# command = upsample\n")
 
     def test_run_meta_hashes_the_whole_input(self, tmp_path):
         src = tmp_path / "in.wav"
         write_tone(src, n=600_000)  # 1.2 MB: more than one 1 MiB block
-        assert run("upsample", "--scale", "2", str(src), str(tmp_path / "o.wav")) == 0
+        assert run("upsample", "--out", str(tmp_path), "--scale", "2", str(src), str(tmp_path / "o.wav")) == 0
         digest = hashlib.sha256(src.read_bytes()).hexdigest()
         assert f"corpus_hash = sha256:{digest}\n" in (tmp_path / "run.meta").read_text()
 
@@ -175,7 +200,7 @@ class TestProbeCommand:
             def parameters(self):
                 return []
 
-            def forward(self, x, training=False):
+            def forward(self, x):
                 return dg.Tensor(np.zeros((1, 1, 2 * x.shape[-1] - 2)))
 
         monkeypatch.setattr(models, "load_checkpoint", lambda path: Short())
@@ -336,6 +361,19 @@ class TestPrepareAndTrain:
         assert run("prepare", "--root", str(tmp_path / "b"), "--out", str(out)) == 0
         index = data.CorpusIndex.read_manifest(out / "manifest.txt")
         assert [e.path for e in index.entries] == [str(out / "audio" / "p000" / f"u{u}.wav") for u in range(2)]
+
+    def test_manifest_paths_are_relative_to_the_manifest(self, tmp_path, monkeypatch):
+        # prepared with a relative --out, then read from a sibling directory and after a move
+        self.build_corpus(tmp_path / "w" / "T", speakers=1)
+        (tmp_path / "v").mkdir()
+        monkeypatch.chdir(tmp_path / "w")
+        assert run("prepare", "--root", "T", "--out", "O", "--ratios", "0,0,1") == 0
+        assert "\taudio/p000/u0.wav\t" in (Path("O") / "manifest.txt").read_text()
+        monkeypatch.chdir(tmp_path / "v")
+        eval_args = ("eval", "--spline", "--scale", "2", "--out", "E")
+        assert run(*eval_args, "--manifest", "../w/O/manifest.txt") == 0
+        (tmp_path / "w" / "O").rename(tmp_path / "moved")
+        assert run(*eval_args, "--manifest", "../moved/manifest.txt") == 0
 
     def test_prepare_sources_sharing_an_output_path_is_data_error(self, tmp_path, capsys):
         for top in ("x", "y"):
@@ -705,7 +743,7 @@ class TestExitCodes:
     def test_bad_wav_is_still_a_data_error(self, tmp_path):
         src = tmp_path / "in.wav"
         src.write_bytes(b"RIFF0000WAVEjunk")
-        assert run("upsample", "--scale", "2", str(src), str(tmp_path / "o.wav")) == 2
+        assert run("upsample", "--out", str(tmp_path), "--scale", "2", str(src), str(tmp_path / "o.wav")) == 2
 
     def test_run_meta_deterministic(self, tmp_path):
         metas = []
@@ -741,7 +779,8 @@ class TestScaleFlag:
     def test_upsample(self, tmp_path, capsys, scale):
         src = tmp_path / "in.wav"
         src.write_bytes(b"")
-        assert run("upsample", "--scale", scale, str(src), str(tmp_path / "o.wav")) == 1
+        assert run("upsample", "--out", str(tmp_path), "--scale", scale,
+                   str(src), str(tmp_path / "o.wav")) == 1
         assert f"--scale: must be an integer >= 2, got {scale}" in capsys.readouterr().err
         assert not (tmp_path / "o.wav").exists()
 
@@ -859,7 +898,7 @@ class TestRepeatedCalls:
         src = tmp_path / "in.wav"
         write_tone(src, n=512)
         (tmp_path / "empty").mkdir()
-        assert run("upsample", "--scale", "2", str(src), str(tmp_path / "a.wav")) == 0
+        assert run("upsample", "--out", str(tmp_path), "--scale", "2", str(src), str(tmp_path / "a.wav")) == 0
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -869,7 +908,7 @@ class TestRepeatedCalls:
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
         codes = [
-            run("upsample", "--scale", "2", str(src), str(tmp_path / "b.wav")),
+            run("upsample", "--out", str(tmp_path), "--scale", "2", str(src), str(tmp_path / "b.wav")),
             run("eval", "--spline", "--scale", "2", "--synth", "2", "--out", str(tmp_path / "e")),
             run("probe", "--checkpoint", str(tiny_ckpt), "--length", "2048", "--out", str(tmp_path / "p")),
             run("prepare", "--root", str(tmp_path / "empty"), "--out", str(tmp_path / "c")),
@@ -886,14 +925,14 @@ class TestRepeatedCalls:
             w.setframerate(12000)
             w.writeframes((np.arange(1024, dtype="<i2") * 16).tobytes())
         dst = str(tmp_path / "out.wav")
-        assert run("upsample", "--scale", "2", "--downmix", str(src), dst) == 0
-        assert run("upsample", "--scale", "2", str(src), dst) == 2
+        assert run("upsample", "--out", str(tmp_path), "--scale", "2", "--downmix", str(src), dst) == 0
+        assert run("upsample", "--out", str(tmp_path), "--scale", "2", str(src), dst) == 2
 
     def test_checkpoint_does_not_carry_over(self, tmp_path, tiny_ckpt):
         src = tmp_path / "in.wav"
         write_tone(src, n=512)
         dst = str(tmp_path / "out.wav")
-        model = ("upsample", "--scale", "2", "--method", "model")
+        model = ("upsample", "--out", str(tmp_path), "--scale", "2", "--method", "model")
         assert run(*model, "--checkpoint", str(tiny_ckpt), str(src), dst) == 0
         assert run(*model, str(src), dst) == 1
 
@@ -901,5 +940,6 @@ class TestRepeatedCalls:
         src = tmp_path / "in.wav"
         write_tone(src, n=512)
         dst = str(tmp_path / "out.wav")
-        assert run("upsample", "--scale", "2", "--method", "cubic", str(src), dst) == 1
-        assert run("upsample", "--scale", "2", str(src), dst) == 0
+        assert run("upsample", "--out", str(tmp_path), "--scale", "2",
+                   "--method", "cubic", str(src), dst) == 1
+        assert run("upsample", "--out", str(tmp_path), "--scale", "2", str(src), dst) == 0

@@ -290,10 +290,11 @@ class TestCorpusScan:
         assert {e.samples for e in index.entries} == {50}  # 200 samples at 48 kHz, decimated to 12 kHz
         assert index.seed == 5
         assert index.split == data.split_speakers(index.split, (0.8, 0.1, 0.1), 5)
+        listing = data.list_corpus(tmp_path / "raw")
         assert [(e.speaker, e.path) for e in index.entries] == [
-            (speaker, str(out / "audio" / speaker / path.name))
-            for speaker, path in data.list_corpus(tmp_path / "raw")
-        ]
+            (speaker, str(out / "audio" / speaker / path.name)) for speaker, path in listing]
+        written = [line.split("\t")[2] for line in (out / "manifest.txt").read_text().splitlines()[3:]]
+        assert written == [f"audio/{speaker}/{path.name}" for speaker, path in listing]
 
     def test_file_directly_under_root_is_the_roots_speaker(self, tmp_path):
         self.build_tree(tmp_path / "c", speakers=1, utts=1)
@@ -326,6 +327,9 @@ class TestManifestErrors:
         assert (index.seed, index.ratios) == (5, (0.8, 0.1, 0.1))
         assert index.split == {"p225": "train", "p226": "val", "p227": "test"}
         assert [e.samples for e in index.items("train")] == [200, 180]
+        assert [e.path for e in index.items("val")] == [str(tmp_path / "p226" / "p226_000.wav")]
+        absolute = read_manifest_bytes(tmp_path, _MANIFEST.replace(b"p227/p227_000", b"/corpus/p227_000"))
+        assert [e.path for e in absolute.items("test")] == ["/corpus/p227_000.wav"]
 
     @pytest.mark.parametrize("old, new", [
         ("\t200", "\t2e2"),

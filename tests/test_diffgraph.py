@@ -87,11 +87,11 @@ class TestOpAnchors:
 
     def test_dropout_zero_rate_is_identity(self):
         x = Tensor(np.ones((2, 2, 2)))
-        assert dg.dropout(x, 0.0, training=True) is x
+        assert dg.dropout(x, 0.0, np.random.default_rng(0)) is x
 
     def test_dropout_eval_is_identity(self):
         x = Tensor(np.ones((2, 2, 2)))
-        assert dg.dropout(x, 0.5, training=False) is x
+        assert dg.dropout(x, 0.5) is x
 
     def test_dropout_bad_rate_rejected(self):
         with pytest.raises(ValueError):
@@ -100,7 +100,7 @@ class TestOpAnchors:
     def test_dropout_scales_survivors(self):
         rng = np.random.default_rng(0)
         x = Tensor(np.ones((4, 4, 64)))
-        y = dg.dropout(x, 0.5, rng, training=True)
+        y = dg.dropout(x, 0.5, rng)
         kept = y.data[y.data != 0]
         assert np.all(kept == 2.0)
 
@@ -707,7 +707,7 @@ class TestInputGradientAndDoubleBackward:
             x = Tensor(xdata, requires_grad=True)
             h = dg.leaky_relu(dg.conv1d(x, w, b, stride=stride), 0.2)
             if dropout:  # the same mask on every evaluation
-                h = dg.dropout(h, 0.3, np.random.default_rng(4), training=True)
+                h = dg.dropout(h, 0.3, np.random.default_rng(4))
             score = dg.sum_all(dg.mean_time(h))
             g = dg.input_gradient(score, x)
             per_item = dg.sum_axes(dg.mul(g, g), (1, 2))
@@ -821,8 +821,8 @@ class TestAdam:
 class TestDeterminism:
     def test_identical_seeds_identical_dropout(self):
         x = Tensor(np.ones((2, 3, 16)))
-        a = dg.dropout(x, 0.4, np.random.default_rng(123), training=True)
-        b = dg.dropout(x, 0.4, np.random.default_rng(123), training=True)
+        a = dg.dropout(x, 0.4, np.random.default_rng(123))
+        b = dg.dropout(x, 0.4, np.random.default_rng(123))
         assert np.array_equal(a.data, b.data)
 
     def test_no_grad_blocks_recording(self):

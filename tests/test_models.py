@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import multiprocessing
 import os
 import resource
@@ -185,16 +186,16 @@ class TestUnet:
     def test_eval_mode_deterministic(self):
         m = models.build_unet(TINY_UNET, seed=4)
         x = Tensor(np.random.default_rng(2).normal(size=(1, 1, 128)))
-        a = m.forward(x, training=False)
-        b = m.forward(x, training=False)
+        a = m.forward(x)
+        b = m.forward(x)
         assert np.array_equal(a.data, b.data)
 
     def test_training_mode_dropout_varies(self):
         m = models.build_unet(TINY_UNET, seed=4)
         x = Tensor(np.random.default_rng(2).normal(size=(1, 1, 128)))
         rng = np.random.default_rng(0)
-        a = m.forward(x, training=True, rng=rng)
-        b = m.forward(x, training=True, rng=rng)
+        a = m.forward(x, rng=rng)
+        b = m.forward(x, rng=rng)
         assert not np.array_equal(a.data, b.data)
 
     def test_odd_interior_lengths_handled(self):
@@ -243,7 +244,7 @@ class TestCritic:
 
 
 class TestStackedForward:
-    """A training forward with ``parts`` draws what ``parts`` separate forwards
+    """A forward given an rng and ``parts`` draws what ``parts`` separate forwards
     on equal slices of its batch would, in their order, before its first layer."""
 
     @staticmethod
@@ -265,8 +266,8 @@ class TestStackedForward:
         m = self.build(name, dtype)
         x = np.random.default_rng(0).normal(size=(2 * parts, 1, length))
         stacked_rng, separate_rng = np.random.default_rng(9), np.random.default_rng(9)
-        stacked = m.forward(Tensor(x), training=True, rng=stacked_rng, parts=parts)
-        separate = [m.forward(Tensor(xs), training=True, rng=separate_rng).data
+        stacked = m.forward(Tensor(x), rng=stacked_rng, parts=parts)
+        separate = [m.forward(Tensor(xs), rng=separate_rng).data
                     for xs in np.split(x, parts)]
         assert np.array_equal(stacked.data, np.concatenate(separate))
         assert stacked_rng.bit_generator.state == separate_rng.bit_generator.state
@@ -276,8 +277,7 @@ class TestStackedForward:
     def test_parts_must_divide_the_batch(self, name, parts):
         m = self.build(name, "float64")
         with pytest.raises(ValueError, match="parts"):
-            m.forward(Tensor(np.zeros((4, 1, 64))), training=True,
-                      rng=np.random.default_rng(0), parts=parts)
+            m.forward(Tensor(np.zeros((4, 1, 64))), rng=np.random.default_rng(0), parts=parts)
 
     @pytest.mark.parametrize("name", ["unet", "critic-n2"])
     def test_eval_mode_ignores_parts(self, name):
@@ -286,9 +286,44 @@ class TestStackedForward:
         assert np.array_equal(m.forward(x, parts=3).data, m.forward(x).data)
 
 
+class TestRngDraws:
+    """A forward draws at random exactly when it is given an rng, and only
+    where the model has dropout or phase shuffle."""
+
+    @pytest.mark.parametrize("fn", [
+        models.EdsrModel.forward, models.UnetModel.forward, models.CriticModel.forward,
+        dg.dropout, train.gradient_penalty,
+    ], ids=lambda fn: fn.__qualname__)
+    def test_no_training_parameter(self, fn):
+        assert "training" not in inspect.signature(fn).parameters
+
+    @pytest.mark.parametrize("build", [
+        lambda: models.build_edsr(TINY_EDSR, seed=1),
+        lambda: models.build_unet(dataclasses.replace(TINY_UNET, dropout_rate=0.0), seed=1),
+        lambda: models.build_critic(dataclasses.replace(TINY_CRITIC, phase_shuffle_n=0), seed=1),
+    ], ids=["edsr", "unet-no-dropout", "critic-no-shuffle"])
+    def test_model_without_randomness_draws_nothing(self, build):
+        m = build()
+        x = Tensor(np.random.default_rng(0).normal(size=(2, 1, 64)))
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        assert np.array_equal(m.forward(x, rng=rng).data, m.forward(x).data)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("build", [
+        lambda: models.build_unet(TINY_UNET, seed=1),
+        lambda: models.build_critic(TINY_CRITIC, seed=1),
+    ], ids=["unet", "critic"])
+    def test_model_with_randomness_draws(self, build):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        build().forward(Tensor(np.random.default_rng(0).normal(size=(2, 1, 64))), rng=rng)
+        assert rng.bit_generator.state != state
+
+
 class TestConstruction:
-    """Each layer is declared in ``forward``; the constructor's eval-mode
-    forward makes every parameter."""
+    """Each layer is declared in ``forward``; the constructor's forward, with
+    no rng, makes every parameter."""
 
     @pytest.mark.parametrize("kind", ["edsr", "unet", "critic"])
     def test_training_forward_adds_no_parameter(self, kind):
@@ -298,23 +333,23 @@ class TestConstruction:
              "critic": lambda: models.build_critic(TINY_CRITIC, seed=1)}[kind]()
         before = dict(m.params)
         x = Tensor(np.random.default_rng(0).normal(size=(2, 1, 64)), requires_grad=True)
-        dg.backward(dg.sum_all(m.forward(x, training=True, rng=np.random.default_rng(1))), m.parameters())
+        dg.backward(dg.sum_all(m.forward(x, rng=np.random.default_rng(1))), m.parameters())
         assert m.params == before
         assert all(p.grad is not None for p in m.parameters())
 
     def test_layer_missed_by_the_construction_forward_raises(self):
         class TrainingOnlyLayer(models.CriticModel):
-            def forward(self, x, training=False, rng=None):
-                score = super().forward(x, training, rng)
-                return self._dense(dg.reshape(score, (-1, 1)), "extra", 1) if training else score
+            def forward(self, x, rng=None):
+                score = super().forward(x, rng)
+                return self._dense(dg.reshape(score, (-1, 1)), "extra", 1) if rng is not None else score
 
         m = TrainingOnlyLayer(TINY_CRITIC)
         with pytest.raises(KeyError, match="extra.w"):
-            m.forward(np.zeros((1, 1, 64)), training=True, rng=np.random.default_rng(0))
+            m.forward(np.zeros((1, 1, 64)), rng=np.random.default_rng(0))
 
     def test_layer_name_declared_twice_raises(self):
         class SharedName(models.EdsrModel):
-            def forward(self, x, training=False, rng=None):
+            def forward(self, x, rng=None):
                 return self._conv(self._conv(x, "stem", 1, 3), "stem", 1, 3)
 
         with pytest.raises(ValueError, match="duplicate parameter name 'stem.w'"):

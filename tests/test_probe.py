@@ -20,7 +20,7 @@ class ConvShuffleStack:
     def parameters(self):
         return []
 
-    def forward(self, x, training=False, rng=None):
+    def forward(self, x, rng=None):
         h = dg.conv1d(x, self.w, self.b)
         if self.tail is not None:
             h = dg.conv1d(h, self.tail)
@@ -91,7 +91,7 @@ class TestZeroInputProbe:
         class Unrunnable:
             kind, upsample_ratio = "stack", 2
 
-            def forward(self, x, training=False):
+            def forward(self, x):
                 raise AssertionError("forward ran before the argument check")
 
         with pytest.raises(ValueError, match=match):

@@ -254,9 +254,9 @@ class TestGradientPenalty:
         captured = {}
         original = critic.forward
 
-        def spy(t, training=False, rng=None):
+        def spy(t, rng=None):
             captured["input"] = t.data.copy()
-            return original(t, training=training, rng=rng)
+            return original(t, rng=rng)
 
         critic.forward = spy
         train.gradient_penalty(critic, x, xt, np.ones(3))
@@ -271,7 +271,7 @@ class TestGradientPenalty:
             def __init__(self, w):
                 self.w = Tensor(w.reshape(1, 1, -1))
 
-            def forward(self, x, training=False, rng=None):
+            def forward(self, x, rng=None):
                 return dg.sum_axes(dg.mul(x, self.w), (1, 2))
 
         w = np.zeros(16)
@@ -289,7 +289,7 @@ class TestGradientPenalty:
 
         def penalty_at(c):
             class Scaled:
-                def forward(self, x, training=False, rng=None):
+                def forward(self, x, rng=None):
                     return dg.sum_axes(dg.mul(x, Tensor(c * w.reshape(1, 1, 4))), (1, 2))
 
             rng = np.random.default_rng(2)
@@ -368,11 +368,11 @@ class TestWganGp:
         losses, penalties = [], []
         for rows in (slice(i * b, (i + 1) * b) for i in range(cfg.n_critic)):
             with dg.no_grad():
-                fake = gen.forward(Tensor(inp[rows]), training=True, rng=gen_rng).data
+                fake = gen.forward(Tensor(inp[rows]), rng=gen_rng).data
             eps = eps_rng.random(b)
-            s_fake = critic.forward(Tensor(fake), training=True, rng=critic_rng)
-            s_real = critic.forward(Tensor(tgt[rows]), training=True, rng=critic_rng)
-            pen = train.gradient_penalty(critic, tgt[rows], fake, eps, training=True, rng=critic_rng)
+            s_fake = critic.forward(Tensor(fake), rng=critic_rng)
+            s_real = critic.forward(Tensor(tgt[rows]), rng=critic_rng)
+            pen = train.gradient_penalty(critic, tgt[rows], fake, eps, rng=critic_rng)
             loss = dg.add(dg.sub(dg.mean_all(s_fake), dg.mean_all(s_real)), dg.mul(pen, cfg.gp_weight))
             losses.append(loss.item())
             penalties.append(pen.item())
