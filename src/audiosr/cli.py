@@ -212,7 +212,7 @@ def _cmd_prepare(args) -> int:
         dest.parent.mkdir(parents=True, exist_ok=True)
         clipped = Signal(np.clip(sig.samples, -1.0, 1.0), sig.sample_rate)
         data.wav_write(clipped, dest)
-        entries.append(data.CorpusEntry(speaker, path.stem, str(dest.relative_to(out)), len(clipped)))
+        entries.append(data.CorpusEntry(speaker, path.stem, os.path.relpath(dest), len(clipped)))
     split = data.split_speakers([speaker for speaker, _ in sources], ratios, args.seed)
     data.CorpusIndex(entries, split, args.seed, ratios).write_manifest(out / "manifest.txt")
     manifest_text = (out / "manifest.txt").read_text(encoding="utf-8")

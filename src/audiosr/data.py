@@ -178,13 +178,15 @@ class CorpusIndex:
         return [e for e in self.entries if self.split[e.speaker] == split]
 
     def write_manifest(self, path) -> None:
+        """Write the index to ``path``, each relative audio path relative to its directory."""
         lines = [
             "# audiosr corpus manifest v1",
             f"# seed = {self.seed}",
             f"# ratios = {self.ratios[0]!r},{self.ratios[1]!r},{self.ratios[2]!r}",
         ]
         for e in self.entries:
-            lines.append(f"{self.split[e.speaker]}\t{e.speaker}\t{e.path}\t{e.samples}")
+            fpath = e.path if os.path.isabs(e.path) else os.path.relpath(e.path, Path(path).parent)
+            lines.append(f"{self.split[e.speaker]}\t{e.speaker}\t{fpath}\t{e.samples}")
         write_atomic(path, "\n".join(lines) + "\n")
 
     @classmethod

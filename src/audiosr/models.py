@@ -200,6 +200,14 @@ class EdsrModel(Model):
     kind = "edsr"
     mode = "post"
 
+    @property
+    def receptive_field(self) -> tuple[int, int]:
+        """(halo, align): the input samples on each side that one output sample
+        reads, and the grid a chunk starts on, 1 since every conv has stride 1."""
+        cfg = self.config
+        edge = (cfg.stem_kernel - 1) // 2
+        return 2 * edge + cfg.n_blocks * (cfg.block_kernel - 1) + (cfg.upsample_stages + 1) * edge + 1, 1
+
     def forward(self, x, rng=None):
         x = self._check_input(x)
         cfg = self.config
@@ -221,6 +229,18 @@ class EdsrModel(Model):
 class UnetModel(Model):
     kind = "unet"
     mode = "pre"
+
+    @property
+    def receptive_field(self) -> tuple[int, int]:
+        """(halo, align): the input samples on each side that one output sample reads,
+        rounded up to ``align``, the grid of the depth + 1 stride-2 convs. A layer at
+        level i reaches its kernel's half-width times 2**i, a stride-2 one 2**i more."""
+        cfg = self.config
+        half = [(k - 1) // 2 for k in cfg.down_kernels]
+        halo = sum((h + 1) * 2**i + h * 2 ** (i + 2) for i, h in enumerate(half))
+        halo += (half[-1] + 1) * 2**cfg.depth + (cfg.final_kernel - 1) // 2 * 2
+        align = 2 ** (cfg.depth + 1)
+        return -(-halo // align) * align, align
 
     def forward(self, x, rng: np.random.Generator | None = None, parts: int = 1):
         x = self._check_input(x)
@@ -368,15 +388,30 @@ def model_input(m: Model, low: np.ndarray, scale: int) -> np.ndarray:
     return low if upsampling_mode(m, scale) == "post" else dsp.spline(low, scale)
 
 
+CHUNK = 8192  # model input samples per chunk core, raised to 16 halos for a wide model
+
+
 def reconstruct(m: Model | None, low: Signal, scale: int) -> Signal:
-    """Upsample ``low`` by ``scale`` with the spline (``m=None``) or a model."""
+    """Upsample ``low`` by ``scale`` with the spline (``m=None``) or a model.
+
+    A model runs over near-equal cores of at most max(CHUNK, 16 * halo) input samples,
+    each widened by ``m.receptive_field``'s halo and on its stride-2 grid (conv1d's is
+    anchored at the last sample), so memory is set by one chunk, not by the input's
+    length. Output equals one whole-input forward up to rounding, and is it for one chunk."""
     dg.keep_freed_heap()
     if m is None:
         return dsp.spline_upsample(low, scale)
-    feed = model_input(m, low.samples, scale)
-    with dg.no_grad():
-        out = m.forward(Tensor(feed[None, None, :]))
-    return Signal(out.data[0, 0], low.sample_rate * scale)
+    feed, ratio = model_input(m, low.samples, scale), m.upsample_ratio
+    (halo, align), n = m.receptive_field, len(feed)
+    parts = -(-n // max(CHUNK, 16 * halo))
+    starts = [i * n // parts // align * align for i in range(parts)] + [n]
+    out = np.empty(n * ratio)
+    for a, b in zip(starts, starts[1:]):
+        lo, hi = max(a - halo, 0), n - max(n - b - halo, 0) // align * align
+        with dg.no_grad():
+            y = m.forward(Tensor(feed[None, None, lo:hi])).data[0, 0]
+        out[a * ratio : b * ratio] = y[(a - lo) * ratio : (b - lo) * ratio]
+    return Signal(out, low.sample_rate * scale)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -295,6 +296,21 @@ class TestCorpusScan:
             (speaker, str(out / "audio" / speaker / path.name)) for speaker, path in listing]
         written = [line.split("\t")[2] for line in (out / "manifest.txt").read_text().splitlines()[3:]]
         assert written == [f"audio/{speaker}/{path.name}" for speaker, path in listing]
+
+    def test_a_manifest_read_from_another_directory_writes_back_the_same(self, tmp_path, monkeypatch):
+        self.build_tree(tmp_path / "raw", speakers=2, utts=2)
+        monkeypatch.chdir(tmp_path)
+        index = self.prepare(Path("raw"), Path("m"), seed=1)
+        assert all(Path(e.path).is_file() and e.path.startswith("m/audio/") for e in index.entries)
+        index.write_manifest("m/manifest2.txt")
+        assert Path("m/manifest2.txt").read_bytes() == Path("m/manifest.txt").read_bytes()
+        assert data.CorpusIndex.read_manifest("m/manifest2.txt") == index
+
+    def test_an_absolute_audio_path_is_written_as_it_is(self, tmp_path):
+        index = data.CorpusIndex([data.CorpusEntry("s", "u", "/corpus/u.wav", 4)], {"s": "train"}, 0,
+                                 (1.0, 0.0, 0.0))
+        index.write_manifest(tmp_path / "manifest.txt")
+        assert data.CorpusIndex.read_manifest(tmp_path / "manifest.txt") == index
 
     def test_file_directly_under_root_is_the_roots_speaker(self, tmp_path):
         self.build_tree(tmp_path / "c", speakers=1, utts=1)

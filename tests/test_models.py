@@ -373,6 +373,20 @@ def second_reconstruct_faults() -> list[int]:
     return faults
 
 
+def reconstruct_peaks_mb(kind: str) -> list[float]:
+    """Peak RSS above the built model, in MB, after reconstructs of 16,000 and
+    then 64,000 samples by perfbench's toy model of ``kind``, in the calling process."""
+    m = (models.build_edsr(EdsrConfig(filters=16, n_blocks=2, upsample_stages=1)) if kind == "edsr" else
+         models.build_unet(UnetConfig(depth=2, down_filters=(16, 32), down_kernels=(17, 9),
+                                      bottleneck_filters=32, scale=2)))
+    built = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peaks = []
+    for n in (16000, 64000):
+        models.reconstruct(m, Signal(np.random.default_rng(n).normal(0, 0.1, n), 12000), 2)
+        peaks.append((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - built) / 1024)  # KiB on Linux
+    return peaks
+
+
 class TestReconstruct:
     """The one inference path: spline, post model on the low-rate input, or
     pre model on its whole spline. Every upsampling model gives ``scale``
@@ -448,6 +462,60 @@ class TestReconstruct:
         with multiprocessing.get_context("spawn").Pool(1) as pool:
             faults = pool.apply(second_reconstruct_faults)
         assert max(faults) < 200, faults
+
+    # nets whose 16-halo chunk (CHUNK patched to 64) is 304-1,280 input samples,
+    # so inputs of at most 3,000 samples run in up to 5 chunks
+    CHUNKED = {"edsr": models.build_edsr(TINY_EDSR, seed=1),
+               "edsr-x4": models.build_edsr(EdsrConfig(filters=4, n_blocks=1, stem_kernel=5,
+                                                       upsample_stages=2), seed=2),
+               **{f"unet-{d}": models.build_unet(UnetConfig(
+                   depth=d, down_filters=(4, 8, 8)[:d], down_kernels=((9,), (9, 5), (5, 3, 3))[d - 1],
+                   bottleneck_filters=8, final_kernel=(9, 9, 3)[d - 1]), seed=d) for d in (1, 2, 3)}}
+
+    @staticmethod
+    def chunk(m) -> int:
+        """The chunk of ``m`` with CHUNK patched to 64, in low-rate samples."""
+        return 16 * m.receptive_field[0] // (m.scale if m.mode == "pre" else 1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(net=st.sampled_from(sorted(CHUNKED)), n=st.integers(4, 3000),
+           seam=st.tuples(st.integers(1, 4), st.integers(-3, 3)), near_seam=st.booleans())
+    def test_chunked_output_equals_the_whole_input_forward(self, net, n, seam, near_seam):
+        m = self.CHUNKED[net]
+        if near_seam:  # odd and even lengths around a multiple of the chunk
+            n = min(max(seam[0] * self.chunk(m) + seam[1], 4), 3000)
+        low = self.low(n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(models, "CHUNK", 64)
+            got = models.reconstruct(m, low, m.scale)
+        with dg.no_grad():
+            want = m.forward(Tensor(models.model_input(m, low.samples, m.scale)[None, None, :])).data[0, 0]
+        assert got.samples.shape == want.shape
+        assert np.max(np.abs(got.samples - want)) <= 1e-12
+
+    @pytest.mark.parametrize("net", sorted(CHUNKED))
+    def test_an_input_of_one_chunk_is_one_forward(self, net, monkeypatch):
+        m = self.CHUNKED[net]
+        monkeypatch.setattr(models, "CHUNK", 64)
+        calls = []
+        forward = m.forward
+        monkeypatch.setattr(m, "forward", lambda x: calls.append(x.shape[2]) or forward(x))
+        n = self.chunk(m)
+        low = self.low(n)
+        got = models.reconstruct(m, low, m.scale)
+        with dg.no_grad():
+            want = forward(Tensor(models.model_input(m, low.samples, m.scale)[None, None, :])).data[0, 0]
+        assert np.array_equal(got.samples, want)
+        models.reconstruct(m, self.low(n + 1), m.scale)
+        assert len(calls) == 3, calls
+
+    @pytest.mark.parametrize("kind", ["edsr", "unet"])
+    def test_memory_stays_flat_in_the_input_length(self, kind):
+        # a fresh process each, so neither run nor this process sets the peak;
+        # the whole-input forward grew to 62-64 MB at 64,000 samples
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            peaks = pool.apply(reconstruct_peaks_mb, (kind,))
+        assert peaks[1] <= 16, peaks
 
     def test_model_input_post_is_the_low_rate_input(self):
         low = self.low(101)
