@@ -22,7 +22,6 @@ import numpy as np
 import scipy
 
 from . import __version__, data, dsp, metrics, models, probe, train
-from .dsp import Signal
 
 
 class UsageError(Exception):
@@ -210,9 +209,8 @@ def _cmd_prepare(args) -> int:
             sig = dsp.downsample(sig, sig.sample_rate // target)
         dest = out / "audio" / speaker / path.name
         dest.parent.mkdir(parents=True, exist_ok=True)
-        clipped = Signal(np.clip(sig.samples, -1.0, 1.0), sig.sample_rate)
-        data.wav_write(clipped, dest)
-        entries.append(data.CorpusEntry(speaker, path.stem, os.path.relpath(dest), len(clipped)))
+        data.wav_write(sig, dest)
+        entries.append(data.CorpusEntry(speaker, path.stem, os.path.relpath(dest), len(sig)))
     split = data.split_speakers([speaker for speaker, _ in sources], ratios, args.seed)
     data.CorpusIndex(entries, split, args.seed, ratios).write_manifest(out / "manifest.txt")
     manifest_text = (out / "manifest.txt").read_text(encoding="utf-8")
@@ -231,18 +229,6 @@ def _build_model(kind: str, model_cfg, seed: int):
     return models.KINDS[kind][1](model_cfg, init_seed=seed)
 
 
-def _run_training(out: Path, progress_every: int, trainer, *inputs) -> train.TrainLog:
-    """Run ``trainer`` into ``out`` and write its ``trainlog.csv``. A run that aborts
-    on a non-finite value still writes the log of the steps that finished."""
-    try:
-        log = trainer(*inputs, out_dir=str(out), progress_every=progress_every)[-1]
-    except train.NumericError as exc:
-        exc.log.to_csv(_out_dir(str(out)) / "trainlog.csv")
-        raise
-    log.to_csv(out / "trainlog.csv")
-    return log
-
-
 def _cmd_train(args) -> int:
     """``train`` and ``train-gan``. The run's ``run.meta`` holds its config
     sections, so ``--config run.meta`` re-runs it."""
@@ -250,17 +236,17 @@ def _cmd_train(args) -> int:
     kind, model_cfg, train_cfg, gan_cfg, critic_cfg, data_cfg = _load_run_config(args.config, gan)
     if gan and kind != "unet":
         raise UsageError("train-gan needs run.model = unet (pre-upsampling generator)")
-    out = Path(args.out)  # made by the trainer when it first saves a checkpoint
     corpus, _, corpus_hash = _load_corpus(data_cfg)
     model = _build_model(kind, model_cfg, train_cfg.seed)
+    io = {"out_dir": args.out, "progress_every": args.progress_every}  # the trainer makes out_dir
     if gan:
         critic = _build_model("critic", critic_cfg, train_cfg.seed + 1)
-        _run_training(out, args.progress_every, train.train_wgan_gp, model, critic, corpus, gan_cfg)
+        train.train_wgan_gp(model, critic, corpus, gan_cfg, **io)
         done = f"adversarial run finished after {train_cfg.steps} outer steps"
     else:
-        log = _run_training(out, args.progress_every, train.train_supervised, model, corpus, train_cfg)
+        log = train.train_supervised(model, corpus, train_cfg, **io)[1]
         done = f"trained {kind} for {train_cfg.steps} steps; final loss {log.records[-1].loss:.6f}"
-    _write_run_meta(out, args.command, {"corpus_hash": corpus_hash}, {
+    _write_run_meta(Path(args.out), args.command, {"corpus_hash": corpus_hash}, {
         "run": {"model": kind}, "model": model_cfg, "critic": critic_cfg,
         "train": train_cfg, "gan": gan_cfg, "data": data_cfg,
     })
@@ -302,11 +288,8 @@ def _cmd_upsample(args) -> int:
     sig = data.wav_read(args.input, downmix=args.downmix)
     model = models.load_checkpoint(args.checkpoint) if args.checkpoint else None
     result = models.reconstruct(model, sig, args.scale)
-    clipped = np.clip(result.samples, -1.0, 1.0)
-    n_clipped = int(np.sum(clipped != result.samples))
-    if n_clipped:
+    if n_clipped := data.wav_write(result, args.output):
         print(f"note: clipped {n_clipped} out-of-range samples before writing", file=sys.stderr)
-    data.wav_write(Signal(clipped, result.sample_rate), args.output)
     out = _out_dir(args.out)
     _write_run_meta(out, "upsample", {
         "scale": args.scale,
@@ -351,8 +334,6 @@ def _cmd_compare_losses(args) -> int:
 
 def _cmd_probe(args) -> int:
     model = models.load_checkpoint(args.checkpoint)
-    if args.length % (model.upsample_ratio or 1):  # None: the probe rejects the model itself
-        raise UsageError(f"probe length {args.length} not divisible by upsample ratio {model.upsample_ratio}")
     report = probe.zero_input_probe(model, length=args.length, sample_rate=args.rate,
                                     peak_threshold_db=args.threshold)
     out = _out_dir(args.out)

@@ -120,21 +120,15 @@ def wav_read(path, downmix: bool = False) -> Signal:
     return Signal(ints / 32768.0, rate)
 
 
-def wav_write(s: Signal, path) -> None:
-    """Write 16-bit PCM mono, rounding half away from zero.
+def wav_write(s: Signal, path) -> int:
+    """Write 16-bit PCM mono, rounding half away from zero, and return how many
+    samples lay outside [-1, 1].
 
-    Amplitudes outside [-1, 1] are an error, never a silent clip; exactly +1.0
-    saturates to the largest positive code.
+    Those samples saturate, as does exactly +1.0: every code is clipped to
+    [-32768, 32767], which writes the bytes of clipping the signal to [-1, 1].
     """
-    x = s.samples
-    if x.size:
-        worst = int(np.argmax(np.abs(x)))
-        if abs(x[worst]) > 1.0:
-            raise ValueError(
-                f"amplitude out of range: |{x[worst]!r}| > 1 at sample {worst}"
-            )
-    q = np.floor(np.abs(x) * 32768.0 + 0.5) * np.sign(x)
-    q = np.clip(q, -32768, 32767)  # only +1.0 lands on 32768
+    mag = np.abs(s.samples)
+    q = np.clip(np.floor(mag * 32768.0 + 0.5) * np.sign(s.samples), -32768, 32767)
     payload = q.astype("<i2").tobytes()
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
@@ -153,6 +147,7 @@ def wav_write(s: Signal, path) -> None:
         len(payload),
     )
     write_atomic(path, header + payload)
+    return int(np.count_nonzero(mag > 1.0))
 
 
 @dataclass(frozen=True)

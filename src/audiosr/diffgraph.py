@@ -414,8 +414,10 @@ def _put_time(g, flat: np.ndarray, length: int) -> Tensor:
 # at K = 12 it loses 60-70% there.
 # Both run over chunks of whole batch items; an item above _ITEM_BYTES (a long
 # inference input) runs in equal column tiles instead, so its products stay in
-# cache (Goto and van de Geijn, ACM TOMS 2008). Measured on one core, tiles cut
-# toy conv time 12-30% at 4,500-16,003 samples and lose up to 20% at 2,500.
+# cache (Goto and van de Geijn, ACM TOMS 2008). Measured on one core, tiles pay
+# at toy widths (per-tap weight matrices of 2-32 KiB) and cost for per-tap
+# matrices of 256 KiB and more: up to 1.45x at 256 KiB, and 2.4-2.6x for the
+# default UNet's 4 MiB up1.
 # The conv and its two gradients are three bilinear tape ops, all taking
 # ``left``, whose VJPs are built from each other, so gradients of any order
 # (the critic's double backward) stay on the tape. The VJPs, parent by parent:

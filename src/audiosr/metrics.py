@@ -13,17 +13,19 @@ from .dsp import Signal
 from .models import reconstruct, upsampling_mode
 
 
+def _check_pair(generated: Signal, actual: Signal) -> None:
+    if len(generated) != len(actual):
+        raise ValueError(f"length mismatch: generated {len(generated)} vs actual {len(actual)}")
+    if generated.sample_rate != actual.sample_rate:
+        raise ValueError("sample rate mismatch")
+
+
 def snr(generated: Signal, actual: Signal) -> float:
     """10*log10 of reference energy over residual energy, in dB.
 
     Returns +inf when the residual is exactly zero.
     """
-    if len(generated) != len(actual):
-        raise ValueError(
-            f"length mismatch: generated {len(generated)} vs actual {len(actual)}"
-        )
-    if generated.sample_rate != actual.sample_rate:
-        raise ValueError("sample rate mismatch")
+    _check_pair(generated, actual)
     ref = float(np.sum(actual.samples**2))
     if ref == 0.0:
         raise ValueError("reference signal is identically zero")
@@ -35,12 +37,7 @@ def snr(generated: Signal, actual: Signal) -> float:
 
 def lsd(generated: Signal, actual: Signal) -> float:
     """Frame-wise RMS of log10 power-spectrum differences, averaged over frames."""
-    if len(generated) != len(actual):
-        raise ValueError(
-            f"length mismatch: generated {len(generated)} vs actual {len(actual)}"
-        )
-    if generated.sample_rate != actual.sample_rate:
-        raise ValueError("sample rate mismatch")
+    _check_pair(generated, actual)
     pg = dsp.stft_power(generated).grid
     pa = dsp.stft_power(actual).grid
     # difference of logs keeps lsd(a, b) == lsd(b, a) bit-exact

@@ -540,7 +540,9 @@ class Checkpoint:
             for line in header.splitlines():
                 if not line.strip():
                     continue
-                key, _, val = line.partition(" = ")
+                key, sep, val = line.partition(" = ")
+                if not sep or key.strip() in meta:
+                    raise CheckpointCorruptError(f"malformed or repeated header line {line!r}")
                 meta[key.strip()] = val
             kind, dtype = meta.get("kind"), meta.get("dtype")
             if kind not in KINDS:

@@ -10,7 +10,7 @@ from . import diffgraph as dg
 from . import dsp
 from .data import write_atomic
 from .dsp import PowerSpectrogram, Signal
-from .models import count_parameters
+from .models import ConfigConflictError, count_parameters
 from .models import phase_shuffle  # noqa: F401  re-exported: probe.phase_shuffle
 
 MAX_PERIOD = 256  # longest exact period, in samples, that the probe looks for
@@ -87,8 +87,8 @@ def zero_input_probe(
 
 def check_args(length: int, ratio: int, sample_rate: int, threshold: float) -> None:
     """A probe's output length must cover one STFT frame and be a whole
-    number of the model's upsampling ratio; its rate must be a positive
-    integer and its peak threshold finite."""
+    number of the model's upsampling ratio, else a ``ConfigConflictError``;
+    its rate must be a positive integer and its peak threshold finite."""
     if not float(sample_rate).is_integer() or sample_rate <= 0:
         raise ValueError(f"probe sample_rate must be a positive integer, got {sample_rate!r}")
     if not np.isfinite(threshold):
@@ -96,7 +96,7 @@ def check_args(length: int, ratio: int, sample_rate: int, threshold: float) -> N
     if length < dsp.FRAME_LENGTH:
         raise ValueError(f"probe length {length} shorter than one STFT frame ({dsp.FRAME_LENGTH})")
     if length % ratio != 0:
-        raise ValueError(f"probe length {length} not divisible by upsample ratio {ratio}")
+        raise ConfigConflictError(f"probe length {length} not divisible by upsample ratio {ratio}")
 
 
 def _exact_period(x: np.ndarray) -> int | None:

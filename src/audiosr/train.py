@@ -19,10 +19,9 @@ from .models import (Checkpoint, CheckpointKindError, ConfigConflictError, Model
 
 
 class NumericError(RuntimeError):
-    """Training aborted on a non-finite quantity; carries the offending step
-    and, raised out of a training run, the ``TrainLog`` of the steps that finished."""
-
-    log: TrainLog | None = None
+    """Training aborted on a non-finite quantity; carries the offending step and
+    its logged values. A run given an ``out_dir`` has written the steps that
+    finished to ``trainlog.csv`` there."""
 
     def __init__(self, message: str, step: int, record: dict):
         super().__init__(message)
@@ -186,8 +185,7 @@ def _update(model: Model, objective: Tensor, step: int, what: str, **values) -> 
 
 
 def _save(out_dir, seed: int, files: dict[str, Model]) -> None:
-    """Make ``out_dir`` and write a checkpoint of each model there, under its name."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Write a checkpoint of each model into ``out_dir``, under its name."""
     for name, m in files.items():
         save_checkpoint(m, f"{out_dir}/{name}", seed=seed)
 
@@ -209,28 +207,30 @@ def _run_steps(model: Model, corpus: list[Signal], cfg: TrainConfig, rows: int, 
     which returns the step's losses by ``StepRecord`` field; the step's graph dies
     with that call's frame. It logs them, prints ``progress`` formatted with ``step``,
     ``steps`` and the losses and, given ``out_dir``, saves ``every`` (names formatted
-    with the step) each ``checkpoint_every`` steps and ``final`` at the end. A
-    ``NumericError`` leaves carrying ``log``."""
+    with the step) each ``checkpoint_every`` steps, ``final`` at the end, and
+    ``log`` as ``trainlog.csv`` however the loop ends, a ``NumericError`` included."""
     dg.keep_freed_heap()
     log.meta.update(scale=cfg.scale, seed=cfg.seed, batch_size=cfg.batch_size,
                     patch_length=cfg.patch_length, lr=cfg.lr)
     for m in final.values():
         m.adam_state = cfg.adam()
     sampler = _PatchSampler(corpus, cfg.patch_length, cfg.scale, cfg.seed)
+    if out_dir is not None:  # made only once the run has passed every check
+        os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
-    for step in range(1, cfg.steps + 1):
-        try:
+    try:
+        for step in range(1, cfg.steps + 1):
             losses = body(step, *_batch_arrays(sampler.batch(rows), model, cfg.scale))
-        except NumericError as exc:
-            exc.log = log
-            raise
-        log.append(StepRecord(step=step, wall_time=time.perf_counter() - t0, **losses))
-        if progress_every and step % progress_every == 0:
-            print(progress.format(step=step, steps=cfg.steps, **losses), flush=True)
-        if out_dir is not None and cfg.checkpoint_every and step % cfg.checkpoint_every == 0:
-            _save(out_dir, cfg.seed, {name.format(step): m for name, m in every.items()})
-    if out_dir is not None:
-        _save(out_dir, cfg.seed, final)
+            log.append(StepRecord(step=step, wall_time=time.perf_counter() - t0, **losses))
+            if progress_every and step % progress_every == 0:
+                print(progress.format(step=step, steps=cfg.steps, **losses), flush=True)
+            if out_dir is not None and cfg.checkpoint_every and step % cfg.checkpoint_every == 0:
+                _save(out_dir, cfg.seed, {name.format(step): m for name, m in every.items()})
+        if out_dir is not None:
+            _save(out_dir, cfg.seed, final)
+    finally:
+        if out_dir is not None:
+            log.to_csv(f"{out_dir}/trainlog.csv")
 
 
 def train_supervised(
@@ -243,7 +243,8 @@ def train_supervised(
     """Algorithm: per step sample a batch of aligned patches, degrade them,
     regress the reconstruction under the configured loss, and take one Adam
     step. Deterministic given (seed, config, corpus). Returns the trained
-    model and the log; checkpoints are written only into ``out_dir``."""
+    model and the log. Given ``out_dir``, it writes the checkpoints and
+    ``trainlog.csv`` there, and nothing anywhere else."""
     _validate_run(model, corpus, cfg)
     loss_name = _resolve_loss(model, cfg)
     loss_fn = dg.l1 if loss_name == "l1" else dg.l2
@@ -303,7 +304,7 @@ def train_wgan_gp(
     penalty), then one generator update, per outer iteration. One generator forward
     makes the critic updates' fakes, and each update scores fake and real in one
     critic forward; both draw at random as separate forwards would, in their order.
-    Returns both trained models and the log, like ``train_supervised``."""
+    Returns both trained models and the log; ``out_dir`` is as in ``train_supervised``."""
     base = cfg.base
     if generator.mode != "pre":
         raise ValueError(

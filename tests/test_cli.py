@@ -45,6 +45,21 @@ class TestUpsample:
         assert out.sample_rate == 24000
         assert (tmp_path / "run.meta").exists()
 
+    def test_overshoot_is_saturated_and_counted(self, tmp_path, capsys):
+        # the spline of a full-scale + + - - pattern overshoots between its samples
+        src, dst = tmp_path / "in.wav", tmp_path / "out.wav"
+        data.wav_write(Signal(np.tile([1.0, 1.0, -1.0, -1.0], 64), 12000), src)
+        y = models.reconstruct(None, data.wav_read(src), 2).samples
+        over = np.abs(y) > 1.0
+        assert over.any()
+        assert run("upsample", "--out", str(tmp_path), "--scale", "2", str(src), str(dst)) == 0
+        note = f"note: clipped {np.count_nonzero(over)} out-of-range samples before writing"
+        assert note in capsys.readouterr().err
+        codes = np.frombuffer(dst.read_bytes()[44:], dtype="<i2")
+        assert np.array_equal(codes[over], np.where(y[over] > 0, 32767, -32768))
+        data.wav_write(Signal(np.clip(y, -1.0, 1.0), 24000), tmp_path / "clipped.wav")
+        assert dst.read_bytes() == (tmp_path / "clipped.wav").read_bytes()
+
     def test_model_method_needs_checkpoint(self, tmp_path, capsys):
         # and a checkpoint needs --method model: the spline would ignore it
         src = tmp_path / "in.wav"

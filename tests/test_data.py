@@ -128,9 +128,16 @@ class TestWavWrite:
         (value,) = struct.unpack("<h", blob[44:46])
         assert value == 16384
 
-    def test_out_of_range_rejected_with_offender(self, tmp_path):
-        with pytest.raises(ValueError, match="1.0001"):
-            data.wav_write(Signal(np.array([0.0, 1.0001]), 8000), tmp_path / "x.wav")
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.one_of(st.floats(-4.0, 4.0), st.sampled_from([1.0, -1.0, 1.0 + 2**-52, -1.0 - 2**-52])),
+                    min_size=1, max_size=64))
+    def test_out_of_range_saturates_and_is_counted(self, tmp_path_factory, xs):
+        # the bytes of the signal clipped to [-1, 1], and the count of samples it clips
+        d = tmp_path_factory.mktemp("wav")
+        x = np.array(xs)
+        assert data.wav_write(Signal(x, 8000), d / "x.wav") == np.count_nonzero(np.abs(x) > 1.0)
+        assert data.wav_write(Signal(np.clip(x, -1.0, 1.0), 8000), d / "c.wav") == 0
+        assert (d / "x.wav").read_bytes() == (d / "c.wav").read_bytes()
 
     def test_zero_payload_size(self, tmp_path):
         path = tmp_path / "z.wav"

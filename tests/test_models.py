@@ -801,6 +801,27 @@ class TestCheckpoint:
         with pytest.raises(CheckpointCorruptError):
             models.load_checkpoint(path)
 
+    def test_header_line_without_separator_is_corrupt(self, tmp_path):
+        path = tmp_path / "edsr.ckpt"
+        models.save_checkpoint(models.build_edsr(TINY_EDSR, seed=9), path)
+        path.write_bytes(edit_header(path.read_bytes(), "step = 0\n", "step = 0\nnote\n"))
+        with pytest.raises(CheckpointCorruptError, match="'note'"):
+            models.load_checkpoint(path)
+
+    def test_repeated_header_key_is_corrupt(self, tmp_path):
+        # the last value used to win: this header loaded with step 5
+        path = tmp_path / "edsr.ckpt"
+        models.save_checkpoint(models.build_edsr(TINY_EDSR, seed=9), path)
+        path.write_bytes(edit_header(path.read_bytes(), "step = 0\n", "step = 0\nstep = 5\n"))
+        with pytest.raises(CheckpointCorruptError, match="'step = 5'"):
+            models.load_checkpoint(path)
+
+    def test_unknown_header_key_is_accepted(self, tmp_path):
+        path = tmp_path / "edsr.ckpt"
+        models.save_checkpoint(models.build_edsr(TINY_EDSR, seed=9), path)
+        path.write_bytes(edit_header(path.read_bytes(), "step = 0\n", "step = 0\nnote = hello\n"))
+        assert models.load_checkpoint(path).init_seed == 9
+
     @pytest.mark.parametrize(
         "build, old, new",
         [

@@ -81,6 +81,11 @@ class TestZeroInputProbe:
         with pytest.raises(ValueError, match="shorter than one STFT frame"):
             probe.zero_input_probe(m, length=512)
 
+    def test_length_the_ratio_does_not_divide_is_a_config_conflict(self):
+        m = models.build_edsr(models.EdsrConfig(filters=4, n_blocks=1), seed=1)
+        with pytest.raises(models.ConfigConflictError, match="probe length 4097 not divisible by upsample ratio 2"):
+            probe.zero_input_probe(m, length=4097)
+
     @pytest.mark.parametrize(
         "kwargs, match",
         [({"sample_rate": 0}, "positive integer"), ({"sample_rate": 12000.5}, "positive integer"),

@@ -497,17 +497,20 @@ class TestWganGp:
     def test_checkpoint_every_saves_both_models(self, tmp_path):
         gen, critic, corpus, cfg = self.gan_setup(steps=2)
         cfg = GanConfig(base=dataclasses.replace(cfg.base, checkpoint_every=1))
-        train.train_wgan_gp(gen, critic, corpus, cfg, out_dir=str(tmp_path))
-        names = sorted(p.name for p in tmp_path.iterdir())
+        out = tmp_path / "run"
+        *_, log = train.train_wgan_gp(gen, critic, corpus, cfg, out_dir=str(out))
+        names = sorted(p.name for p in out.iterdir())
         assert names == [
             "critic.ckpt", "critic_000001.ckpt", "critic_000002.ckpt",
-            "generator.ckpt", "generator_000001.ckpt", "generator_000002.ckpt",
+            "generator.ckpt", "generator_000001.ckpt", "generator_000002.ckpt", "trainlog.csv",
         ]
-        assert models.load_checkpoint(tmp_path / "generator_000001.ckpt").train_step == 1
-        assert models.load_checkpoint(tmp_path / "critic_000001.ckpt").train_step == cfg.n_critic
+        log.to_csv(tmp_path / "returned.csv")
+        assert (out / "trainlog.csv").read_bytes() == (tmp_path / "returned.csv").read_bytes()
+        assert models.load_checkpoint(out / "generator_000001.ckpt").train_step == 1
+        assert models.load_checkpoint(out / "critic_000001.ckpt").train_step == cfg.n_critic
         for name in ("generator", "critic"):
-            last = (tmp_path / f"{name}_000002.ckpt").read_bytes()
-            assert last == (tmp_path / f"{name}.ckpt").read_bytes()
+            last = (out / f"{name}_000002.ckpt").read_bytes()
+            assert last == (out / f"{name}.ckpt").read_bytes()
 
     def test_warm_start_kind_checked(self, tmp_path):
         edsr = models.build_edsr(TINY_EDSR, seed=0)
@@ -518,17 +521,19 @@ class TestWganGp:
         with pytest.raises(models.CheckpointKindError):
             train.train_wgan_gp(gen, critic, corpus, cfg)
 
-    def test_numeric_abort_carries_step(self):
+    def test_numeric_abort_carries_step(self, tmp_path):
         gen, critic, corpus, cfg = self.gan_setup(steps=3)
         cfg = GanConfig(base=TrainConfig(
             steps=3, mode="pre", scale=2, batch_size=2, patch_length=256,
             seed=5, lr=1e200,  # parameter products overflow on the next forward
         ))
+        out = tmp_path / "run"  # made by the trainer, though no checkpoint is saved
         with pytest.raises(NumericError) as err:
-            train.train_wgan_gp(gen, critic, corpus, cfg)
+            train.train_wgan_gp(gen, critic, corpus, cfg, out_dir=str(out))
         assert err.value.step >= 1
         assert err.value.record
-        assert [r.step for r in err.value.log.records] == list(range(1, err.value.step))
+        rows = [line for line in (out / "trainlog.csv").read_text().splitlines() if not line.startswith("#")]
+        assert [int(row.split(",")[0]) for row in rows[1:]] == list(range(1, err.value.step))
 
     def test_reproducible_given_seed(self):
         logs = []
