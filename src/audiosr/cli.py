@@ -111,7 +111,9 @@ def _read_config(path) -> dict[str, dict[str, str]]:
     return {name: dict(parser[name]) for name in parser.sections()}
 
 
-def _load_run_config(path, want_gan: bool):
+def _load_run_config(path, want_gan: bool) -> dict:
+    """The run's config sections, in the order ``run.meta`` writes them:
+    run, model, [critic], train, [gan], data."""
     cfg = _read_config(path)
     allowed = {"run", "model", "train", "data"} | ({"gan", "critic"} if want_gan else set())
     for name in cfg:
@@ -127,12 +129,10 @@ def _load_run_config(path, want_gan: bool):
     config_cls, model_cls = models.KINDS[model_kind]
     model_cfg = _section_config(cfg, "model", config_cls)
     train_cfg = _section_config(cfg, "train", train.TrainConfig, mode=model_cls.mode, steps=100)
-    gan_cfg = critic_cfg = None
-    if want_gan:
-        critic_cfg = _section_config(cfg, "critic", models.CriticConfig)
-        gan_cfg = _section_config(cfg, "gan", train.GanConfig, base=train_cfg)
-    data_cfg = _section_config(cfg, "data", DataConfig)
-    return model_kind, model_cfg, train_cfg, gan_cfg, critic_cfg, data_cfg
+    critic = {"critic": _section_config(cfg, "critic", models.CriticConfig)} if want_gan else {}
+    gan = {"gan": _section_config(cfg, "gan", train.GanConfig, base=train_cfg)} if want_gan else {}
+    return {"run": {"model": model_kind}, "model": model_cfg, **critic, "train": train_cfg, **gan,
+            "data": _section_config(cfg, "data", DataConfig)}
 
 
 def _load_corpus(cfg: DataConfig):
@@ -146,16 +146,11 @@ def _load_corpus(cfg: DataConfig):
             if len(sig) != e.samples:
                 raise data.CorpusError(f"{e.path}: {len(sig)} samples, but the manifest says {e.samples}")
         ids = [f"{e.speaker}/{e.utterance}" for e in entries]
-        text = Path(cfg.manifest).read_text(encoding="utf-8") + f"|split={cfg.split}"
-        return corpus, ids, _sha256(text.encode())
+        return corpus, ids, _file_sha256(cfg.manifest)
     spec = cfg.synth_spec()
     corpus = data.synth_signals(spec, cfg.synth_seed)
     ids = [str(i) for i in range(len(corpus))]
-    return corpus, ids, _sha256(f"{spec}|seed={cfg.synth_seed}".encode())
-
-
-def _sha256(blob: bytes) -> str:
-    return "sha256:" + hashlib.sha256(blob).hexdigest()
+    return corpus, ids, "sha256:" + hashlib.sha256(f"{spec}|seed={cfg.synth_seed}".encode()).hexdigest()
 
 
 def _file_sha256(path) -> str:
@@ -167,22 +162,34 @@ def _file_sha256(path) -> str:
     return "sha256:" + digest.hexdigest()
 
 
-def _write_run_meta(out_dir: Path, command: str, items: dict, sections: dict | None = None) -> None:
+# --out, --config and --progress-every say where a run writes, which file
+# configured it and how often it prints; run.meta records every other flag
+# (the subcommand is its first line, and func is the handler, not a flag)
+_UNRECORDED = {"out", "config", "progress_every", "command", "func"}
+
+
+def _write_run_meta(out_dir: Path, args, items: dict, sections: dict | None = None) -> None:
     """Write ``run.meta``: the command, the Python/numpy/scipy versions, the BLAS
-    thread variables and the provenance as ``# key = value`` lines, then each
-    config in ``sections`` that is not None as a config-file section, so a
+    thread variables, then as ``# key = value`` lines every parsed flag but the
+    unrecorded ones (``None`` as ``none``), overwritten by the ``items`` the command
+    derived, then each config in ``sections`` as a config-file section, so a
     training run's record is a config that re-runs it."""
-    lines = [f"# command = {command}", f"# version = {__version__}",
+    lines = [f"# command = {args.command}", f"# version = {__version__}",
              "# python = {}.{}.{}".format(*sys.version_info[:3]),
              f"# numpy = {np.__version__}", f"# scipy = {scipy.__version__}"]
     lines += [f"# {var} = {os.environ.get(var, 'unset')}"
               for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")]
-    lines += [f"# {key} = {items[key]}" for key in sorted(items)]
+    record = {key: val for key, val in vars(args).items() if key not in _UNRECORDED} | items
+    lines += [f"# {key} = {'none' if val is None else val}" for key, val in sorted(record.items())]
     for name, cfg in (sections or {}).items():
-        if cfg is not None:
-            values = cfg if isinstance(cfg, dict) else models.encode_config(cfg)
-            lines += ["", f"[{name}]"] + [f"{key} = {val}" for key, val in values.items()]
+        values = cfg if isinstance(cfg, dict) else models.encode_config(cfg)
+        lines += ["", f"[{name}]"] + [f"{key} = {val}" for key, val in values.items()]
     data.write_atomic(out_dir / "run.meta", "\n".join(lines) + "\n")
+
+
+def _note_clipped(n: int) -> None:
+    if n:
+        print(f"note: clipped {n} out-of-range samples before writing", file=sys.stderr)
 
 
 def _out_dir(path_str: str) -> Path:
@@ -200,7 +207,7 @@ def _cmd_prepare(args) -> int:
     target = args.target_rate
     sources = data.list_corpus(args.root)
     out = _out_dir(args.out)
-    entries = []
+    entries, clipped = [], 0
     for speaker, path in sources:
         sig = data.wav_read(path, downmix=args.downmix)
         if sig.sample_rate != target:
@@ -209,18 +216,12 @@ def _cmd_prepare(args) -> int:
             sig = dsp.downsample(sig, sig.sample_rate // target)
         dest = out / "audio" / speaker / path.name
         dest.parent.mkdir(parents=True, exist_ok=True)
-        data.wav_write(sig, dest)
+        clipped += data.wav_write(sig, dest)
         entries.append(data.CorpusEntry(speaker, path.stem, os.path.relpath(dest), len(sig)))
     split = data.split_speakers([speaker for speaker, _ in sources], ratios, args.seed)
     data.CorpusIndex(entries, split, args.seed, ratios).write_manifest(out / "manifest.txt")
-    manifest_text = (out / "manifest.txt").read_text(encoding="utf-8")
-    _write_run_meta(out, "prepare", {
-        "seed": args.seed,
-        "target_rate": target,
-        "ratios": args.ratios,
-        "root": args.root,
-        "corpus_hash": _sha256(manifest_text.encode()),
-    })
+    _note_clipped(clipped)
+    _write_run_meta(out, args, {"corpus_hash": _file_sha256(out / "manifest.txt"), "clipped": clipped})
     print(f"prepared {len(entries)} files from {len(split)} speakers -> {out}")
     return 0
 
@@ -233,23 +234,21 @@ def _cmd_train(args) -> int:
     """``train`` and ``train-gan``. The run's ``run.meta`` holds its config
     sections, so ``--config run.meta`` re-runs it."""
     gan = args.command == "train-gan"
-    kind, model_cfg, train_cfg, gan_cfg, critic_cfg, data_cfg = _load_run_config(args.config, gan)
+    sections = _load_run_config(args.config, gan)
+    kind, train_cfg = sections["run"]["model"], sections["train"]
     if gan and kind != "unet":
         raise UsageError("train-gan needs run.model = unet (pre-upsampling generator)")
-    corpus, _, corpus_hash = _load_corpus(data_cfg)
-    model = _build_model(kind, model_cfg, train_cfg.seed)
+    corpus, _, corpus_hash = _load_corpus(sections["data"])
+    model = _build_model(kind, sections["model"], train_cfg.seed)
     io = {"out_dir": args.out, "progress_every": args.progress_every}  # the trainer makes out_dir
     if gan:
-        critic = _build_model("critic", critic_cfg, train_cfg.seed + 1)
-        train.train_wgan_gp(model, critic, corpus, gan_cfg, **io)
+        critic = _build_model("critic", sections["critic"], train_cfg.seed + 1)
+        train.train_wgan_gp(model, critic, corpus, sections["gan"], **io)
         done = f"adversarial run finished after {train_cfg.steps} outer steps"
     else:
         log = train.train_supervised(model, corpus, train_cfg, **io)[1]
         done = f"trained {kind} for {train_cfg.steps} steps; final loss {log.records[-1].loss:.6f}"
-    _write_run_meta(Path(args.out), args.command, {"corpus_hash": corpus_hash}, {
-        "run": {"model": kind}, "model": model_cfg, "critic": critic_cfg,
-        "train": train_cfg, "gan": gan_cfg, "data": data_cfg,
-    })
+    _write_run_meta(Path(args.out), args, {"corpus_hash": corpus_hash}, sections)
     print(done)
     return 0
 
@@ -267,13 +266,9 @@ def _cmd_eval(args) -> int:
     report = metrics.evaluate_model(model, corpus, args.scale, item_ids=ids, checkpoint_id=ckpt_id)
     out = _out_dir(args.out)
     report.to_csv(out / "metrics.csv")
-    _write_run_meta(out, "eval", {
-        "scale": args.scale,
-        "mode": report.mode,
-        "checkpoint": ckpt_id,
-        **({"split": data_cfg.split} if args.manifest else {"seed": data_cfg.synth_seed}),
-        "corpus_hash": corpus_hash,
-    })
+    resolved = ({"split": data_cfg.split} if args.manifest
+                else {"synth": data_cfg.synth_count, "synth_seed": data_cfg.synth_seed})
+    _write_run_meta(out, args, {"mode": report.mode, **resolved, "corpus_hash": corpus_hash})
     print(
         f"SNR {report.snr_mean:.2f} +/- {report.snr_std:.2f} dB | "
         f"LSD {report.lsd_mean:.3f} +/- {report.lsd_std:.3f} dB "
@@ -288,15 +283,8 @@ def _cmd_upsample(args) -> int:
     sig = data.wav_read(args.input, downmix=args.downmix)
     model = models.load_checkpoint(args.checkpoint) if args.checkpoint else None
     result = models.reconstruct(model, sig, args.scale)
-    if n_clipped := data.wav_write(result, args.output):
-        print(f"note: clipped {n_clipped} out-of-range samples before writing", file=sys.stderr)
-    out = _out_dir(args.out)
-    _write_run_meta(out, "upsample", {
-        "scale": args.scale,
-        "method": args.method,
-        "checkpoint": args.checkpoint or "none",
-        "corpus_hash": _file_sha256(args.input),
-    })
+    _note_clipped(data.wav_write(result, args.output))
+    _write_run_meta(_out_dir(args.out), args, {"corpus_hash": _file_sha256(args.input)})
     print(f"wrote {args.output}: {len(result)} samples @ {result.sample_rate} Hz")
     return 0
 
@@ -304,14 +292,15 @@ def _cmd_upsample(args) -> int:
 def _cmd_compare_losses(args) -> int:
     """Train the config's model once under l1 and once under l2, and score both
     on a held-out copy of ``[data]``: the test split, synthesised one seed on."""
-    kind, model_cfg, train_cfg, _, _, data_cfg = _load_run_config(args.config, want_gan=False)
+    sections = _load_run_config(args.config, want_gan=False)
+    kind, model_cfg, train_cfg, data_cfg = (sections["run"]["model"], sections["model"],
+                                            sections["train"], sections["data"])
     if train_cfg.loss is not None:
         raise UsageError("compare-losses sets the loss itself; drop [train] loss")
     corpus, _, corpus_hash = _load_corpus(data_cfg)
     held_out = _load_corpus(replace(data_cfg, split="test", synth_seed=data_cfg.synth_seed + 1))[0]
     if model_cfg.scale == train_cfg.scale:  # else training rejects the model first, a usage error
-        for i, sig in enumerate(held_out):  # a reconstruction has scale * floor(n / scale) samples
-            metrics.check_comparable(str(i), len(sig) // train_cfg.scale * train_cfg.scale)
+        metrics.check_comparable(held_out, train_cfg.scale)
     lines = [f"# model = {kind}", f"# scale = {train_cfg.scale}", f"# steps = {train_cfg.steps}",
              f"# seed = {train_cfg.seed}", "loss,snr_mean,snr_std,lsd_mean,lsd_std"]
     for loss in ("l1", "l2"):
@@ -326,9 +315,7 @@ def _cmd_compare_losses(args) -> int:
         lines.append(f"{loss},{report.snr_mean!r},{report.snr_std!r},{report.lsd_mean!r},{report.lsd_std!r}")
     out = _out_dir(args.out)
     data.write_atomic(out / "compare.csv", "\n".join(lines) + "\n")
-    _write_run_meta(out, "compare-losses", {"corpus_hash": corpus_hash}, {
-        "run": {"model": kind}, "model": model_cfg, "train": train_cfg, "data": data_cfg,
-    })
+    _write_run_meta(out, args, {"corpus_hash": corpus_hash}, sections)
     return 0
 
 
@@ -340,11 +327,7 @@ def _cmd_probe(args) -> int:
     probe.write_report(report, out / "report.txt")
     probe.export_spectrogram(report.spectrogram, out / "spec.csv", fmt="csv")
     probe.export_spectrogram(report.spectrogram, out / "spec.pgm", fmt="pgm")
-    _write_run_meta(out, "probe", {
-        "checkpoint": Path(args.checkpoint).name,
-        "length": args.length,
-        "corpus_hash": _file_sha256(args.checkpoint),
-    })
+    _write_run_meta(out, args, {"checkpoint_hash": _file_sha256(args.checkpoint)})
     period = report.periodicity if report.periodicity is not None else "none"
     print(f"{len(report.peaks)} tonal peaks; periodicity: {period}")
     return 0

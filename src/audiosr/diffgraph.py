@@ -840,8 +840,8 @@ class AdamState:
     def __post_init__(self):
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError(f"betas must lie in [0, 1), got {self.beta1}, {self.beta2}")
-        if self.alpha <= 0 or self.eps <= 0:
-            raise ValueError("alpha and eps must be positive")
+        if not (0 < self.alpha < np.inf and 0 < self.eps < np.inf):
+            raise ValueError(f"alpha and eps must be positive and finite, got {self.alpha}, {self.eps}")
         if self.t < 0:
             raise ValueError("step counter must be >= 0")
 

@@ -80,13 +80,15 @@ class MetricReport:
         write_atomic(path, "\n".join(lines) + "\n")
 
 
-def check_comparable(item_id: str, n: int) -> None:
-    """Reject an item with ``n`` comparable samples, fewer than one STFT frame."""
-    if n < dsp.FRAME_LENGTH:
-        raise ValueError(
-            f"item {item_id}: only {n} comparable samples, need at least one "
-            f"STFT frame ({dsp.FRAME_LENGTH})"
-        )
+def check_comparable(corpus: list[Signal], scale: int, item_ids: list[str] | None = None) -> None:
+    """Reject a corpus with an item of fewer comparable samples than one STFT frame.
+    An ``n``-sample item's reconstruction has ``n // scale * scale`` samples."""
+    for i, sig in enumerate(corpus):
+        if (n := len(sig) // scale * scale) < dsp.FRAME_LENGTH:
+            raise ValueError(
+                f"item {item_ids[i] if item_ids is not None else i}: only {n} comparable samples, "
+                f"need at least one STFT frame ({dsp.FRAME_LENGTH})"
+            )
 
 
 def evaluate_model(
@@ -112,13 +114,13 @@ def evaluate_model(
         mode = upsampling_mode(model, scale, mode)
     if item_ids is not None and len(item_ids) != len(corpus):
         raise ValueError("item_ids length does not match corpus")
+    ids = item_ids if item_ids is not None else [str(i) for i in range(len(corpus))]
+    check_comparable(corpus, scale, ids)
 
     per_item = []
-    for i, sig in enumerate(corpus):
-        item_id = item_ids[i] if item_ids is not None else str(i)
+    for item_id, sig in zip(ids, corpus):
         recon = reconstruct(model, dsp.downsample(sig, scale), scale)
         n = min(len(recon), len(sig))
-        check_comparable(item_id, n)
         gen = Signal(recon.samples[:n], sig.sample_rate)
         ref = Signal(sig.samples[:n], sig.sample_rate)
         per_item.append((item_id, snr(gen, ref), lsd(gen, ref)))

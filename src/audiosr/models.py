@@ -453,9 +453,15 @@ def decode_config(cls, values: dict[str, str], **defaults):
     return cls(**kwargs)
 
 
+def _finite(raw: str) -> float:
+    if not math.isfinite(value := float(raw)):
+        raise ValueError(f"must be finite, got {raw}")
+    return value
+
+
 _PARSERS = {
     "int": int,
-    "float": float,
+    "float": _finite,
     "str": str,
     "str | None": lambda raw: None if raw in ("", "none") else raw,
     "tuple[int, ...]": lambda raw: tuple(int(v) for v in raw.split(",") if v.strip()),

@@ -11,7 +11,7 @@ import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from audiosr import cli, data, models, train
+from audiosr import cli, data, metrics, models, train
 from audiosr import diffgraph as dg
 from audiosr.dsp import Signal
 
@@ -231,7 +231,9 @@ class TestProbeCommand:
         out = tmp_path / "p"
         assert run("probe", "--checkpoint", str(ckpt), "--out", str(out), "--length", "4096") == 0
         digest = hashlib.sha256(ckpt.read_bytes()).hexdigest()
-        assert f"corpus_hash = sha256:{digest}\n" in (out / "run.meta").read_text()
+        text = (out / "run.meta").read_text()
+        assert f"\n# checkpoint_hash = sha256:{digest}\n" in text
+        assert "corpus_hash" not in text  # a probe reads no corpus
 
 
 class TestEvalCommand:
@@ -298,10 +300,11 @@ class TestEvalCommand:
         assert not out.exists()
 
     def test_run_meta_records_the_seed_or_the_split(self, tmp_path):
-        assert run("eval", "--spline", "--scale", "2", "--synth", "2", "--out", str(tmp_path / "s")) == 0
+        # the corpus flags as resolved: a flag left out is recorded with the value it took
+        assert run("eval", "--spline", "--scale", "2", "--out", str(tmp_path / "s")) == 0
         lines = (tmp_path / "s" / "run.meta").read_text().splitlines()
-        assert "# seed = 99" in lines
-        assert not any(line.startswith("# split") for line in lines)
+        for line in ("# synth = 16", "# synth_seed = 99", "# split = none", "# manifest = none"):
+            assert line in lines
         wav = tmp_path / "p0" / "a.wav"
         wav.parent.mkdir()
         write_tone(wav, n=4096, rate=24000)
@@ -309,8 +312,24 @@ class TestEvalCommand:
         manifest.write_text(f"test\tp0\t{wav}\t4096\n")
         assert run("eval", "--spline", "--scale", "2", "--manifest", str(manifest), "--out", str(tmp_path / "m")) == 0
         lines = (tmp_path / "m" / "run.meta").read_text().splitlines()
-        assert "# split = test" in lines
-        assert not any(line.startswith("# seed") for line in lines)
+        for line in ("# split = test", f"# manifest = {manifest}", "# synth = none", "# synth_seed = none"):
+            assert line in lines
+
+    def test_short_last_item_fails_before_any_reconstruction(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "p0").mkdir()
+        lines = []
+        for name, n in (("a", 4096), ("b", 2000)):
+            write_tone(tmp_path / "p0" / f"{name}.wav", n=n, rate=24000)
+            lines.append(f"test\tp0\t{tmp_path / 'p0' / name}.wav\t{n}\n")
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("".join(lines))
+        calls = []
+        monkeypatch.setattr(metrics, "reconstruct", lambda *args: calls.append(args))
+        out = tmp_path / "e"
+        assert run("eval", "--spline", "--scale", "2", "--manifest", str(manifest), "--out", str(out)) == 2
+        assert "only 2000 comparable samples, need at least one STFT frame (2048)" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
 
     def test_mode_flag_is_gone(self, tmp_path, tiny_ckpt):
         code = run(
@@ -398,6 +417,36 @@ class TestPrepareAndTrain:
         first, second = (tmp_path / "raw" / top / "p000" / "u0.wav" for top in ("x", "y"))  # the first pair
         assert f"{first} and {second}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_prepare_notes_and_records_clipped_samples(self, tmp_path, capsys):
+        # a full-scale 1 kHz square wave at 48 kHz rings past +-1 when decimated to 12 kHz
+        square = np.sign(np.sin(2 * np.pi * 1000 * np.arange(9600) / 48000))
+        (tmp_path / "sq" / "p0").mkdir(parents=True)
+        data.wav_write(Signal(square, 48000), tmp_path / "sq" / "p0" / "u0.wav")
+        assert run("prepare", "--root", str(tmp_path / "sq"), "--out", str(tmp_path / "a")) == 0
+        assert "note: clipped 800 out-of-range samples before writing" in capsys.readouterr().err
+        assert "# clipped = 800" in (tmp_path / "a" / "run.meta").read_text().splitlines()
+        self.build_corpus(tmp_path / "noise")  # peaks far below full scale
+        assert run("prepare", "--root", str(tmp_path / "noise"), "--out", str(tmp_path / "b")) == 0
+        assert "note:" not in capsys.readouterr().err
+        assert "# clipped = 0" in (tmp_path / "b" / "run.meta").read_text().splitlines()
+
+    def test_prepare_train_and_eval_record_one_corpus_hash(self, tmp_path):
+        self.build_corpus(tmp_path / "raw")
+        prep = tmp_path / "prepared"
+        assert run("prepare", "--root", str(tmp_path / "raw"), "--out", str(prep), "--ratios", "0.34,0.33,0.33") == 0
+        manifest = prep / "manifest.txt"
+        (tmp_path / "run.cfg").write_text(
+            self.TRAIN_RUN.replace("synth_count = 4\nsynth_length = 2048\n", f"manifest = {manifest}\n"))
+        assert run("train", "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "t")) == 0
+        assert run("eval", "--spline", "--scale", "2", "--manifest", str(manifest), "--out", str(tmp_path / "e")) == 0
+
+        def corpus_hash(out):
+            return [line for line in (out / "run.meta").read_text().splitlines() if line.startswith("# corpus_hash")]
+
+        digest = hashlib.sha256(manifest.read_bytes()).hexdigest()
+        assert corpus_hash(prep) == corpus_hash(tmp_path / "t") == corpus_hash(tmp_path / "e") == [
+            f"# corpus_hash = sha256:{digest}"]
 
     def test_prepare_reads_each_source_once(self, tmp_path, monkeypatch):
         self.build_corpus(tmp_path / "raw")
@@ -496,13 +545,34 @@ class TestPrepareAndTrain:
         assert run("train", "--config", str(cfgfile), "--out", str(tmp_path / "o")) == code
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "command, line, bad",
+        [("train", "steps = 1", "steps = 1\nlr = nan"), ("train", "steps = 1", "steps = 1\nlr = inf"),
+         ("train-gan", "n_critic = 1", "n_critic = 1\ngp_weight = inf")],
+        ids=["nan-lr", "inf-lr", "inf-gp-weight"],
+    )
+    def test_non_finite_value_is_usage_error_before_the_corpus(self, tmp_path, monkeypatch, capsys,
+                                                               command, line, bad):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the corpus was made before the config was checked")
+
+        monkeypatch.setattr(data, "synth_signals", unreachable)
+        base = self.TINY_RUN if command == "train" else self.TINY_GAN_RUN
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(base.replace(line, bad))
+        assert run(command, "--config", str(cfgfile), "--out", str(tmp_path / "o")) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_readme_config_example_loads(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(example)
-        kind, model_cfg, train_cfg, _, _, data_cfg = cli._load_run_config(cfgfile, want_gan=False)
-        assert (kind, model_cfg.n_blocks, train_cfg.loss, data_cfg.split) == ("edsr", 32, "l2", "train")
+        cfg = cli._load_run_config(cfgfile, want_gan=False)
+        assert list(cfg) == ["run", "model", "train", "data"]
+        assert (cfg["run"]["model"], cfg["model"].n_blocks, cfg["train"].loss, cfg["data"].split) == (
+            "edsr", 32, "l2", "train")
 
     def test_unknown_section_is_usage_error(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
@@ -517,8 +587,11 @@ class TestPrepareAndTrain:
         assert (out / "generator.ckpt").exists()
         assert (out / "critic.ckpt").exists()
         # run.meta loads back as the run's config
-        kind, unet, base, gan, critic, _ = cli._load_run_config(out / "run.meta", want_gan=True)
-        assert (kind, unet.down_filters, base.loss, gan.n_critic, gan.warm_start) == ("unet", (4, 8), None, 2, None)
+        cfg = cli._load_run_config(out / "run.meta", want_gan=True)
+        assert list(cfg) == ["run", "model", "critic", "train", "gan", "data"]
+        unet, base, gan, critic = cfg["model"], cfg["train"], cfg["gan"], cfg["critic"]
+        assert (cfg["run"]["model"], unet.down_filters, base.loss, gan.n_critic, gan.warm_start) == (
+            "unet", (4, 8), None, 2, None)
         assert (critic.layers, critic.base_filters) == (2, 4)
 
     @pytest.mark.parametrize(
@@ -614,7 +687,7 @@ class TestConfigFuzz:
             parsed = cli._load_run_config(path, want_gan)
         except cli.UsageError:
             return
-        assert isinstance(parsed[5], cli.DataConfig)
+        assert isinstance(parsed["data"], cli.DataConfig)
 
 
 class TestCompareLosses:
@@ -692,7 +765,8 @@ class TestCompareLosses:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         example = readme.split("```ini\n")[2].split("```", 1)[0]
         (tmp_path / "cmp.cfg").write_text(example)
-        kind, m, t, _, _, d = cli._load_run_config(tmp_path / "cmp.cfg", want_gan=False)
+        cfg = cli._load_run_config(tmp_path / "cmp.cfg", want_gan=False)
+        kind, m, t, d = cfg["run"]["model"], cfg["model"], cfg["train"], cfg["data"]
         assert (kind, m.filters, m.n_blocks, m.upsample_stages) == ("edsr", 16, 2, 1)
         assert (t.steps, t.batch_size, t.patch_length, t.lr, t.seed, t.loss) == (500, 8, 1024, 1e-3, 7, None)
         assert (d.synth_count, d.synth_length, d.synth_seed) == (64, 2048, 8)
@@ -884,7 +958,14 @@ class TestRunMeta:
         }[command]
         out = tmp_path / "out"
         assert run(command, *argv, "--out", str(out)) == 0
-        assert (out / "run.meta").read_text().startswith(f"# command = {command}\n")
+        text = (out / "run.meta").read_text()
+        assert text.startswith(f"# command = {command}\n")
+        # every flag is recorded but those that say where it writes, what configured it
+        # and how often it prints
+        sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in sub.choices[command]._actions} - {"help", "out", "config", "progress_every"}
+        for dest in dests:
+            assert f"\n# {dest} = " in text, dest
         sections = {
             "train": ["run", "model", "train", "data"],
             "train-gan": ["run", "model", "critic", "train", "gan", "data"],

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import inspect
+import math
 import multiprocessing
 import os
 import resource
@@ -594,6 +595,13 @@ class TestConfigCodec:
         with pytest.raises(ValueError, match=match):
             models.decode_config(EdsrConfig, values)
 
+    @pytest.mark.parametrize("cls, key", [(train.TrainConfig, "lr"), (CriticConfig, "leaky_slope")])
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e309"])
+    def test_non_finite_float_rejected(self, cls, key, raw):
+        defaults = {"mode": "post"} if cls is train.TrainConfig else {}
+        with pytest.raises(ValueError, match=f"bad value for '{key}': must be finite"):
+            models.decode_config(cls, {key: raw}, **defaults)
+
     def test_non_string_field_rejected(self):
         base = train.TrainConfig(steps=1, mode="pre")
         with pytest.raises(ValueError, match="base"):
@@ -815,6 +823,15 @@ class TestCheckpoint:
         path.write_bytes(edit_header(path.read_bytes(), "step = 0\n", "step = 0\nstep = 5\n"))
         with pytest.raises(CheckpointCorruptError, match="'step = 5'"):
             models.load_checkpoint(path)
+
+    @pytest.mark.parametrize("field, value", [("alpha", math.nan), ("eps", math.inf)])
+    def test_non_finite_adam_float_is_corrupt(self, tmp_path, field, value):
+        m, blob = tiny_critic_checkpoint(tmp_path / "c.ckpt")
+        old = struct.pack("<d", getattr(m.adam_state, field))
+        assert blob.count(old) == 1
+        (tmp_path / "c.ckpt").write_bytes(blob.replace(old, struct.pack("<d", value)))
+        with pytest.raises(CheckpointCorruptError, match="alpha and eps must be positive and finite"):
+            models.load_checkpoint(tmp_path / "c.ckpt")
 
     def test_unknown_header_key_is_accepted(self, tmp_path):
         path = tmp_path / "edsr.ckpt"
